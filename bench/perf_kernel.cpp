@@ -16,14 +16,12 @@
 #include <string>
 #include <vector>
 
-#include "cache/l2mode.hh"
 #include "common/env.hh"
 #include "common/prof.hh"
 #include "common/rng.hh"
 #include "core/chunk.hh"
 #include "core/descscheme.hh"
 #include "core/link.hh"
-#include "cpu/coremode.hh"
 #include "encoding/scheme.hh"
 #include "sim/eventq.hh"
 #include "sim/experiment.hh"
@@ -289,23 +287,19 @@ benchRunSystem(std::uint64_t insts, unsigned reps, std::uint64_t *cycles)
 }
 
 /**
- * The same workload with every engine pinned to its cycle-accurate
- * reference (ticked cores, per-event L2 transactions, scalar
- * encoders, ticked links). Tracked so a regression in the fallbacks
- * stays visible, and doubling as an equivalence probe: the cycle
- * count must match the fast-path run exactly.
+ * The same workload with the encoders and links pinned to their
+ * cycle-accurate references (scalar encoders, ticked links). Tracked
+ * so a regression in the fallbacks stays visible, and doubling as an
+ * equivalence probe: the cycle count must match the fast-path run
+ * exactly.
  */
 double
 benchRunSystemTicked(std::uint64_t insts, unsigned reps,
                      std::uint64_t *cycles)
 {
-    cpu::setDefaultCoreMode(cpu::CoreMode::Ticked);
-    cache::setDefaultL2Mode(cache::L2Mode::Event);
     encoding::setDefaultEncoderMode(encoding::EncoderMode::Scalar);
     core::setDefaultLinkMode(core::LinkMode::Ticked);
     double rate = benchRunSystem(insts, reps, cycles);
-    cpu::setDefaultCoreMode(std::nullopt);
-    cache::setDefaultL2Mode(std::nullopt);
     encoding::setDefaultEncoderMode(std::nullopt);
     core::setDefaultLinkMode(std::nullopt);
     return rate;

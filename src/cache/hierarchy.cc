@@ -43,7 +43,6 @@ MemHierarchy::MemHierarchy(sim::EventQueue &eq, const L2Config &l2cfg,
       _dram(eq, dram_cfg),
       _l2(l2cfg.org.capacity_bytes, l2cfg.org.assoc, l2cfg.org.block_bytes),
       _scratch(0), _scratch_raw(l2cfg.scheme_cfg.block_bits),
-      _flat(defaultL2Mode() != L2Mode::Event),
       _chunk_stats(l2cfg.scheme_cfg.chunk_bits == 0
                        ? 4
                        : l2cfg.scheme_cfg.chunk_bits,
@@ -311,19 +310,6 @@ MemHierarchy::acquireResponse()
     return *ev;
 }
 
-MemHierarchy::TxnEvent &
-MemHierarchy::acquireTxn()
-{
-    if (_txn_free.empty()) {
-        _txn_events.emplace_back();
-        _txn_events.back().mh = this;
-        return _txn_events.back();
-    }
-    TxnEvent *ev = _txn_free.back();
-    _txn_free.pop_back();
-    return *ev;
-}
-
 void
 MemHierarchy::accessEvent(AccessEvent &ev)
 {
@@ -346,15 +332,15 @@ MemHierarchy::tagProbe(TagProbeEvent &ev)
 }
 
 void
-MemHierarchy::respondCommon(Addr addr, Cycle t0, bool sample_hit,
-                            std::vector<MshrEntry::Waiter> &waiters)
+MemHierarchy::respond(ResponseEvent &ev)
 {
-    if (sample_hit)
-        _stats.hit_latency.sample(double(_eq.now() - t0));
-    auto way = _l2.lookup(addr);
-    for (auto &w : waiters) {
+    DESC_PROF_SCOPE(CacheRespond);
+    if (ev.sample_hit)
+        _stats.hit_latency.sample(double(_eq.now() - ev.t0));
+    auto way = _l2.lookup(ev.addr);
+    for (auto &w : ev.waiters) {
         if (way != L2Array::kNoWay) {
-            fillL1(w, addr, way);
+            fillL1(w, ev.addr, way);
             _l2.touch(way);
         }
         if (w.is_store) {
@@ -368,14 +354,7 @@ MemHierarchy::respondCommon(Addr addr, Cycle t0, bool sample_hit,
         if (w.done)
             w.done();
     }
-    waiters.clear(); // keeps the capacity
-}
-
-void
-MemHierarchy::respond(ResponseEvent &ev)
-{
-    DESC_PROF_SCOPE(CacheRespond);
-    respondCommon(ev.addr, ev.t0, ev.sample_hit, ev.waiters);
+    ev.waiters.clear(); // keeps the capacity
     _response_free.push_back(&ev);
 }
 
@@ -387,35 +366,6 @@ MemHierarchy::deliver(DeliverEvent &ev)
     _deliver_free.push_back(&ev);
     if (cb)
         cb();
-}
-
-Cycle
-MemHierarchy::serveHitCommon(L2Array::Way way, Addr addr, Cycle t0,
-                             unsigned core, bool exclusive, bool ifetch)
-{
-    _stats.l2_hits.inc();
-    DESC_TRACE_EVENT(Cache, _eq.now(), "L2 hit: core ", core,
-                     exclusive ? " excl" : " shared",
-                     ifetch ? " ifetch" : "", " addr 0x", std::hex,
-                     addr, std::dec);
-    unsigned bank = bankOf(addr);
-    Cycle flight_out = _cfg.snuca ? _banks[bank].route_latency : _flight;
-    Cycle earliest = t0 + _cfg.ctrl_latency + flight_out;
-
-    Cycle ready = earliest;
-    if (exclusive) {
-        if (invalidateSharers(way, addr, core, earliest, &ready))
-            ready += _cfg.recall_latency;
-    } else if (_l2.meta(way).owner != kNoOwner
-               && _l2.meta(way).owner != core) {
-        if (recallForShared(way, addr, earliest, &ready))
-            ready += _cfg.recall_latency;
-    }
-
-    Cycle complete = transfer(bank, l2Data(way), false, ready);
-    Cycle flight_back =
-        _cfg.snuca ? _banks[bank].route_latency : _flight;
-    return complete + flight_back;
 }
 
 void
@@ -431,23 +381,42 @@ MemHierarchy::l2Request(Addr addr, Cycle t0, MshrEntry::Waiter w)
     }
 
     auto way = _l2.lookup(addr);
-    if (way != L2Array::kNoWay) {
-        Cycle resp = serveHitCommon(way, addr, t0, w.core, w.exclusive,
-                                    w.ifetch);
-        ResponseEvent &ev = acquireResponse();
-        ev.waiters.push_back(std::move(w));
-        ev.addr = addr;
-        ev.t0 = t0;
-        ev.sample_hit = true;
-        _eq.schedule(ev, resp);
+    if (way == L2Array::kNoWay) {
+        startMiss(addr, t0, std::move(w));
         return;
     }
 
-    startMiss(addr, t0, std::move(w));
+    _stats.l2_hits.inc();
+    DESC_TRACE_EVENT(Cache, _eq.now(), "L2 hit: core ", w.core,
+                     w.exclusive ? " excl" : " shared",
+                     w.ifetch ? " ifetch" : "", " addr 0x", std::hex,
+                     addr, std::dec);
+    unsigned bank = bankOf(addr);
+    Cycle flight = _cfg.snuca ? _banks[bank].route_latency : _flight;
+    Cycle earliest = t0 + _cfg.ctrl_latency + flight;
+
+    Cycle ready = earliest;
+    if (w.exclusive) {
+        if (invalidateSharers(way, addr, w.core, earliest, &ready))
+            ready += _cfg.recall_latency;
+    } else if (_l2.meta(way).owner != kNoOwner
+               && _l2.meta(way).owner != w.core) {
+        if (recallForShared(way, addr, earliest, &ready))
+            ready += _cfg.recall_latency;
+    }
+
+    Cycle complete = transfer(bank, l2Data(way), false, ready);
+
+    ResponseEvent &ev = acquireResponse();
+    ev.waiters.push_back(std::move(w));
+    ev.addr = addr;
+    ev.t0 = t0;
+    ev.sample_hit = true;
+    _eq.schedule(ev, complete + flight);
 }
 
-Cycle
-MemHierarchy::startMissCommon(Addr addr, Cycle t0, MshrEntry::Waiter w)
+void
+MemHierarchy::startMiss(Addr addr, Cycle t0, MshrEntry::Waiter w)
 {
     _stats.l2_misses.inc();
     DESC_TRACE_EVENT(Cache, _eq.now(), "L2 miss: core ", w.core,
@@ -473,13 +442,6 @@ MemHierarchy::startMissCommon(Addr addr, Cycle t0, MshrEntry::Waiter w)
     _mshr_active.emplace_back(addr, idx);
 
     // Tag probe detects the miss, then the request goes to memory.
-    return t0 + _cfg.ctrl_latency + _flight + 2;
-}
-
-void
-MemHierarchy::startMiss(Addr addr, Cycle t0, MshrEntry::Waiter w)
-{
-    Cycle tag_done = startMissCommon(addr, t0, std::move(w));
     TagProbeEvent *tev;
     if (_tag_free.empty()) {
         _tag_events.emplace_back();
@@ -490,60 +452,7 @@ MemHierarchy::startMiss(Addr addr, Cycle t0, MshrEntry::Waiter w)
         _tag_free.pop_back();
     }
     tev->addr = addr;
-    _eq.schedule(*tev, tag_done);
-}
-
-void
-MemHierarchy::txnEvent(TxnEvent &ev)
-{
-    switch (ev.phase) {
-      case TxnEvent::Phase::Request: {
-        DESC_PROF_SCOPE(CacheRequest);
-        _stats.l2_requests.inc();
-        MshrEntry::Waiter &w = ev.waiters.front();
-
-        auto mshr = findMshr(ev.addr);
-        if (mshr != kNoMshr) {
-            _mshr_pool[mshr].waiters.push_back(w);
-            _mshr_pool[mshr].exclusive_needed |= w.exclusive;
-            ev.waiters.clear();
-            _txn_free.push_back(&ev);
-            return;
-        }
-
-        auto way = _l2.lookup(ev.addr);
-        if (way != L2Array::kNoWay) {
-            // Hit: the waiter rides along; the event becomes its own
-            // response, scheduled exactly where the reference engine
-            // would allocate one.
-            Cycle resp = serveHitCommon(way, ev.addr, ev.t0, w.core,
-                                        w.exclusive, w.ifetch);
-            ev.phase = TxnEvent::Phase::Respond;
-            ev.sample_hit = true;
-            _eq.schedule(ev, resp);
-            return;
-        }
-
-        Cycle tag_done = startMissCommon(ev.addr, ev.t0, w);
-        ev.waiters.clear();
-        ev.phase = TxnEvent::Phase::Probe;
-        _eq.schedule(ev, tag_done);
-        return;
-      }
-      case TxnEvent::Phase::Probe: {
-        DESC_PROF_SCOPE(CacheMiss);
-        const Addr addr = ev.addr;
-        _txn_free.push_back(&ev);
-        _dram.access(addr, false, [this, addr]() { finishMiss(addr); });
-        return;
-      }
-      case TxnEvent::Phase::Respond: {
-        DESC_PROF_SCOPE(CacheRespond);
-        respondCommon(ev.addr, ev.t0, ev.sample_hit, ev.waiters);
-        _txn_free.push_back(&ev);
-        return;
-      }
-    }
+    _eq.schedule(*tev, t0 + _cfg.ctrl_latency + _flight + 2);
 }
 
 void
@@ -593,26 +502,12 @@ MemHierarchy::finishMiss(Addr addr)
     DESC_ASSERT(idx != kNoMshr, "miss completion without MSHR");
 
     MshrEntry &entry = _mshr_pool[idx];
-    std::vector<MshrEntry::Waiter> *waiters;
-    sim::Event *resp_ev;
-    if (_flat) {
-        TxnEvent &ev = acquireTxn();
-        ev.phase = TxnEvent::Phase::Respond;
-        ev.addr = addr;
-        ev.t0 = 0;
-        ev.sample_hit = false;
-        waiters = &ev.waiters;
-        resp_ev = &ev;
-    } else {
-        ResponseEvent &ev = acquireResponse();
-        ev.addr = addr;
-        ev.t0 = 0;
-        ev.sample_hit = false;
-        waiters = &ev.waiters;
-        resp_ev = &ev;
-    }
+    ResponseEvent &ev = acquireResponse();
+    ev.addr = addr;
+    ev.t0 = 0;
+    ev.sample_hit = false;
     for (auto &w : entry.waiters)
-        waiters->push_back(w);
+        ev.waiters.push_back(w);
     entry.waiters.clear(); // keeps the capacity for the next miss
     for (auto &slot : _mshr_active) {
         if (slot.first == addr) {
@@ -623,7 +518,7 @@ MemHierarchy::finishMiss(Addr addr)
     }
     _mshr_free.push_back(idx);
 
-    _eq.schedule(*resp_ev, resp);
+    _eq.schedule(ev, resp);
 }
 
 void
@@ -733,22 +628,10 @@ MemHierarchy::access(unsigned core, Addr addr, bool is_write,
 
     Addr ba = blockAddr(addr);
     Cycle t0 = _eq.now() + 2; // L1 probe detects the miss
-    MshrEntry::Waiter w{core,  is_write,    ifetch, is_write,
-                        addr,  store_value, done};
-    if (_flat) {
-        TxnEvent &ev = acquireTxn();
-        ev.phase = TxnEvent::Phase::Request;
-        ev.addr = ba;
-        ev.t0 = t0;
-        ev.sample_hit = false;
-        ev.waiters.push_back(w);
-        _eq.schedule(ev, t0);
-        return std::nullopt;
-    }
     AccessEvent &ev = acquireAccess();
     ev.ba = ba;
     ev.t0 = t0;
-    ev.w = w;
+    ev.w = {core, is_write, ifetch, is_write, addr, store_value, done};
     _eq.schedule(ev, t0);
     return std::nullopt;
 }

@@ -71,8 +71,8 @@ bool isSet(Var v);
 
 /**
  * Default-on toggle: false only when the variable is set to exactly
- * "0" (DESC_SIM_CACHE / DESC_WARMUP_CACHE semantics; other values,
- * including garbage, leave the feature on without a diagnostic).
+ * "0" (DESC_SIM_CACHE semantics; other values, including garbage,
+ * leave the feature on without a diagnostic).
  */
 bool enabledNotZero(Var v);
 

@@ -4,14 +4,13 @@
 
 #include "common/contract.hh"
 #include "common/prof.hh"
-#include "cpu/coremode.hh"
 
 namespace desc::cpu {
 
 InOrderCore::InOrderCore(
     sim::EventQueue &eq, cache::MemHierarchy &mem, unsigned core_id,
     std::vector<std::unique_ptr<InstructionStream>> threads,
-    std::uint64_t inst_budget, BatchGroup *group)
+    std::uint64_t inst_budget)
     : _eq(eq), _mem(mem), _core_id(core_id), _inst_budget(inst_budget)
 {
     DESC_ASSERT(!threads.empty(), "core needs at least one thread");
@@ -24,24 +23,6 @@ InOrderCore::InOrderCore(
         _thread_events.emplace_back();
         _thread_events.back().core = this;
         _thread_events.back().tid = unsigned(_thread_events.size() - 1);
-    }
-    if (defaultCoreMode() != CoreMode::Ticked) {
-        if (!group) {
-            _own_group = std::make_unique<BatchGroup>();
-            group = _own_group.get();
-        }
-        if (!group->cores.empty())
-            DESC_ASSERT(&group->cores.front()->_eq == &_eq,
-                        "batch group spans event queues");
-        group->cores.push_back(this);
-        _group = group;
-        // Steady state must not allocate: one slot per group event,
-        // plus room for the replay's locally created entries.
-        std::size_t events = 0;
-        for (const InOrderCore *c : group->cores)
-            events += 1 + c->_threads.size();
-        group->skip.reserve(events);
-        group->pending.reserve(2 * events);
     }
 }
 
@@ -65,30 +46,6 @@ void
 InOrderCore::threadEvent(ThreadEvent &ev)
 {
     DESC_PROF_SCOPE(CpuInorder);
-    // A memory op that is not a sure L1 hit must run through the
-    // reference path (it blocks the thread and queues a transaction);
-    // everything else seeds a batch replay — unless the throttle says
-    // recent replays were not paying for themselves.
-    if (!_group) {
-        threadEventRef(ev);
-        return;
-    }
-    if (_group->skip_left) {
-        _group->skip_left--;
-        threadEventRef(ev);
-        return;
-    }
-    if (ev.kind == ThreadEvent::Kind::ExecMem
-        && !_mem.peekHit(_core_id, ev.op.addr, ev.op.is_write, false)) {
-        threadEventRef(ev);
-        return;
-    }
-    replay(int(ev.tid));
-}
-
-void
-InOrderCore::threadEventRef(ThreadEvent &ev)
-{
     const unsigned tid = ev.tid;
     if (ev.kind == ThreadEvent::Kind::ExecMem) {
         auto lat = _mem.access(
@@ -122,31 +79,6 @@ InOrderCore::dispatch()
     DESC_PROF_SCOPE(CpuInorder);
     if (_ready.empty())
         return; // all contexts blocked; a completion will wake us
-    if (!_group) {
-        dispatchRef();
-        return;
-    }
-    if (_group->skip_left) {
-        _group->skip_left--;
-        dispatchRef();
-        return;
-    }
-    // An I-fetch that is not a sure hit blocks the front context and
-    // must issue its transaction at this very cycle: reference path.
-    const Thread &t = _threads[_ready.front()];
-    if (t.fetch_countdown == 0
-        && !_mem.peekHit(_core_id, t.stream->fetchAddr(), false, true)) {
-        dispatchRef();
-        return;
-    }
-    replay(kDispatchId);
-}
-
-void
-InOrderCore::dispatchRef()
-{
-    if (_ready.empty())
-        return;
 
     unsigned tid = _ready.front();
     _ready.pop_front();
@@ -166,10 +98,24 @@ InOrderCore::dispatchRef()
         // I-fetch hits overlap with execution: no extra cycles.
     }
 
+    // Execute up to the next memory operation (single issue: one
+    // instruction per cycle).
     MemOp op;
-    bool has_mem;
-    Cycle busy = burstStep(t, op, has_mem);
-    Cycle end = _eq.now() + busy;
+    unsigned gap = t.stream->nextGap(op);
+    std::uint64_t remaining = _inst_budget - t.retired;
+    bool has_mem = true;
+    std::uint64_t insts = std::uint64_t(gap) + 1;
+    if (insts >= remaining) {
+        insts = remaining;
+        has_mem = gap + 1 <= remaining; // mem op is the last instruction
+    }
+
+    t.retired += insts;
+    _stats.instructions.inc(insts);
+    t.fetch_countdown = t.fetch_countdown > insts
+        ? unsigned(t.fetch_countdown - insts)
+        : 0;
+    Cycle end = _eq.now() + std::max<Cycle>(1, insts);
 
     if (t.retired >= _inst_budget) {
         t.finished = true;
@@ -190,240 +136,6 @@ InOrderCore::dispatchRef()
     _eq.schedule(tev, end);
 
     scheduleDispatch(end);
-}
-
-Cycle
-InOrderCore::burstStep(Thread &t, MemOp &op, bool &has_mem)
-{
-    // Execute up to the next memory operation (single issue: one
-    // instruction per cycle).
-    unsigned gap = t.stream->nextGap(op);
-    std::uint64_t remaining = _inst_budget - t.retired;
-    has_mem = true;
-    std::uint64_t insts = std::uint64_t(gap) + 1;
-    if (insts >= remaining) {
-        insts = remaining;
-        has_mem = gap + 1 <= remaining; // mem op is the last instruction
-    }
-
-    t.retired += insts;
-    _stats.instructions.inc(insts);
-    t.fetch_countdown = t.fetch_countdown > insts
-        ? unsigned(t.fetch_countdown - insts)
-        : 0;
-
-    return std::max<Cycle>(1, insts);
-}
-
-
-void
-InOrderCore::replay(int seed_id)
-{
-    BatchGroup &g = *_group;
-
-    // Horizon peek. The group's own queued events will be replayed
-    // privately, so they must not count as pending.
-    g.skip.clear();
-    for (InOrderCore *c : g.cores) {
-        if (c->_dispatch_ev.scheduled())
-            g.skip.push_back(&c->_dispatch_ev);
-        for (ThreadEvent &tev : c->_thread_events)
-            if (tev.scheduled())
-                g.skip.push_back(&tev);
-    }
-    const Cycle now = _eq.now();
-    const Cycle next = _eq.nextEventTimeWithin(
-        now + kBatchHorizon, g.skip.data(), g.skip.size());
-
-    // Absorb every group event due before the first foreign one. The
-    // original global seq becomes its lseq, preserving same-cycle FIFO
-    // order among absorbed events; the currently firing seed precedes
-    // everything (lseq 0 — any event still queued at this cycle was
-    // scheduled after the seed).
-    g.pending.clear();
-    g.pending.push_back({now, 0, this, seed_id});
-    for (InOrderCore *c : g.cores) {
-        if (c->_dispatch_ev.scheduled() && c->_dispatch_ev.when() < next) {
-            g.pending.push_back({c->_dispatch_ev.when(),
-                                 sim::EventQueue::seqOf(c->_dispatch_ev),
-                                 c, kDispatchId});
-            _eq.deschedule(c->_dispatch_ev);
-        }
-        for (unsigned tid = 0; tid < c->_thread_events.size(); tid++) {
-            ThreadEvent &tev = c->_thread_events[tid];
-            if (tev.scheduled() && tev.when() < next) {
-                g.pending.push_back(
-                    {tev.when(), sim::EventQueue::seqOf(tev), c, int(tid)});
-                _eq.deschedule(tev);
-            }
-        }
-    }
-
-    std::uint64_t lseq = kLocalSeqBase;
-    unsigned executed = 0;
-
-    while (!g.pending.empty()) {
-        // argmin by (when, lseq): the order run() would fire them in.
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < g.pending.size(); i++) {
-            const BatchGroup::Pending &a = g.pending[i];
-            const BatchGroup::Pending &b = g.pending[best];
-            if (a.when < b.when || (a.when == b.when && a.lseq < b.lseq))
-                best = i;
-        }
-        const BatchGroup::Pending e = g.pending[best];
-        // The seed is already firing and must process here; for it the
-        // wrappers pre-verified the sure-hit conditions.
-        const bool seeded = e.lseq == 0;
-        InOrderCore &core = *e.core;
-
-        if (!seeded && e.when >= next) {
-            materialize();
-            noteReplay(g, executed);
-            return;
-        }
-
-        if (e.id != kDispatchId) {
-            ThreadEvent &tev = core._thread_events[unsigned(e.id)];
-            if (tev.kind == ThreadEvent::Kind::ExecMem) {
-                if (!seeded
-                    && !core._mem.peekHit(core._core_id, tev.op.addr,
-                                          tev.op.is_write, false)) {
-                    materialize();
-                    noteReplay(g, executed);
-                    return;
-                }
-                executed++;
-                g.pending[best] = g.pending.back();
-                g.pending.pop_back();
-                auto lat = core._mem.access(
-                    core._core_id, tev.op.addr, tev.op.is_write,
-                    tev.op.store_value, false,
-                    core.memDoneCb(unsigned(e.id)));
-                DESC_DCHECK(lat, "peeked hit missed during replay");
-                tev.kind = ThreadEvent::Kind::Wake;
-                g.pending.push_back({e.when + *lat, lseq++, &core, e.id});
-            } else {
-                executed++;
-                g.pending[best] = g.pending.back();
-                g.pending.pop_back();
-                core._ready.push_back(unsigned(e.id));
-                pushLocalDispatch(g, core, e.when, lseq);
-            }
-            continue;
-        }
-
-        // Dispatch entry.
-        if (core._ready.empty()) {
-            if (g.pending.size() == 1) {
-                // Trailing no-op dispatch — possibly the reference
-                // engine's final event; materialize it so the clock at
-                // drain time matches.
-                DESC_DCHECK(!seeded,
-                            "seed dispatch with no ready context");
-                materialize();
-                noteReplay(g, executed);
-                return;
-            }
-            // Later pending entries (or their successors) outlive this
-            // no-op, so dropping it cannot change the final clock.
-            g.pending[best] = g.pending.back();
-            g.pending.pop_back();
-            continue;
-        }
-        unsigned tid = core._ready.front();
-        Thread &t = core._threads[tid];
-        if (!seeded && t.fetch_countdown == 0
-            && !core._mem.peekHit(core._core_id, t.stream->fetchAddr(),
-                                  false, true)) {
-            materialize();
-            noteReplay(g, executed);
-            return;
-        }
-        executed++;
-        g.pending[best] = g.pending.back();
-        g.pending.pop_back();
-        core._ready.pop_front();
-        if (t.fetch_countdown == 0) {
-            t.fetch_countdown = kFetchInterval;
-            auto lat = core._mem.access(core._core_id,
-                                        t.stream->fetchAddr(), false, 0,
-                                        true, core.memDoneCb(tid));
-            DESC_DCHECK(lat, "peeked I-fetch hit missed during replay");
-            (void)lat;
-        }
-        MemOp op;
-        bool has_mem;
-        Cycle busy = core.burstStep(t, op, has_mem);
-        Cycle end = e.when + busy;
-        if (t.retired >= core._inst_budget) {
-            t.finished = true;
-            core._done_threads++;
-            pushLocalDispatch(g, core, end, lseq);
-            continue;
-        }
-        ThreadEvent &tev = core._thread_events[tid];
-        if (has_mem) {
-            core._stats.mem_ops.inc();
-            tev.kind = ThreadEvent::Kind::ExecMem;
-            tev.op = op;
-        } else {
-            tev.kind = ThreadEvent::Kind::Wake;
-        }
-        g.pending.push_back({end, lseq++, &core, int(tid)});
-        pushLocalDispatch(g, core, end, lseq);
-    }
-    // Batch drained with nothing to put back: every remaining effect
-    // already sits in the queue (e.g. a dispatch beyond the window).
-    noteReplay(g, executed);
-}
-
-void
-InOrderCore::noteReplay(BatchGroup &g, unsigned executed)
-{
-    if (executed >= kReplayMinBatch) {
-        g.backoff = 0;
-        return;
-    }
-    g.backoff = std::min(g.backoff + 1, kReplayBackoffCap);
-    g.skip_left = std::uint32_t{1} << g.backoff;
-}
-
-void
-InOrderCore::materialize()
-{
-    BatchGroup &g = *_group;
-    // lseq ascending reproduces the reference engine's scheduling
-    // order: absorbed events first in their original relative order,
-    // then locally created ones. Only same-cycle ties care, and every
-    // absorbed entry fires before the first foreign event, so no
-    // foreign tie can arise from the new global seqs.
-    std::sort(g.pending.begin(), g.pending.end(),
-              [](const BatchGroup::Pending &a,
-                 const BatchGroup::Pending &b) { return a.lseq < b.lseq; });
-    for (const BatchGroup::Pending &p : g.pending) {
-        DESC_DCHECK(p.lseq != 0, "seed event must never rematerialize");
-        sim::Event &ev = p.id == kDispatchId
-            ? static_cast<sim::Event &>(p.core->_dispatch_ev)
-            : static_cast<sim::Event &>(
-                  p.core->_thread_events[unsigned(p.id)]);
-        _eq.schedule(ev, p.when);
-    }
-    g.pending.clear();
-}
-
-void
-InOrderCore::pushLocalDispatch(BatchGroup &g, InOrderCore &core, Cycle when,
-                               std::uint64_t &lseq)
-{
-    // Mirrors scheduleDispatch(): one dispatch in flight per core,
-    // whether it sits in the queue (beyond the window) or in pending.
-    if (core._dispatch_ev.scheduled())
-        return;
-    for (const BatchGroup::Pending &p : g.pending)
-        if (p.core == &core && p.id == kDispatchId)
-            return;
-    g.pending.push_back({when, lseq++, &core, kDispatchId});
 }
 
 } // namespace desc::cpu

@@ -4,7 +4,6 @@
 
 #include "common/contract.hh"
 #include "common/prof.hh"
-#include "cpu/coremode.hh"
 
 namespace desc::cpu {
 
@@ -16,7 +15,6 @@ OooCore::OooCore(sim::EventQueue &eq, cache::MemHierarchy &mem,
       _inst_budget(inst_budget), _rng(0xa0a0 + core_id)
 {
     _dispatch_ev.core = this;
-    _fast = defaultCoreMode() != CoreMode::Ticked;
 }
 
 void
@@ -105,144 +103,53 @@ OooCore::dispatch()
     if (!_outstanding.empty() && _retired - _outstanding.front() >= kRob)
         return;
 
-    // With no load outstanding, execution is a strict
-    // dispatch -> exec -> dispatch chain: none of this core's events
-    // is queued, so every queued event is foreign. Chain bursts
-    // inline while they stay before the first foreign event and every
-    // access is a sure L1 hit; anything else is handed back to the
-    // event queue at the exact cycle it would have fired. With fast
-    // off, next == now, so every inline-chain guard below is false
-    // and the body is the reference engine verbatim.
-    bool fast = _fast && _outstanding.empty();
-    if (fast && _chain_skip) {
-        _chain_skip--;
-        fast = false;
+    // Instruction fetch (one line per kFetchInterval instructions);
+    // an I-miss stalls the front end.
+    if (_fetch_countdown == 0) {
+        _fetch_countdown = kFetchInterval;
+        auto lat = _mem.access(
+            _core_id, _stream->fetchAddr(), false, 0, true,
+            {[](void *c, unsigned) {
+                 auto *core = static_cast<OooCore *>(c);
+                 core->scheduleDispatch(core->_eq.now());
+             },
+             this, 0});
+        if (!lat)
+            return; // resumed by the fetch completion
     }
-    const Cycle now = _eq.now();
-    const Cycle next =
-        fast ? _eq.nextEventTimeWithin(now + kBatchHorizon) : now;
-    Cycle tau = now; // cycle the current chained dispatch fires at
-    unsigned chained = 0;
 
-    for (bool first = true;; first = false) {
-        if (!first
-            && (tau >= next
-                || (_fetch_countdown == 0
-                    && !_mem.peekHit(_core_id, _stream->fetchAddr(),
-                                     false, true)))) {
-            if (fast)
-                noteChain(chained);
-            scheduleDispatch(tau);
-            return;
-        }
+    MemOp op;
+    unsigned gap = _stream->nextGap(op);
+    std::uint64_t remaining = _inst_budget - _retired;
+    bool has_mem = true;
+    std::uint64_t insts = std::uint64_t(gap) + 1;
+    if (insts >= remaining) {
+        insts = remaining;
+        has_mem = gap + 1 <= remaining;
+    }
 
-        // Instruction fetch (one line per kFetchInterval
-        // instructions); an I-miss stalls the front end.
-        if (_fetch_countdown == 0) {
-            _fetch_countdown = kFetchInterval;
-            auto lat = _mem.access(
-                _core_id, _stream->fetchAddr(), false, 0, true,
-                {[](void *c, unsigned) {
-                     auto *core = static_cast<OooCore *>(c);
-                     core->scheduleDispatch(core->_eq.now());
-                 },
-                 this, 0});
-            if (!lat) {
-                DESC_DCHECK(first, "peeked I-fetch hit missed in chain");
-                if (fast)
-                    noteChain(chained);
-                return; // resumed by the fetch completion
-            }
-        }
+    _retired += insts;
+    _fetch_countdown = _fetch_countdown > insts
+        ? unsigned(_fetch_countdown - insts)
+        : 0;
 
-        MemOp op;
-        unsigned gap = _stream->nextGap(op);
-        std::uint64_t remaining = _inst_budget - _retired;
-        bool has_mem = true;
-        std::uint64_t insts = std::uint64_t(gap) + 1;
-        if (insts >= remaining) {
-            insts = remaining;
-            has_mem = gap + 1 <= remaining;
-        }
+    Cycle busy = std::max<Cycle>(1, (insts + kIssueWidth - 1) / kIssueWidth);
+    Cycle end = _eq.now() + busy;
 
-        _retired += insts;
-        _fetch_countdown = _fetch_countdown > insts
-            ? unsigned(_fetch_countdown - insts)
-            : 0;
-
-        Cycle busy = std::max<Cycle>(1, (insts + kIssueWidth - 1)
-                                            / kIssueWidth);
-        Cycle end = tau + busy;
-
-        if (_retired >= _inst_budget) {
-            // The reference engine's final dispatch fires at tau;
-            // leave a no-op dispatch there so the drain-time clock
-            // matches. (Must precede setting _finished: the guard.)
-            if (!first)
-                scheduleDispatch(tau);
-            _finished = true;
-            return;
-        }
-
-        if (!has_mem) {
-            if (fast && end < next) {
-                chained++;
-                tau = end;
-                continue;
-            }
-            if (fast)
-                noteChain(chained);
-            scheduleDispatch(end);
-            return;
-        }
-
-        if (fast && end < next) {
-            if (op.is_write) {
-                if (_mem.peekHit(_core_id, op.addr, true, false)) {
-                    // Store-buffer drain off the critical path; the
-                    // exec event resumes dispatch in the same cycle.
-                    _mem.access(_core_id, op.addr, true, op.store_value,
-                                false, cache::DoneCb{});
-                    chained++;
-                    tau = end;
-                    continue;
-                }
-            } else if (_mem.peekHit(_core_id, op.addr, false, false)) {
-                // Drawn exactly where the reference exec event draws
-                // it: once per executed load, in program order.
-                bool dependent = _rng.chance(kDependentLoadFrac);
-                auto lat = _mem.access(
-                    _core_id, op.addr, false, 0, false,
-                    {[](void *c, unsigned) {
-                         static_cast<OooCore *>(c)->onLoadDone();
-                     },
-                     this, 0});
-                DESC_DCHECK(lat, "peeked load hit missed in chain");
-                chained++;
-                tau = end + (dependent ? *lat : 1);
-                continue;
-            }
-        }
-
-        if (fast)
-            noteChain(chained);
-        ExecEvent &ev = acquireExec();
-        ev.op = op;
-        ev.inst_no = _retired;
-        _eq.schedule(ev, end);
+    if (_retired >= _inst_budget) {
+        _finished = true;
         return;
     }
-}
 
-void
-OooCore::noteChain(unsigned chained)
-{
-    if (chained >= kChainMinBatch) {
-        _chain_backoff = 0;
+    if (!has_mem) {
+        scheduleDispatch(end);
         return;
     }
-    _chain_backoff = std::min(_chain_backoff + 1, kChainBackoffCap);
-    _chain_skip = std::uint32_t{1} << _chain_backoff;
+
+    ExecEvent &ev = acquireExec();
+    ev.op = op;
+    ev.inst_no = _retired;
+    _eq.schedule(ev, end);
 }
 
 } // namespace desc::cpu

@@ -6,7 +6,6 @@
 #include <mutex>
 
 #include "common/contract.hh"
-#include "common/env.hh"
 #include "cpu/inorder.hh"
 #include "cpu/ooo.hh"
 #include "sim/timeseries.hh"
@@ -27,7 +26,7 @@ namespace {
  * of such tuples; replaying the ~100k-block prefill walk for each
  * one is pure overhead, so the first run of a tuple captures the
  * resulting tag image and later runs reapply it. Guarded by a mutex
- * for multi-threaded runners; DESC_WARMUP_CACHE=0 disables.
+ * for multi-threaded runners.
  */
 using WarmupKey = std::array<std::uint64_t, 7>;
 
@@ -36,14 +35,6 @@ constexpr std::size_t kWarmupCacheCap = 16;
 std::mutex warmup_mutex;
 std::map<WarmupKey, std::shared_ptr<const cache::MemHierarchy::WarmupState>>
     warmup_cache;
-
-bool
-warmupCacheEnabled()
-{
-    static const bool enabled =
-        env::enabledNotZero(env::Var::WarmupCache);
-    return enabled;
-}
 
 std::shared_ptr<const cache::MemHierarchy::WarmupState>
 warmupCacheFind(const WarmupKey &key)
@@ -93,8 +84,7 @@ runSystem(const SystemConfig &cfg)
                                cfg.app.hot_bytes,
                                cfg.app.ws_shared,
                                cfg.app.ws_private};
-        auto snap = warmupCacheEnabled() ? warmupCacheFind(key) : nullptr;
-        if (snap) {
+        if (auto snap = warmupCacheFind(key)) {
             mem.restoreWarmup(*snap);
         } else {
             std::uint64_t budget_blocks =
@@ -120,16 +110,10 @@ runSystem(const SystemConfig &cfg)
                 for (Addr a = 0; a < priv_blocks; a++)
                     mem.prefill(base + a * 64);
             }
-            if (warmupCacheEnabled())
-                warmupCacheInsert(key, mem.warmupSnapshot());
+            warmupCacheInsert(key, mem.warmupSnapshot());
         }
     }
 
-    // One batch group across all SMT cores: their events interleave
-    // densely, so a per-core fast-forward would bail almost every
-    // time; the shared group lets one replay carry all cores' bursts
-    // up to the first cache/link/DRAM event. (Must outlive the cores.)
-    cpu::InOrderCore::BatchGroup batch_group;
     std::vector<std::unique_ptr<cpu::InOrderCore>> smt_cores;
     std::unique_ptr<cpu::OooCore> ooo_core;
 
@@ -142,8 +126,7 @@ runSystem(const SystemConfig &cfg)
                     cfg.app, values, tid, c, cfg.seed));
             }
             smt_cores.push_back(std::make_unique<cpu::InOrderCore>(
-                eq, mem, c, std::move(streams), cfg.insts_per_thread,
-                &batch_group));
+                eq, mem, c, std::move(streams), cfg.insts_per_thread));
         }
         for (auto &core : smt_cores)
             core->start();

@@ -1,0 +1,89 @@
+/**
+ * @file
+ * Shared pieces of the DESC equivalence suite: the (wires, chunk bits,
+ * skip mode) parameter, the DescEquivalence fixture, a traffic-like
+ * block generator, and the case-name printer. Two test binaries
+ * instantiate the fixture over different config sets: tests_core
+ * over all 80 configs (test_equivalence.cc) and tests_core_adaptive
+ * over the 20 adaptive-skip ones (test_adaptive_streams.cc).
+ */
+
+#ifndef DESC_TESTS_CORE_EQUIVALENCE_HH
+#define DESC_TESTS_CORE_EQUIVALENCE_HH
+
+#include <gtest/gtest.h>
+
+#include <string>
+#include <tuple>
+
+#include "common/rng.hh"
+#include "core/descscheme.hh"
+
+/** (wires, chunk_bits, skip mode) */
+using EquivalenceParam = std::tuple<unsigned, unsigned, desc::core::SkipMode>;
+
+class DescEquivalence : public ::testing::TestWithParam<EquivalenceParam>
+{
+  protected:
+    desc::core::DescConfig
+    config() const
+    {
+        auto [wires, chunk_bits, skip] = GetParam();
+        desc::core::DescConfig c;
+        c.bus_wires = wires;
+        c.chunk_bits = chunk_bits;
+        c.block_bits = desc::kBlockBits;
+        c.skip = skip;
+        return c;
+    }
+};
+
+/** Draw a block whose chunk values are biased toward zero and toward
+ *  repeating the previous block, like real cache traffic. */
+inline desc::BitVec
+biasedBlock(desc::Rng &rng, const desc::BitVec &prev, unsigned chunk_bits,
+            double zero_p, double repeat_p)
+{
+    desc::BitVec block(prev.width());
+    for (unsigned pos = 0; pos < block.width(); pos += chunk_bits) {
+        double u = rng.uniform();
+        std::uint64_t v;
+        if (u < zero_p)
+            v = 0;
+        else if (u < zero_p + repeat_p)
+            v = prev.field(pos, chunk_bits);
+        else
+            v = rng.below(std::uint64_t{1} << chunk_bits);
+        block.setField(pos, chunk_bits, v);
+    }
+    return block;
+}
+
+/** Case name suffix, e.g. "w64_c4_adaptive". */
+inline std::string
+equivalenceParamName(const ::testing::TestParamInfo<EquivalenceParam> &info)
+{
+    using desc::core::SkipMode;
+    unsigned wires = std::get<0>(info.param);
+    unsigned bits = std::get<1>(info.param);
+    SkipMode skip = std::get<2>(info.param);
+    std::string name = "w" + std::to_string(wires) + "_c"
+        + std::to_string(bits) + "_";
+    switch (skip) {
+      case SkipMode::None:
+        name += "basic";
+        break;
+      case SkipMode::Zero:
+        name += "zero";
+        break;
+      case SkipMode::LastValue:
+        name += "last";
+        break;
+      case SkipMode::Adaptive:
+        name += "adaptive";
+        break;
+    }
+    return name;
+}
+
+#endif // DESC_TESTS_CORE_EQUIVALENCE_HH

@@ -9,58 +9,11 @@
 
 #include <gtest/gtest.h>
 
-#include <tuple>
-
-#include "common/rng.hh"
-#include "core/descscheme.hh"
 #include "core/link.hh"
+#include "equivalence.hh"
 
 using namespace desc;
 using namespace desc::core;
-
-namespace {
-
-/** (wires, chunk_bits, skip mode) */
-using Param = std::tuple<unsigned, unsigned, SkipMode>;
-
-/** Draw a block whose chunk values are biased toward zero and toward
- *  repeating the previous block, like real cache traffic. */
-BitVec
-biasedBlock(Rng &rng, const BitVec &prev, unsigned chunk_bits,
-            double zero_p, double repeat_p)
-{
-    BitVec block(prev.width());
-    for (unsigned pos = 0; pos < block.width(); pos += chunk_bits) {
-        double u = rng.uniform();
-        std::uint64_t v;
-        if (u < zero_p)
-            v = 0;
-        else if (u < zero_p + repeat_p)
-            v = prev.field(pos, chunk_bits);
-        else
-            v = rng.below(std::uint64_t{1} << chunk_bits);
-        block.setField(pos, chunk_bits, v);
-    }
-    return block;
-}
-
-} // namespace
-
-class DescEquivalence : public ::testing::TestWithParam<Param>
-{
-  protected:
-    DescConfig
-    config() const
-    {
-        auto [wires, chunk_bits, skip] = GetParam();
-        DescConfig c;
-        c.bus_wires = wires;
-        c.chunk_bits = chunk_bits;
-        c.block_bits = kBlockBits;
-        c.skip = skip;
-        return c;
-    }
-};
 
 TEST_P(DescEquivalence, BehavioralMatchesCycleAccurate)
 {
@@ -153,52 +106,6 @@ TEST_P(DescEquivalence, AllZeroAndAllOnesBlocks)
     }
 }
 
-TEST_P(DescEquivalence, AdaptiveCountersSurviveLongStreams)
-{
-    // The adaptive skip value is pure history: transmitter and
-    // receiver counters must track each other — and the closed-form
-    // fast path must track the ticked loop — across a long run of
-    // consecutive blocks, because one divergent count eventually flips
-    // a best-value decision and corrupts every later transfer.
-    DescConfig cfg = config();
-    if (cfg.skip != SkipMode::Adaptive)
-        GTEST_SKIP() << "adaptive-mode-only property";
-
-    DescLink fast(cfg);
-    DescLink ticked(cfg);
-    fast.setMode(LinkMode::Fast);
-    ticked.setMode(LinkMode::Ticked);
-    Rng rng(0xadab + cfg.bus_wires * 3 + cfg.chunk_bits);
-
-    BitVec prev(kBlockBits);
-    for (int i = 0; i < 120; i++) {
-        // Shift the distribution mid-stream so the trackers decay and
-        // re-learn different frequent values.
-        double zero_p = i < 60 ? 0.6 : 0.05;
-        double repeat_p = i < 60 ? 0.1 : 0.6;
-        BitVec block = biasedBlock(rng, prev, cfg.chunk_bits, zero_p,
-                                   repeat_p);
-        prev = block;
-
-        BitVec recv_f, recv_t;
-        auto rf = fast.transferBlock(block, &recv_f);
-        auto rt = ticked.transferBlock(block, &recv_t);
-
-        ASSERT_EQ(recv_t, block) << "block " << i;
-        ASSERT_EQ(recv_f, recv_t) << "block " << i;
-        ASSERT_EQ(rf.cycles, rt.cycles) << "block " << i;
-        ASSERT_EQ(rf.data_flips, rt.data_flips) << "block " << i;
-        ASSERT_EQ(rf.control_flips, rt.control_flips) << "block " << i;
-        ASSERT_EQ(rf.skipped, rt.skipped) << "block " << i;
-        ASSERT_TRUE(fast.tx().adaptive() == ticked.tx().adaptive())
-            << "tx adaptive counters diverged at block " << i;
-        ASSERT_TRUE(fast.rx().adaptive() == ticked.rx().adaptive())
-            << "rx adaptive counters diverged at block " << i;
-        ASSERT_TRUE(fast.tx().adaptive() == fast.rx().adaptive())
-            << "tx/rx adaptive counters diverged at block " << i;
-    }
-}
-
 TEST_P(DescEquivalence, DataFlipsNeverExceedChunkCount)
 {
     DescConfig cfg = config();
@@ -231,35 +138,6 @@ TEST_P(DescEquivalence, WindowBoundedByWorstCase)
     }
 }
 
-namespace {
-
-std::string
-paramName(const ::testing::TestParamInfo<Param> &info)
-{
-    unsigned wires = std::get<0>(info.param);
-    unsigned bits = std::get<1>(info.param);
-    SkipMode skip = std::get<2>(info.param);
-    std::string name = "w" + std::to_string(wires) + "_c"
-        + std::to_string(bits) + "_";
-    switch (skip) {
-      case SkipMode::None:
-        name += "basic";
-        break;
-      case SkipMode::Zero:
-        name += "zero";
-        break;
-      case SkipMode::LastValue:
-        name += "last";
-        break;
-      case SkipMode::Adaptive:
-        name += "adaptive";
-        break;
-    }
-    return name;
-}
-
-} // namespace
-
 INSTANTIATE_TEST_SUITE_P(
     ConfigSpace, DescEquivalence,
     ::testing::Combine(
@@ -267,7 +145,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(1u, 2u, 4u, 8u),
         ::testing::Values(SkipMode::None, SkipMode::Zero,
                           SkipMode::LastValue, SkipMode::Adaptive)),
-    paramName);
+    equivalenceParamName);
 
 TEST(TickedFastDrift, NoDriftOver240AdaptiveBlocks)
 {

@@ -2,13 +2,12 @@
  * @file
  * Full-system differential sweep over the batched execution engines.
  *
- * Every fast path in the stack — the instruction-batch core
- * fast-forward, the flattened L2 transaction engine, and the
- * closed-form link — claims bit-identical results to its ticked
- * reference. This suite pins that claim end to end: the core x L2 x
- * link mode cross product over randomized system configurations must
- * produce identical SimResults, byte-identical stats sidecars, and
- * byte-identical run-cache entries. A link-level case additionally
+ * Every fast path in the stack — the word-at-a-time batched encoders
+ * and the closed-form link — claims bit-identical results to its
+ * reference. This suite pins that claim end to end: the link x
+ * encoder mode cross product over randomized system configurations
+ * must produce identical SimResults, byte-identical stats sidecars,
+ * and byte-identical run-cache entries. A link-level case additionally
  * streams enough blocks through an adaptive-skip DESC link to expose
  * any tracker drift between the two engines.
  */
@@ -22,10 +21,8 @@
 #include <unistd.h>
 #include <vector>
 
-#include "cache/l2mode.hh"
 #include "common/rng.hh"
 #include "core/link.hh"
-#include "cpu/coremode.hh"
 #include "encoding/scheme.hh"
 #include "sim/runcache.hh"
 #include "sim/statdump.hh"
@@ -36,48 +33,27 @@ using namespace desc::sim;
 
 namespace {
 
-/**
- * One point in the engine cross product. Encoder mode rides along:
- * scalar with the all-reference point, batched elsewhere, so the
- * sweep exercises it without doubling the matrix.
- */
+/** One point in the link x encoder engine cross product. */
 struct ModePoint
 {
-    cpu::CoreMode core;
-    cache::L2Mode l2;
     core::LinkMode link;
     encoding::EncoderMode encoder;
     const char *name;
 };
 
-constexpr ModePoint kReference = {cpu::CoreMode::Ticked,
-                                  cache::L2Mode::Event,
-                                  core::LinkMode::Ticked,
+constexpr ModePoint kReference = {core::LinkMode::Ticked,
                                   encoding::EncoderMode::Scalar,
                                   "all-reference"};
 
 const std::vector<ModePoint> &
 fastPoints()
 {
-    using cpu::CoreMode;
-    using cache::L2Mode;
     using core::LinkMode;
     using encoding::EncoderMode;
     static const std::vector<ModePoint> points = {
-        {CoreMode::Fast, L2Mode::Event, LinkMode::Ticked,
-         EncoderMode::Batched, "fast-core"},
-        {CoreMode::Ticked, L2Mode::Flat, LinkMode::Ticked,
-         EncoderMode::Batched, "flat-l2"},
-        {CoreMode::Ticked, L2Mode::Event, LinkMode::Fast,
-         EncoderMode::Batched, "fast-link"},
-        {CoreMode::Fast, L2Mode::Flat, LinkMode::Ticked,
-         EncoderMode::Batched, "fast-core+flat-l2"},
-        {CoreMode::Fast, L2Mode::Event, LinkMode::Fast,
-         EncoderMode::Batched, "fast-core+fast-link"},
-        {CoreMode::Ticked, L2Mode::Flat, LinkMode::Fast,
-         EncoderMode::Batched, "flat-l2+fast-link"},
-        {CoreMode::Fast, L2Mode::Flat, LinkMode::Fast,
-         EncoderMode::Batched, "all-fast"},
+        {LinkMode::Ticked, EncoderMode::Batched, "batched-encoder"},
+        {LinkMode::Fast, EncoderMode::Scalar, "fast-link"},
+        {LinkMode::Fast, EncoderMode::Batched, "all-fast"},
     };
     return points;
 }
@@ -87,16 +63,12 @@ struct ForcedModes
 {
     explicit ForcedModes(const ModePoint &p)
     {
-        cpu::setDefaultCoreMode(p.core);
-        cache::setDefaultL2Mode(p.l2);
         core::setDefaultLinkMode(p.link);
         encoding::setDefaultEncoderMode(p.encoder);
     }
 
     ~ForcedModes()
     {
-        cpu::setDefaultCoreMode(std::nullopt);
-        cache::setDefaultL2Mode(std::nullopt);
         core::setDefaultLinkMode(std::nullopt);
         encoding::setDefaultEncoderMode(std::nullopt);
     }
@@ -148,8 +120,8 @@ sweepConfigs()
         applyScheme(cfg, schemes[rng.below(std::size(schemes))]);
         cfgs.push_back(cfg);
     }
-    // One OoO point: the fast-core engine has a separate inline-chain
-    // implementation there.
+    // One OoO point: a single core with overlapping misses drives the
+    // encoders and links with other traffic than the SMT multicore.
     auto ooo = baselineConfig(workloads::findApp("sjeng"));
     ooo.cpu = CpuKind::OutOfOrder;
     ooo.threads_per_core = 1;

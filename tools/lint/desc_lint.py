@@ -72,13 +72,14 @@ HOT_PATH_FILES = [
     # The batched encoder passes (word-at-a-time SWAR loops).
     "src/encoding/swar.hh",
     "src/encoding/scheme.cc",
-    # The flattened L2 transaction engine: events come from per-bank
-    # pools, block payloads live in the set-associative arrays.
+    # The L2 transaction chain: request, tag-probe and response events
+    # come from per-hierarchy pools, block payloads live in the
+    # set-associative arrays.
     "src/cache/array.hh",
     "src/cache/blockdata.hh",
     "src/cache/hierarchy.cc",
-    # The instruction-batch core fast-forward: replay/chain loops run
-    # per retired burst and must reuse the cores' own buffers.
+    # The cores schedule a dispatch or continuation event per retired
+    # burst and must reuse their own pinned event objects.
     "src/cpu/inorder.cc",
     "src/cpu/ooo.cc",
 ]
@@ -472,7 +473,6 @@ FIXTURE_EXPECT = {
     "fixtures/bad/hotpath.hh": {
         "hot-path-alloc", "include-guard", "contract-include"},
     "fixtures/bad/fastpath.cc": {"hot-path-alloc"},
-    "fixtures/bad/batched.cc": {"hot-path-alloc"},
     "fixtures/bad/planes.cc": {"hot-path-alloc"},
     "fixtures/bad/stats_use.cc": {"stat-description"},
     "fixtures/bad/tracing.cc": {"trace-channel"},
