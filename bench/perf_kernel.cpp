@@ -1,7 +1,8 @@
 /**
  * @file
- * Simulation-kernel microbenchmarks: event-queue throughput, link and
- * scheme block rates, and end-to-end simulated-cycle rate. Writes
+ * Simulation-kernel microbenchmarks: event-queue throughput, link,
+ * scheme and per-transfer codec block rates, and end-to-end
+ * simulated-cycle rate. Writes
  * BENCH_kernel.json (see README); the committed copy of that file is
  * the CI regression baseline.
  *
@@ -22,6 +23,8 @@
 #include "core/chunk.hh"
 #include "core/descscheme.hh"
 #include "core/link.hh"
+#include "ecc/blockcodec.hh"
+#include "encoding/businvert.hh"
 #include "encoding/scheme.hh"
 #include "sim/eventq.hh"
 #include "sim/experiment.hh"
@@ -240,6 +243,53 @@ benchScheme(std::uint64_t blocks_n)
     return double(blocks_n) / dt;
 }
 
+/**
+ * The (72,64) SECDED codec the L2 runs on every protected transfer:
+ * payload copy plus interleaved parity into a reused bus word.
+ */
+double
+benchEccEncode(std::uint64_t blocks_n)
+{
+    ecc::BlockCodec codec(kBlockBits, 64);
+    auto blocks = makeBlocks(4);
+    BitVec bus;
+    std::uint64_t sink = 0;
+    auto t0 = Clock::now();
+    auto reads = envReads();
+    for (std::uint64_t i = 0; i < blocks_n; i++) {
+        codec.encodeInto(blocks[i & 63], bus);
+        sink += bus.words().back();
+    }
+    double dt = secondsSince(t0);
+    assertNoEnvReads(reads, "ecc encode kernel");
+    if (sink == 0)
+        std::fprintf(stderr, "impossible\n");
+    return double(blocks_n) / dt;
+}
+
+/** Zero-skipped bus-invert as the figures run it: 16-bit segments on
+ *  a 64-wire bus, in the process-default encoder mode. */
+double
+benchBusInvert(std::uint64_t blocks_n)
+{
+    encoding::SchemeConfig cfg;
+    cfg.bus_wires = 64;
+    cfg.segment_bits = 16;
+    encoding::BusInvertScheme scheme(
+        cfg, encoding::BusInvertScheme::Mode::ZeroSkipSparse);
+    auto blocks = makeBlocks(16);
+    std::uint64_t sink = 0;
+    auto t0 = Clock::now();
+    auto reads = envReads();
+    for (std::uint64_t i = 0; i < blocks_n; i++)
+        sink += scheme.transfer(blocks[i & 63]).totalFlips();
+    double dt = secondsSince(t0);
+    assertNoEnvReads(reads, "bus-invert kernel");
+    if (sink == 0)
+        std::fprintf(stderr, "impossible\n");
+    return double(blocks_n) / dt;
+}
+
 double
 benchChunkStats(std::uint64_t blocks_n)
 {
@@ -373,6 +423,7 @@ main(int argc, char **argv)
     std::uint64_t link_ticked_n = quick ? 2'000 : 20'000;
     std::uint64_t scheme_n = quick ? 20'000 : 200'000;
     std::uint64_t stats_n = quick ? 20'000 : 200'000;
+    std::uint64_t codec_n = quick ? 20'000 : 200'000;
     std::uint64_t insts = quick ? 1'000 : 3'000;
     unsigned reps = quick ? 1 : 5;
 
@@ -389,6 +440,10 @@ main(int argc, char **argv)
     std::fprintf(stderr, "scheme:    %12.0f blocks/sec\n", scheme);
     double cstats = benchChunkStats(stats_n);
     std::fprintf(stderr, "chunkstats:%12.0f blocks/sec\n", cstats);
+    double ecc_rate = benchEccEncode(codec_n);
+    std::fprintf(stderr, "ecc-encode:%12.0f blocks/sec\n", ecc_rate);
+    double bic_rate = benchBusInvert(codec_n);
+    std::fprintf(stderr, "bic:       %12.0f blocks/sec\n", bic_rate);
     std::uint64_t cycles = 0;
     double rs = benchRunSystem(insts, reps, &cycles);
     std::fprintf(stderr, "runsystem: %12.0f sim-cycles/sec (%llu cycles)\n",
@@ -426,6 +481,8 @@ main(int argc, char **argv)
         "    \"link_ticked_vcd_blocks_per_sec\": %.0f,\n"
         "    \"scheme_blocks_per_sec\": %.0f,\n"
         "    \"chunkstats_blocks_per_sec\": %.0f,\n"
+        "    \"ecc_encode_blocks_per_sec\": %.0f,\n"
+        "    \"bic_blocks_per_sec\": %.0f,\n"
         "    \"runsystem_cycles_per_sec\": %.0f,\n"
         "    \"runsystem_ticked_cycles_per_sec\": %.0f,\n"
         "    \"runsystem_prof_overhead_pct\": %.3f\n"
@@ -433,7 +490,7 @@ main(int argc, char **argv)
         "  \"check\": { \"runsystem_cycles\": %llu }\n"
         "}\n",
         quick ? "true" : "false", ev, link, link_ticked, link_vcd,
-        scheme, cstats, rs, rs_ticked, prof_pct,
+        scheme, cstats, ecc_rate, bic_rate, rs, rs_ticked, prof_pct,
         (unsigned long long)cycles);
     std::fclose(f);
     return 0;

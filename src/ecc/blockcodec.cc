@@ -10,16 +10,28 @@ namespace desc::ecc {
 BlockCodec::BlockCodec(unsigned block_bits, unsigned segment_data_bits)
     : _block_bits(block_bits), _segment_data_bits(segment_data_bits),
       _num_segments(block_bits / segment_data_bits),
-      _code(segment_data_bits), _seg_scratch(segment_data_bits)
+      _code(segment_data_bits)
 {
     DESC_ASSERT(block_bits % segment_data_bits == 0,
                 "block not divisible into segments");
+    DESC_ASSERT(block_bits % 64 == 0 && 64 % _num_segments == 0,
+                "block codec needs whole 64-bit block words and a "
+                "segment count dividing 64: ", block_bits, " bits in ",
+                _num_segments, " segments");
+
+    const unsigned words = block_bits / 64;
+    _masks.assign(std::size_t(_code.parityBits()) * words, 0);
+    for (unsigned g = 0; g < block_bits; g++) {
+        const std::uint64_t col = _code.parityColumn(g / _num_segments);
+        for (unsigned q = 0; q < _code.parityBits(); q++)
+            _masks[q * words + g / 64] |= ((col >> q) & 1) << (g % 64);
+    }
 }
 
 BitVec
 BlockCodec::encode(const BitVec &block) const
 {
-    BitVec bus;
+    BitVec bus; // analyze:allow(hot-path-alloc) cold convenience wrapper
     encodeInto(block, bus);
     return bus;
 }
@@ -31,30 +43,28 @@ BlockCodec::encodeInto(const BitVec &block, BitVec &bus) const
     if (bus.width() != busBits())
         bus = BitVec(busBits());
 
-    // Payload bits stay in the block's own positions.
+    // Payload bits stay in the block's own positions; the parity tail
+    // is rebuilt from zero.
     auto &out = bus.mutableWords();
     const auto &in = block.words();
-    if (_block_bits % 64 == 0) {
-        std::copy(in.begin(), in.end(), out.begin());
-        std::fill(out.begin() + in.size(), out.end(), 0);
-    } else {
-        bus.clear();
-        for (unsigned b = 0; b < _block_bits; b++)
-            bus.setBit(b, block.bit(b));
-    }
+    const std::size_t n = in.size();
+    std::copy(in.begin(), in.end(), out.begin());
+    std::fill(out.begin() + n, out.end(), 0);
 
-    for (unsigned s = 0; s < _num_segments; s++) {
-        // Gather the segment's interleaved data bits.
-        for (unsigned k = 0; k < _segment_data_bits; k++)
-            _seg_scratch.setBit(k, block.bit(k * _num_segments + s));
-        std::uint64_t parity = _code.encodeParityWord(_seg_scratch);
-        // Parity bits land after the block, interleaved the same way
-        // (parity bit p of segment s at p*S + s) so each parity chunk
-        // also holds at most one bit per segment.
-        for (unsigned p = 0; p < _code.parityBits(); p++) {
-            bus.setBit(_block_bits + p * _num_segments + s,
-                       (parity >> p) & 1);
-        }
+    const unsigned segs = _num_segments;
+    const std::uint64_t lane_mask =
+        segs == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << segs) - 1;
+    for (unsigned q = 0; q < _code.parityBits(); q++) {
+        const std::uint64_t *mask = &_masks[q * n];
+        std::uint64_t acc = 0;
+        for (std::size_t w = 0; w < n; w++)
+            acc ^= in[w] & mask[w];
+        for (unsigned half = 32; half >= segs; half /= 2)
+            acc ^= acc >> half;
+        // Parity bit q of segment s goes to block_bits + q*S + s, so
+        // each parity chunk also holds at most one bit per segment.
+        const unsigned pos = q * segs;
+        out[n + pos / 64] |= (acc & lane_mask) << (pos % 64);
     }
 }
 
@@ -62,6 +72,7 @@ BlockCodec::DecodeResult
 BlockCodec::decode(const BitVec &bus) const
 {
     DESC_ASSERT(bus.width() == busBits(), "bus word width mismatch");
+    // analyze:allow(hot-path-alloc) cold: fault-injection studies only
     DecodeResult result;
     result.block = BitVec(_block_bits);
 

@@ -17,6 +17,7 @@
 #ifndef DESC_ECC_BLOCKCODEC_HH
 #define DESC_ECC_BLOCKCODEC_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "common/bitvec.hh"
@@ -56,9 +57,10 @@ class BlockCodec
     BitVec encode(const BitVec &block) const;
 
     /**
-     * encode() into a caller-owned bus word (resized on first use),
-     * reusing internal segment scratch — no allocations in steady
-     * state. This is the hierarchy's per-transfer path.
+     * encode() into a caller-owned bus word (resized on first use) —
+     * no allocations in steady state. This is the hierarchy's
+     * per-transfer path: a few AND/XOR folds per parity bit, one per
+     * block word (see _masks).
      */
     void encodeInto(const BitVec &block, BitVec &bus) const;
 
@@ -83,7 +85,14 @@ class BlockCodec
     unsigned _num_segments;
     SecdedCode _code;
 
-    mutable BitVec _seg_scratch; //!< reused encodeInto segment gather
+    /**
+     * _masks[q * W + w] selects the bits of block word w (of W) that
+     * feed parity bit q of their segment. Block bit g belongs to
+     * segment g mod S and S divides 64, so XOR-folding the masked
+     * words down to S-bit lanes leaves parity bit q of segment s in
+     * lane s — exactly the S bus bits at block_bits + q * S.
+     */
+    std::vector<std::uint64_t> _masks;
 };
 
 } // namespace desc::ecc

@@ -58,43 +58,30 @@ SecdedCode::SecdedCode(unsigned data_bits)
 }
 
 std::uint64_t
-SecdedCode::encodeParityWord(const BitVec &data) const
+SecdedCode::parityColumn(unsigned i) const
 {
-    DESC_ASSERT(data.width() == _data_bits, "payload width mismatch");
-
-    // Syndrome contribution of the data bits; only set bits
-    // contribute, so walk the packed words bit-by-set-bit.
-    unsigned syndrome = 0;
-    unsigned ones = 0;
-    const auto &words = data.words();
-    for (std::size_t w = 0; w < words.size(); w++) {
-        std::uint64_t word = words[w];
-        while (word) {
-            unsigned i = unsigned(w * 64) + unsigned(std::countr_zero(word));
-            syndrome ^= _data_pos[i];
-            ones++;
-            word &= word - 1;
-        }
-    }
-
-    std::uint64_t parity = 0;
-    unsigned parity_ones = 0;
-    for (unsigned p = 0; p < _parity_bits; p++) {
-        bool bit = (syndrome >> p) & 1;
-        parity |= std::uint64_t(bit) << p;
-        parity_ones += bit;
-    }
-    parity |= std::uint64_t((ones + parity_ones) & 1) << _parity_bits;
-    return parity;
+    // Bit i feeds the Hamming parity bits named by its position and,
+    // through the data bit and those parity bits, the overall parity.
+    const unsigned pos = _data_pos[i];
+    const std::uint64_t overall = (1u + unsigned(std::popcount(pos))) & 1;
+    return std::uint64_t(pos) | overall << _parity_bits;
 }
 
 BitVec
 SecdedCode::encode(const BitVec &data) const
 {
+    DESC_ASSERT(data.width() == _data_bits, "payload width mismatch");
+    // The parity word is the XOR of the set data bits' columns.
+    std::uint64_t parity = 0;
+    const auto &words = data.words();
+    for (std::size_t w = 0; w < words.size(); w++) {
+        for (std::uint64_t word = words[w]; word; word &= word - 1)
+            parity ^= parityColumn(unsigned(w * 64)
+                                   + unsigned(std::countr_zero(word)));
+    }
     // Codeword layout: data bits first, Hamming parity bits next,
     // overall parity last (systematic layout keeps the stored data
     // in standard binary format, as Section 3.2.3 requires).
-    std::uint64_t parity = encodeParityWord(data);
     BitVec code(codeBits());
     for (unsigned i = 0; i < _data_bits; i++)
         code.setBit(i, data.bit(i));
@@ -137,17 +124,19 @@ SecdedCode::decode(const BitVec &codeword) const
         return result;
     }
 
-    if (!parity_ok) {
-        // Single error at Hamming position `syndrome`.
+    // An odd-weight error whose syndrome names a position inside the
+    // codeword is a single error there; one that points past the
+    // codeword (three or more errors) is detected but uncorrectable.
+    if (!parity_ok && syndrome <= _data_bits + _parity_bits) {
         result.status = EccStatus::Corrected;
-        unsigned total = _data_bits + _parity_bits;
-        if (syndrome <= total && _pos_data[syndrome] != ~0u)
+        if (_pos_data[syndrome] != ~0u)
             result.data.flipBit(_pos_data[syndrome]);
         // Errors in parity positions leave the data intact.
         return result;
     }
 
-    // Non-zero syndrome with matching overall parity: double error.
+    // Non-zero syndrome with matching overall parity (a double error)
+    // or pointing outside the codeword: uncorrectable.
     result.status = EccStatus::DetectedDouble;
     return result;
 }

@@ -48,12 +48,13 @@ class SecdedCode
     BitVec encode(const BitVec &data) const;
 
     /**
-     * The parity bits alone — Hamming parity in the low bits, the
-     * overall parity above them — packed into one integer. This is
-     * the allocation-free path the block codec uses; encode() is
-     * equivalent to payload-copy + depositing this word.
+     * Parity column of data bit @p i: the parity bits (Hamming parity
+     * in the low bits, the overall parity above them) of the payload
+     * whose only set bit is @p i. The code is linear over GF(2), so a
+     * payload's parity is the XOR of its set bits' columns; the block
+     * codec folds these columns into word masks.
      */
-    std::uint64_t encodeParityWord(const BitVec &data) const;
+    std::uint64_t parityColumn(unsigned i) const;
 
     struct DecodeResult
     {

@@ -26,6 +26,9 @@ class BinaryScheme : public TransferScheme
     const char *name() const override { return "Conventional Binary"; }
     void reset() override;
 
+    /** Wire levels after the last transfer, for differential tests. */
+    const BitVec &wireLevels() const { return _state; }
+
   private:
     unsigned _wires;
     unsigned _block_bits;

@@ -1,9 +1,11 @@
 #include "encoding/businvert.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/contract.hh"
 #include "common/log.hh"
+#include "encoding/swar.hh"
 
 namespace desc::encoding {
 
@@ -13,14 +15,66 @@ namespace {
  *  in 32 bits, giving ~1.6 mode bits per segment). */
 constexpr unsigned kSegsPerModeWord = 20;
 
-} // namespace
+/**
+ * Every B-bit segment of one field at once, taking the reference
+ * loop's decisions (transferScalar). With pc = popcount(value ^ old),
+ * inverting costs B - pc + !inv flips against pc + inv plainly (the
+ * sparse skip-line term is common to both), so it wins iff
+ * pc + inv > B/2. A zero segment skips when that is no dearer: always
+ * in the encoded mode; in the sparse mode unless its skip line would
+ * rise while the wires already show zero with the invert line low
+ * (free to send). All ones with the invert line high would be free
+ * too, but only a zero segment sent inverted leaves that state, and
+ * from any reachable state a zero segment skips or goes out plain.
+ */
+template <unsigned B>
+std::uint64_t
+laneField(std::uint64_t v, std::uint64_t field_mask,
+          BusInvertScheme::Mode mode, std::uint64_t &wires,
+          std::uint64_t &inv, std::uint64_t &skip, TransferResult &result)
+{
+    using Mode = BusInvertScheme::Mode;
+    constexpr std::uint64_t lane_ones =
+        B == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << B) - 1;
+    // Adding the bias carries into a lane's top bit iff
+    // pc + inv > B/2, and never out of the lane (pc + inv <= B + 1).
+    constexpr std::uint64_t lsb = swar::laneLsbMask(B);
+    constexpr std::uint64_t bias =
+        lsb * ((std::uint64_t{1} << (B - 1)) - B / 2 - 1);
+    const std::uint64_t lanes = lsb & field_mask;
+    const std::uint64_t old = wires;
 
-/** Table-pass gate: 4^(b+1) entries stay small only for b <= 6. */
-constexpr unsigned kMaxTableSegBits = 6;
+    std::uint64_t skip_now = 0;
+    if (mode != Mode::Plain) {
+        skip_now = lanes & ~swar::foldNonzero<B>(v);
+        if (mode == Mode::ZeroSkipSparse) {
+            const std::uint64_t shows_zero = ~swar::foldNonzero<B>(old);
+            skip_now &= skip | ~(shows_zero & ~inv);
+            result.control_flips += std::popcount(skip ^ skip_now);
+            skip = skip_now;
+        }
+    }
+    const std::uint64_t drive = lanes & ~skip_now;
+    const std::uint64_t pc = swar::lanePopcount<B>(v ^ old);
+    const std::uint64_t send_inv = ((pc + inv + bias) >> (B - 1)) & drive;
+    const std::uint64_t delta =
+        (v ^ (send_inv * lane_ones) ^ old) & (drive * lane_ones);
+    result.data_flips += std::popcount(delta);
+    wires = old ^ delta;
+    // Driven segments set their invert line; skipped ones hold it.
+    const std::uint64_t new_inv = (inv & ~drive) | send_inv;
+    result.control_flips += std::popcount(inv ^ new_inv);
+    inv = new_inv;
+    result.skipped += std::popcount(skip_now);
+    return skip_now;
+}
+
+} // namespace
 
 BusInvertScheme::BusInvertScheme(const SchemeConfig &cfg, Mode mode)
     : _wires(cfg.bus_wires), _block_bits(cfg.block_bits),
-      _seg_bits(cfg.segment_bits), _mode(mode), _state(cfg.bus_wires)
+      _seg_bits(cfg.segment_bits), _mode(mode), _state(cfg.bus_wires),
+      _inv_lines(cfg.bus_wires), _skip_lines(cfg.bus_wires)
 {
     DESC_ASSERT(_seg_bits > 0 && _seg_bits <= 64,
                 "segment size must be 1..64 bits: ", _seg_bits);
@@ -29,76 +83,16 @@ BusInvertScheme::BusInvertScheme(const SchemeConfig &cfg, Mode mode)
                 _seg_bits);
     _beats = (_block_bits + _wires - 1) / _wires;
     _num_segs = _wires / _seg_bits;
-    _inv_state.assign(_num_segs, false);
-    _skip_state.assign(_num_segs, false);
     _mode_state.assign((_num_segs + kSegsPerModeWord - 1) / kSegsPerModeWord,
                        0);
-    if (defaultEncoderMode() != EncoderMode::Scalar
-        && _seg_bits <= kMaxTableSegBits) {
-        buildTable();
-        _seg_old.assign(_num_segs, 0);
-        _seg_flags.assign(_num_segs, 0);
-        _seg_modes.assign(_num_segs, SegMode::AsIs);
-    }
-}
-
-void
-BusInvertScheme::buildTable()
-{
-    // Enumerate every (value, old, inv, skip) segment state once and
-    // record the decision the reference loop in transferScalar()
-    // would take; the hot loop then replays decisions with one load
-    // per segment. The differential suite pins the two paths against
-    // each other.
-    const unsigned b = _seg_bits;
-    const std::uint64_t seg_mask = (std::uint64_t{1} << b) - 1;
-    const bool sparse = _mode == Mode::ZeroSkipSparse;
-    const bool skip_supported = _mode != Mode::Plain;
-    _table.resize(std::size_t{4} << (2 * b));
-    for (std::uint64_t value = 0; value <= seg_mask; value++) {
-        for (std::uint64_t old = 0; old <= seg_mask; old++) {
-            for (unsigned flags = 0; flags < 4; flags++) {
-                const bool inv = flags & 1;
-                const bool skip = flags & 2;
-                const unsigned cost_plain =
-                    unsigned(std::popcount(value ^ old)) + (inv ? 1 : 0)
-                    + (sparse && skip ? 1 : 0);
-                const unsigned cost_inv =
-                    unsigned(std::popcount((~value & seg_mask) ^ old))
-                    + (inv ? 0 : 1) + (sparse && skip ? 1 : 0);
-                const unsigned cost_skip = sparse && !skip ? 1 : 0;
-
-                SegEntry e{};
-                if (skip_supported && value == 0
-                    && cost_skip <= std::min(cost_plain, cost_inv)) {
-                    e.mode = std::uint8_t(SegMode::Skip);
-                    e.coded = std::uint8_t(old);
-                    e.ctrl_flips = std::uint8_t(cost_skip);
-                    e.skip = 1;
-                    e.flags = std::uint8_t((inv ? 1 : 0)
-                                           | (sparse ? 2 : (skip ? 2 : 0)));
-                } else if (cost_inv < cost_plain) {
-                    const std::uint64_t coded = ~value & seg_mask;
-                    e.mode = std::uint8_t(SegMode::Inverted);
-                    e.coded = std::uint8_t(coded);
-                    e.data_flips =
-                        std::uint8_t(std::popcount(coded ^ old));
-                    e.ctrl_flips = std::uint8_t((inv ? 0 : 1)
-                                                + (sparse && skip ? 1 : 0));
-                    e.flags = 1; // inverted, skip line released
-                } else {
-                    e.mode = std::uint8_t(SegMode::AsIs);
-                    e.coded = std::uint8_t(value);
-                    e.data_flips =
-                        std::uint8_t(std::popcount(value ^ old));
-                    e.ctrl_flips = std::uint8_t((inv ? 1 : 0)
-                                                + (sparse && skip ? 1 : 0));
-                    e.flags = 0;
-                }
-                _table[((value << b | old) << 2) | flags] = e;
-            }
-        }
-    }
+    _seg_modes.assign(_num_segs, SegMode::AsIs);
+    // The lane pass needs whole segments of >= 4 bits in every field.
+    static constexpr LaneFn kLaneFns[] = {laneField<4>, laneField<8>,
+                                          laneField<16>, laneField<32>,
+                                          laneField<64>};
+    if (defaultEncoderMode() != EncoderMode::Scalar && _seg_bits >= 4
+        && 64 % _seg_bits == 0)
+        _lane_fn = kLaneFns[std::countr_zero(_seg_bits) - 2];
 }
 
 unsigned
@@ -133,52 +127,63 @@ TransferResult
 BusInvertScheme::transfer(const BitVec &block)
 {
     DESC_ASSERT(block.width() == _block_bits, "block width mismatch");
-    if (usesTablePath())
-        return transferTable(block);
+    if (usesBatchedPath())
+        return transferLanes(block);
     return transferScalar(block);
 }
 
+void
+BusInvertScheme::chargeModeBus(TransferResult &result)
+{
+    // The dense mode bus re-transmits all segment modes each beat as
+    // a packed base-3 number; its transitions are control flips.
+    for (unsigned w = 0; w < _mode_state.size(); w++) {
+        std::uint32_t packed = 0;
+        unsigned lo = w * kSegsPerModeWord;
+        unsigned hi = std::min<unsigned>(lo + kSegsPerModeWord, _num_segs);
+        for (unsigned s = hi; s-- > lo;)
+            packed = packed * 3 + std::uint32_t(_seg_modes[s]);
+        result.control_flips += std::popcount(packed ^ _mode_state[w]);
+        _mode_state[w] = packed;
+    }
+}
+
 TransferResult
-BusInvertScheme::transferTable(const BitVec &block)
+BusInvertScheme::transferLanes(const BitVec &block)
 {
     TransferResult result;
     result.cycles = _beats + (_mode == Mode::ZeroSkipEncoded ? 2 : 1);
     const bool encoded = _mode == Mode::ZeroSkipEncoded;
-    const unsigned b = _seg_bits;
+    auto &wires = _state.mutableWords();
+    auto &inv = _inv_lines.mutableWords();
+    auto &skip = _skip_lines.mutableWords();
 
     for (unsigned beat = 0; beat < _beats; beat++) {
-        const unsigned beat_base = beat * _wires;
-        for (unsigned s = 0; s < _num_segs; s++) {
-            const unsigned pos = beat_base + s * b;
+        // Each beat in 64-wire fields, as BinaryScheme walks it; b | 64
+        // keeps every segment inside one field.
+        for (unsigned off = 0; off < _wires; off += 64) {
+            const unsigned len = std::min(64u, _wires - off);
+            const unsigned pos = beat * _wires + off;
             std::uint64_t value = 0;
-            if (pos < _block_bits) {
-                unsigned avail = std::min(b, _block_bits - pos);
-                value = block.fieldUnchecked(pos, avail);
-            }
-            const SegEntry &e =
-                _table[((value << b | _seg_old[s]) << 2) | _seg_flags[s]];
-            result.data_flips += e.data_flips;
-            result.control_flips += e.ctrl_flips;
-            result.skipped += e.skip;
-            _seg_old[s] = e.coded;
-            _seg_flags[s] = e.flags;
-            if (encoded)
-                _seg_modes[s] = SegMode(e.mode);
-        }
-
-        if (encoded) {
-            for (unsigned w = 0; w < _mode_state.size(); w++) {
-                std::uint32_t packed = 0;
-                unsigned lo = w * kSegsPerModeWord;
-                unsigned hi = std::min<unsigned>(lo + kSegsPerModeWord,
-                                                 _num_segs);
-                for (unsigned s = hi; s-- > lo;)
-                    packed = packed * 3 + std::uint32_t(_seg_modes[s]);
-                result.control_flips += std::popcount(packed ^
-                                                      _mode_state[w]);
-                _mode_state[w] = packed;
+            if (pos < _block_bits)
+                value = block.fieldUnchecked(pos,
+                                             std::min(len, _block_bits - pos));
+            const unsigned f = off / 64;
+            const std::uint64_t field_mask = len == 64
+                ? ~std::uint64_t{0}
+                : (std::uint64_t{1} << len) - 1;
+            const std::uint64_t skipped = _lane_fn(
+                value, field_mask, _mode, wires[f], inv[f], skip[f], result);
+            if (!encoded)
+                continue;
+            for (unsigned bit = 0; bit < len; bit += _seg_bits) {
+                _seg_modes[(off + bit) / _seg_bits] = (skipped >> bit) & 1
+                    ? SegMode::Skip
+                    : SegMode((inv[f] >> bit) & 1);
             }
         }
+        if (encoded)
+            chargeModeBus(result);
     }
     return result;
 }
@@ -194,98 +199,58 @@ BusInvertScheme::transferScalar(const BitVec &block)
     const std::uint64_t seg_mask = _seg_bits == 64
         ? ~std::uint64_t{0}
         : ((std::uint64_t{1} << _seg_bits) - 1);
-
-    _seg_modes.assign(_num_segs, SegMode::AsIs);
+    const bool skip_supported = _mode != Mode::Plain;
+    const bool sparse = _mode == Mode::ZeroSkipSparse;
 
     for (unsigned beat = 0; beat < _beats; beat++) {
         unsigned beat_base = beat * _wires;
         for (unsigned s = 0; s < _num_segs; s++) {
-            unsigned pos = beat_base + s * _seg_bits;
+            const unsigned line = s * _seg_bits;
+            unsigned pos = beat_base + line;
             std::uint64_t value = 0;
             if (pos < _block_bits) {
                 unsigned avail = std::min(_seg_bits, _block_bits - pos);
                 value = block.fieldUnchecked(pos, avail);
             }
-            std::uint64_t old =
-                _state.fieldUnchecked(s * _seg_bits, _seg_bits);
+            std::uint64_t old = _state.fieldUnchecked(line, _seg_bits);
+            const bool inv = _inv_lines.bit(line);
+            const bool skip = sparse && _skip_lines.bit(line);
 
             // Cost of each transmission mode, counting the control
             // wires the mode would have to flip.
-            bool skip_supported = _mode != Mode::Plain;
-            bool sparse = _mode == Mode::ZeroSkipSparse;
-
-            unsigned cost_plain = std::popcount(value ^ old)
-                + (_inv_state[s] ? 1 : 0)
-                + (sparse && _skip_state[s] ? 1 : 0);
+            unsigned cost_plain = std::popcount(value ^ old) + inv + skip;
             unsigned cost_inv = std::popcount((~value & seg_mask) ^ old)
-                + (_inv_state[s] ? 0 : 1)
-                + (sparse && _skip_state[s] ? 1 : 0);
-            unsigned cost_skip = sparse && !_skip_state[s] ? 1 : 0;
+                + !inv + skip;
+            unsigned cost_skip = sparse && !skip ? 1 : 0;
 
-            SegMode chosen;
+            SegMode chosen = SegMode::AsIs;
             if (skip_supported && value == 0 &&
                 cost_skip <= std::min(cost_plain, cost_inv)) {
                 chosen = SegMode::Skip;
             } else if (cost_inv < cost_plain) {
                 chosen = SegMode::Inverted;
-            } else {
-                chosen = SegMode::AsIs;
             }
             _seg_modes[s] = chosen;
 
-            switch (chosen) {
-              case SegMode::AsIs:
-                result.data_flips += std::popcount(value ^ old);
-                _state.setFieldUnchecked(s * _seg_bits, _seg_bits, value);
-                if (_inv_state[s]) {
-                    result.control_flips++;
-                    _inv_state[s] = false;
-                }
-                if (sparse && _skip_state[s]) {
-                    result.control_flips++;
-                    _skip_state[s] = false;
-                }
-                break;
-              case SegMode::Inverted: {
-                std::uint64_t coded = ~value & seg_mask;
-                result.data_flips += std::popcount(coded ^ old);
-                _state.setFieldUnchecked(s * _seg_bits, _seg_bits, coded);
-                if (!_inv_state[s]) {
-                    result.control_flips++;
-                    _inv_state[s] = true;
-                }
-                if (sparse && _skip_state[s]) {
-                    result.control_flips++;
-                    _skip_state[s] = false;
-                }
-                break;
-              }
-              case SegMode::Skip:
+            if (chosen == SegMode::Skip) {
                 // Data and invert wires hold; receiver substitutes 0.
                 result.skipped++;
-                if (sparse && !_skip_state[s]) {
-                    result.control_flips++;
-                    _skip_state[s] = true;
-                }
-                break;
+                result.control_flips += cost_skip;
+                if (sparse)
+                    _skip_lines.setBit(line, true);
+                continue;
             }
+            const bool invert = chosen == SegMode::Inverted;
+            const std::uint64_t coded = invert ? ~value & seg_mask : value;
+            result.data_flips += std::popcount(coded ^ old);
+            _state.setFieldUnchecked(line, _seg_bits, coded);
+            result.control_flips += (inv != invert) + skip;
+            _inv_lines.setBit(line, invert);
+            _skip_lines.setBit(line, false);
         }
 
-        // The dense mode bus re-transmits all segment modes each beat
-        // as a packed base-3 number; its transitions are control flips.
-        if (_mode == Mode::ZeroSkipEncoded) {
-            for (unsigned w = 0; w < _mode_state.size(); w++) {
-                std::uint32_t packed = 0;
-                unsigned lo = w * kSegsPerModeWord;
-                unsigned hi = std::min<unsigned>(lo + kSegsPerModeWord,
-                                                 _num_segs);
-                for (unsigned s = hi; s-- > lo;)
-                    packed = packed * 3 + std::uint32_t(_seg_modes[s]);
-                result.control_flips += std::popcount(packed ^
-                                                      _mode_state[w]);
-                _mode_state[w] = packed;
-            }
-        }
+        if (_mode == Mode::ZeroSkipEncoded)
+            chargeModeBus(result);
     }
     return result;
 }
@@ -294,11 +259,9 @@ void
 BusInvertScheme::reset()
 {
     _state.clear();
-    std::fill(_inv_state.begin(), _inv_state.end(), false);
-    std::fill(_skip_state.begin(), _skip_state.end(), false);
+    _inv_lines.clear();
+    _skip_lines.clear();
     std::fill(_mode_state.begin(), _mode_state.end(), 0);
-    std::fill(_seg_old.begin(), _seg_old.end(), 0);
-    std::fill(_seg_flags.begin(), _seg_flags.end(), 0);
 }
 
 } // namespace desc::encoding

@@ -37,32 +37,34 @@ class BusInvertScheme : public TransferScheme
     const char *name() const override;
     void reset() override;
 
-    /** True when transfer() takes the precomputed-table pass. */
-    bool usesTablePath() const { return !_table.empty(); }
+    /** True when transfer() takes the word-at-a-time lane pass. */
+    bool usesBatchedPath() const { return _lane_fn != nullptr; }
+
+    /** Line levels after the last transfer, for differential tests. */
+    const BitVec &wireLevels() const { return _state; }
+    const BitVec &invertLevels() const { return _inv_lines; }
+    const BitVec &skipLevels() const { return _skip_lines; }
+    const std::vector<std::uint32_t> &modeBus() const { return _mode_state; }
 
   private:
     /** Per-segment transmission decision for one beat. */
     enum class SegMode : std::uint8_t { AsIs = 0, Inverted = 1, Skip = 2 };
 
     /**
-     * Precomputed decision for one (value, old, inv, skip) segment
-     * state: the coded value left on the wires, the chosen mode, the
-     * flip charges, and the new invert/skip line levels packed as
-     * inv | skip << 1 (the same layout the table is indexed by).
+     * One field (up to 64 wires, @p field_mask) of a beat through the
+     * lane pass: updates the field's wire, invert and skip words and
+     * returns the lane-LSB marks of the segments it skipped.
      */
-    struct SegEntry
-    {
-        std::uint8_t coded;
-        std::uint8_t mode; //!< SegMode
-        std::uint8_t data_flips;
-        std::uint8_t ctrl_flips;
-        std::uint8_t skip; //!< 1 when the segment was skipped
-        std::uint8_t flags; //!< new inv | skip << 1
-    };
+    using LaneFn = std::uint64_t (*)(std::uint64_t value,
+                                     std::uint64_t field_mask, Mode mode,
+                                     std::uint64_t &wires,
+                                     std::uint64_t &inv,
+                                     std::uint64_t &skip,
+                                     TransferResult &result);
 
     TransferResult transferScalar(const BitVec &block);
-    TransferResult transferTable(const BitVec &block);
-    void buildTable();
+    TransferResult transferLanes(const BitVec &block);
+    void chargeModeBus(TransferResult &result);
 
     unsigned _wires;
     unsigned _block_bits;
@@ -70,24 +72,19 @@ class BusInvertScheme : public TransferScheme
     unsigned _seg_bits;
     unsigned _num_segs;
     Mode _mode;
-
-    BitVec _state;                    //!< data wire levels
-    std::vector<bool> _inv_state;     //!< invert line levels
-    std::vector<bool> _skip_state;    //!< sparse skip line levels
-    std::vector<std::uint32_t> _mode_state; //!< encoded mode bus words
-    std::vector<SegMode> _seg_modes;  //!< reused per-beat scratch
+    LaneFn _lane_fn = nullptr; //!< lane pass (encoder mode + width gate)
 
     /**
-     * Table-pass state: one decision entry per
-     * (value << b | old) << 2 | inv | skip << 1 key, plus byte-wide
-     * mirrors of the wire/line state so the hot loop never touches
-     * the BitVec or the bit-packed bool vectors. Populated only for
-     * small segments (the table is 4^(b+1) entries) when the encoder
-     * mode allows batching; empty otherwise.
+     * Wire state, one bit per wire: the data wire levels, and the
+     * invert and sparse-skip line levels with segment s's line at bit
+     * s * segment_bits — the lane-LSB layout the lane pass computes
+     * in, so its per-field state is a plain word of each vector.
      */
-    std::vector<SegEntry> _table;
-    std::vector<std::uint8_t> _seg_old;   //!< wire levels per segment
-    std::vector<std::uint8_t> _seg_flags; //!< inv | skip << 1 per segment
+    BitVec _state;
+    BitVec _inv_lines;
+    BitVec _skip_lines;
+    std::vector<std::uint32_t> _mode_state; //!< encoded mode bus words
+    std::vector<SegMode> _seg_modes;  //!< reused per-beat scratch
 };
 
 } // namespace desc::encoding

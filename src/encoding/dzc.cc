@@ -11,7 +11,8 @@ namespace desc::encoding {
 
 DynamicZeroScheme::DynamicZeroScheme(const SchemeConfig &cfg)
     : _wires(cfg.bus_wires), _block_bits(cfg.block_bits),
-      _seg_bits(cfg.segment_bits), _state(cfg.bus_wires)
+      _seg_bits(cfg.segment_bits), _state(cfg.bus_wires),
+      _zero_lines(cfg.bus_wires)
 {
     DESC_ASSERT(_seg_bits > 0 && _seg_bits <= 64,
                 "segment size must be 1..64 bits: ", _seg_bits);
@@ -19,15 +20,10 @@ DynamicZeroScheme::DynamicZeroScheme(const SchemeConfig &cfg)
                 "bus width not divisible by segment size");
     _beats = (_block_bits + _wires - 1) / _wires;
     _num_segs = _wires / _seg_bits;
-    _zero_state.assign(_num_segs, false);
     // The word pass needs whole words of segments per beat: power-of-
     // two segments and a beat width that is a multiple of 64 bits.
     _batched = defaultEncoderMode() != EncoderMode::Scalar
         && std::has_single_bit(_seg_bits) && _wires % 64 == 0;
-    if (_batched) {
-        _state_words.assign(_wires / 64, 0);
-        _zero_marks.assign(_wires / 64, 0);
-    }
 }
 
 TransferResult
@@ -48,30 +44,26 @@ DynamicZeroScheme::transferScalar(const BitVec &block)
     for (unsigned beat = 0; beat < _beats; beat++) {
         unsigned beat_base = beat * _wires;
         for (unsigned s = 0; s < _num_segs; s++) {
-            unsigned pos = beat_base + s * _seg_bits;
+            const unsigned line = s * _seg_bits;
+            unsigned pos = beat_base + line;
             std::uint64_t value = 0;
             if (pos < _block_bits) {
                 unsigned avail = std::min(_seg_bits, _block_bits - pos);
                 value = block.fieldUnchecked(pos, avail);
             }
 
-            if (value == 0) {
-                // Only the indicator may switch; data wires hold.
-                if (!_zero_state[s]) {
-                    result.control_flips++;
-                    _zero_state[s] = true;
-                }
+            // The indicator follows the segment's zero-ness; a zero
+            // segment's data wires hold.
+            const bool zero = value == 0;
+            result.control_flips += _zero_lines.bit(line) != zero;
+            _zero_lines.setBit(line, zero);
+            if (zero) {
                 result.skipped++;
-            } else {
-                if (_zero_state[s]) {
-                    result.control_flips++;
-                    _zero_state[s] = false;
-                }
-                std::uint64_t old =
-                    _state.fieldUnchecked(s * _seg_bits, _seg_bits);
-                result.data_flips += std::popcount(value ^ old);
-                _state.setFieldUnchecked(s * _seg_bits, _seg_bits, value);
+                continue;
             }
+            std::uint64_t old = _state.fieldUnchecked(line, _seg_bits);
+            result.data_flips += std::popcount(value ^ old);
+            _state.setFieldUnchecked(line, _seg_bits, value);
         }
     }
     return result;
@@ -124,6 +116,8 @@ DynamicZeroScheme::transferBatched(const BitVec &block)
     const unsigned fn = unsigned(std::countr_zero(_seg_bits));
     const DzcWordFn word_fn = kDzcWord[fn];
     const auto &words = block.words();
+    auto &state = _state.mutableWords();
+    auto &zero_marks = _zero_lines.mutableWords();
     const unsigned wpb = _wires / 64; // words per beat
     for (unsigned beat = 0; beat < _beats; beat++) {
         const std::size_t base = std::size_t(beat) * wpb;
@@ -132,7 +126,7 @@ DynamicZeroScheme::transferBatched(const BitVec &block)
             // wider than the remainder; those segments read zero.
             const std::size_t idx = base + j;
             const std::uint64_t x = idx < words.size() ? words[idx] : 0;
-            word_fn(x, _state_words[j], _zero_marks[j], result);
+            word_fn(x, state[j], zero_marks[j], result);
         }
     }
     return result;
@@ -142,9 +136,7 @@ void
 DynamicZeroScheme::reset()
 {
     _state.clear();
-    std::fill(_zero_state.begin(), _zero_state.end(), false);
-    std::fill(_state_words.begin(), _state_words.end(), 0);
-    std::fill(_zero_marks.begin(), _zero_marks.end(), 0);
+    _zero_lines.clear();
 }
 
 } // namespace desc::encoding

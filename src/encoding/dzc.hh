@@ -11,8 +11,6 @@
 #ifndef DESC_ENCODING_DZC_HH
 #define DESC_ENCODING_DZC_HH
 
-#include <vector>
-
 #include "encoding/scheme.hh"
 
 namespace desc::encoding {
@@ -31,6 +29,10 @@ class DynamicZeroScheme : public TransferScheme
     /** True when transfer() takes the word-at-a-time batched pass. */
     bool usesBatchedPath() const { return _batched; }
 
+    /** Line levels after the last transfer, for differential tests. */
+    const BitVec &wireLevels() const { return _state; }
+    const BitVec &zeroLevels() const { return _zero_lines; }
+
   private:
     TransferResult transferScalar(const BitVec &block);
     TransferResult transferBatched(const BitVec &block);
@@ -42,18 +44,14 @@ class DynamicZeroScheme : public TransferScheme
     unsigned _num_segs;
     bool _batched; //!< word pass (latched encoder mode + layout gate)
 
-    BitVec _state;
-    std::vector<bool> _zero_state;
-
     /**
-     * Batched-pass state mirrors: wire levels packed one word per 64
-     * wires, and the zero-indicator levels as marker masks in the
-     * same per-word layout the SWAR fold produces (one bit at each
-     * segment's base position), so a beat's indicator transitions are
-     * a single XOR + popcount per word.
+     * Data wire levels, and the zero-indicator levels with segment
+     * s's indicator at bit s * segment_bits: the marker layout the
+     * SWAR fold produces, so a beat's indicator transitions in the
+     * word pass are one XOR + popcount per word of each vector.
      */
-    std::vector<std::uint64_t> _state_words;
-    std::vector<std::uint64_t> _zero_marks;
+    BitVec _state;
+    BitVec _zero_lines;
 };
 
 } // namespace desc::encoding

@@ -29,7 +29,7 @@ namespace desc::encoding {
 /**
  * How a TransferScheme walks a block: the chunk-at-a-time scalar
  * reference loops, or the word-at-a-time batched passes (SWAR chunk
- * math / precomputed per-segment tables). Both produce bit-identical
+ * and lane math). Both produce bit-identical
  * TransferResults and wire state — the differential suite enforces it
  * — so Auto simply takes the batched pass wherever the configuration
  * supports one and falls back to scalar elsewhere (odd chunk widths,

@@ -77,6 +77,31 @@ nonzeroChunks(std::uint64_t x)
 }
 
 /**
+ * Per-lane population count over W-bit lanes, W in {4, ..., 64}:
+ * lane i of the result holds the number of set bits in lane i of
+ * @p x (the classic tree sum, stopped at width W).
+ */
+template <unsigned W>
+inline std::uint64_t
+lanePopcount(std::uint64_t x)
+{
+    constexpr std::uint64_t m1 = laneLsbMask(2), m2 = laneLowMask(4, 2),
+                            m4 = laneLowMask(8, 4), m8 = laneLowMask(16, 8),
+                            m16 = laneLowMask(32, 16);
+    if constexpr (W == 64)
+        return std::uint64_t(std::popcount(x));
+    x -= (x >> 1) & m1;
+    x = (x & m2) + ((x >> 2) & m2);
+    if constexpr (W >= 8)
+        x = (x + (x >> 4)) & m4;
+    if constexpr (W >= 16)
+        x = (x + (x >> 8)) & m8;
+    if constexpr (W >= 32)
+        x = (x + (x >> 16)) & m16;
+    return x;
+}
+
+/**
  * Per-lane maximum of @p a and @p b over W-bit lanes. Requires every
  * lane value < 2^(W-1) so the borrow trick has a spare bit.
  */

@@ -13,6 +13,35 @@
 using namespace desc;
 using namespace desc::ecc;
 
+namespace {
+
+/**
+ * The Figure 9 layout spelled out bit by bit: gather each segment's
+ * interleaved data bits, SECDED-encode the segment, and place parity
+ * bit p of segment s at block_bits + p*S + s.
+ */
+BitVec
+referenceEncode(const BitVec &block, unsigned segment_bits)
+{
+    const unsigned n = block.width();
+    const unsigned segs = n / segment_bits;
+    SecdedCode code(segment_bits);
+    BitVec bus(n + segs * code.parityBits());
+    for (unsigned g = 0; g < n; g++)
+        bus.setBit(g, block.bit(g));
+    for (unsigned s = 0; s < segs; s++) {
+        BitVec seg(segment_bits);
+        for (unsigned k = 0; k < segment_bits; k++)
+            seg.setBit(k, block.bit(k * segs + s));
+        const BitVec word = code.encode(seg);
+        for (unsigned p = 0; p < code.parityBits(); p++)
+            bus.setBit(n + p * segs + s, word.bit(segment_bits + p));
+    }
+    return bus;
+}
+
+} // namespace
+
 TEST(BlockCodec, PaperGeometry)
 {
     // (137,128): four 128-bit segments, nine parity bits each -> nine
@@ -132,4 +161,46 @@ TEST(BlockCodec, ParityChunkFaultsAreHarmless)
     auto d = codec.decode(bus);
     EXPECT_EQ(d.block, block);
     EXPECT_FALSE(d.uncorrectable());
+}
+
+TEST(BlockCodec, EncodeIntoMatchesPerSegmentReference)
+{
+    // Segment widths 8..512 (64 down to one segment) over uniform,
+    // sparse, all-zero and all-ones blocks. One bus word is reused
+    // throughout and starts dirty, so every call must clear the
+    // previous call's parity.
+    Rng rng(16);
+    for (unsigned seg = 8; seg <= 512; seg *= 2) {
+        BlockCodec codec(512, seg);
+        BitVec bus(codec.busBits());
+        bus.invertRange(0, bus.width());
+        for (int i = 0; i < 40; i++) {
+            BitVec block(512);
+            switch (i % 4) {
+              case 0:
+                block.randomize(rng);
+                break;
+              case 1:
+                for (unsigned n = 1 + unsigned(rng.below(8)); n > 0; n--)
+                    block.setBit(unsigned(rng.below(512)), true);
+                break;
+              case 2:
+                break;
+              default:
+                block.invertRange(0, 512);
+                break;
+            }
+            codec.encodeInto(block, bus);
+            ASSERT_EQ(bus, referenceEncode(block, seg))
+                << "segment " << seg << " block " << i;
+        }
+    }
+}
+
+TEST(BlockCodecDeath, RejectsGeometriesWithoutWholeWordLanes)
+{
+    // Three segments do not tile a 64-bit word; a 96-bit block is not
+    // whole words.
+    EXPECT_DEATH(BlockCodec(384, 128), "segment count dividing 64");
+    EXPECT_DEATH(BlockCodec(96, 32), "segment count dividing 64");
 }

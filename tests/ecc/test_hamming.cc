@@ -6,11 +6,30 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/rng.hh"
 #include "ecc/hamming.hh"
 
 using namespace desc;
 using namespace desc::ecc;
+
+namespace {
+
+/**
+ * Codeword index (data first, Hamming parity after) of the 1-based
+ * Hamming position @p pos: parity bits sit at the powers of two, data
+ * bits fill the other positions in order.
+ */
+unsigned
+codewordIndex(unsigned data_bits, unsigned pos)
+{
+    if (std::has_single_bit(pos))
+        return data_bits + unsigned(std::countr_zero(pos));
+    return pos - unsigned(std::bit_width(pos)) - 1;
+}
+
+} // namespace
 
 TEST(Secded, PaperCodeDimensions)
 {
@@ -123,4 +142,60 @@ TEST(Secded, StatusNames)
     EXPECT_STREQ(eccStatusName(EccStatus::Corrected), "corrected");
     EXPECT_STREQ(eccStatusName(EccStatus::DetectedDouble),
                  "double-error");
+}
+
+TEST(Secded, OddErrorPointingPastTheCodewordIsUncorrectable)
+{
+    // An odd number of errors whose syndrome names no position of the
+    // codeword cannot be a single error: it must be flagged, not
+    // "corrected" with the data left corrupted. (72,64): positions
+    // 71, 56, 3 give syndrome 124 > 71; (137,128): 136, 120, 3 give
+    // 243 > 136.
+    struct Case
+    {
+        unsigned data_bits;
+        unsigned pos[3];
+    };
+    for (const Case &c : {Case{64, {71, 56, 3}}, Case{128, {136, 120, 3}}}) {
+        SecdedCode code(c.data_bits);
+        ASSERT_GT(c.pos[0] ^ c.pos[1] ^ c.pos[2], code.codeBits() - 1);
+        Rng rng(c.data_bits);
+        BitVec data(c.data_bits);
+        data.randomize(rng);
+        BitVec bad = code.encode(data);
+        for (unsigned pos : c.pos)
+            bad.flipBit(codewordIndex(c.data_bits, pos));
+        EXPECT_EQ(code.decode(bad).status, EccStatus::DetectedDouble)
+            << "data bits " << c.data_bits;
+    }
+}
+
+TEST(Secded, TripleErrorsAreNeverSilentlyAcceptedPastTheCodeword)
+{
+    // Sampled triples: whenever the syndrome points outside the
+    // codeword the decoder reports an uncorrectable error.
+    Rng rng(9);
+    for (unsigned data_bits : {64u, 128u}) {
+        SecdedCode code(data_bits);
+        const unsigned positions = code.codeBits() - 1;
+        BitVec data(data_bits);
+        data.randomize(rng);
+        const BitVec word = code.encode(data);
+        unsigned checked = 0;
+        for (int t = 0; t < 2000; t++) {
+            unsigned p[3];
+            for (unsigned &x : p)
+                x = 1 + unsigned(rng.below(positions));
+            if (p[0] == p[1] || p[1] == p[2] || p[0] == p[2]
+                || (p[0] ^ p[1] ^ p[2]) <= positions)
+                continue;
+            BitVec bad = word;
+            for (unsigned x : p)
+                bad.flipBit(codewordIndex(data_bits, x));
+            EXPECT_EQ(code.decode(bad).status, EccStatus::DetectedDouble)
+                << "positions " << p[0] << "," << p[1] << "," << p[2];
+            checked++;
+        }
+        EXPECT_GT(checked, 0u);
+    }
 }

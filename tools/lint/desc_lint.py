@@ -69,9 +69,15 @@ HOT_PATH_FILES = [
     # plane buffer is sized at construction or loadBlock.
     "src/core/wires.hh",
     "src/core/toggle.hh",
-    # The batched encoder passes (word-at-a-time SWAR loops).
+    # The batched encoder passes (word-at-a-time SWAR loops) and the
+    # per-transfer codecs the L2 runs on every block: baseline
+    # encoders and the SECDED mask-fold.
     "src/encoding/swar.hh",
     "src/encoding/scheme.cc",
+    "src/encoding/binary.cc",
+    "src/encoding/dzc.cc",
+    "src/encoding/businvert.cc",
+    "src/ecc/blockcodec.cc",
     # The L2 transaction chain: request, tag-probe and response events
     # come from per-hierarchy pools, block payloads live in the
     # set-associative arrays.
