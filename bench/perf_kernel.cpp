@@ -1,8 +1,8 @@
 /**
  * @file
  * Simulation-kernel microbenchmarks: event-queue throughput, link,
- * scheme and per-transfer codec block rates, and end-to-end
- * simulated-cycle rate. Writes
+ * scheme and per-transfer codec block rates, the L2 warmup walk, and
+ * end-to-end simulated-cycle rate. Writes
  * BENCH_kernel.json (see README); the committed copy of that file is
  * the CI regression baseline.
  *
@@ -30,6 +30,7 @@
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 #include "sim/vcd.hh"
+#include "workloads/backing.hh"
 
 using namespace desc;
 using Clock = std::chrono::steady_clock;
@@ -337,6 +338,33 @@ benchRunSystem(std::uint64_t insts, unsigned reps, std::uint64_t *cycles)
 }
 
 /**
+ * The functional-warmup walk runSystem() pays on a warmup-snapshot
+ * miss: the benchmark app's prefill() sequence into a freshly built
+ * baseline hierarchy (8 MB, 16-way L2). Only the walk is timed; each
+ * rep constructs a new hierarchy so every walk starts cold.
+ */
+double
+benchL2Warmup(unsigned reps)
+{
+    auto cfg = benchSystemConfig(1);
+    double best = 0.0;
+    auto reads = envReads();
+    for (unsigned r = 0; r < reps; r++) {
+        sim::EventQueue eq;
+        workloads::ValueBackingStore backing(cfg.app, cfg.seed);
+        cache::MemHierarchy mem(eq, cfg.l2, backing, cfg.cores, cfg.l1,
+                                cfg.dram);
+        auto t0 = Clock::now();
+        std::uint64_t blocks = sim::prefillWalk(mem, cfg);
+        double rate = double(blocks) / secondsSince(t0);
+        if (rate > best)
+            best = rate;
+    }
+    assertNoEnvReads(reads, "l2 warmup kernel");
+    return best;
+}
+
+/**
  * The same workload with the encoders and links pinned to their
  * cycle-accurate references (scalar encoders, ticked links). Tracked
  * so a regression in the fallbacks stays visible, and doubling as an
@@ -444,6 +472,8 @@ main(int argc, char **argv)
     std::fprintf(stderr, "ecc-encode:%12.0f blocks/sec\n", ecc_rate);
     double bic_rate = benchBusInvert(codec_n);
     std::fprintf(stderr, "bic:       %12.0f blocks/sec\n", bic_rate);
+    double warmup = benchL2Warmup(reps);
+    std::fprintf(stderr, "l2-warmup: %12.0f blocks/sec\n", warmup);
     std::uint64_t cycles = 0;
     double rs = benchRunSystem(insts, reps, &cycles);
     std::fprintf(stderr, "runsystem: %12.0f sim-cycles/sec (%llu cycles)\n",
@@ -483,6 +513,7 @@ main(int argc, char **argv)
         "    \"chunkstats_blocks_per_sec\": %.0f,\n"
         "    \"ecc_encode_blocks_per_sec\": %.0f,\n"
         "    \"bic_blocks_per_sec\": %.0f,\n"
+        "    \"l2_warmup_blocks_per_sec\": %.0f,\n"
         "    \"runsystem_cycles_per_sec\": %.0f,\n"
         "    \"runsystem_ticked_cycles_per_sec\": %.0f,\n"
         "    \"runsystem_prof_overhead_pct\": %.3f\n"
@@ -490,7 +521,8 @@ main(int argc, char **argv)
         "  \"check\": { \"runsystem_cycles\": %llu }\n"
         "}\n",
         quick ? "true" : "false", ev, link, link_ticked, link_vcd,
-        scheme, cstats, ecc_rate, bic_rate, rs, rs_ticked, prof_pct,
+        scheme, cstats, ecc_rate, bic_rate, warmup, rs, rs_ticked,
+        prof_pct,
         (unsigned long long)cycles);
     std::fclose(f);
     return 0;

@@ -4,14 +4,20 @@
  *
  * Storage is struct-of-arrays: the packed tag+valid words of a set sit
  * contiguously (a 4-way probe reads 32 bytes — one cache line of the
- * host), with the LRU stamps and the wide per-line metadata in
- * parallel arrays that only hit and maintenance paths touch. Lines are
- * addressed by a stable integer Way handle (set * assoc + way).
+ * host), with the LRU stamps and the per-line metadata in parallel
+ * arrays that only hit and maintenance paths touch. Lines are
+ * addressed by a stable integer Way handle (set * assoc + way), which
+ * is also how a level keeps data outside the array: the L2 holds only
+ * its 4-byte directory state here and indexes a separate payload
+ * array by the same handle, so tag, victim and directory walks never
+ * stride over block data. Block size and set count are powers of two,
+ * so set, tag and block address are shifts and masks.
  */
 
 #ifndef DESC_CACHE_ARRAY_HH
 #define DESC_CACHE_ARRAY_HH
 
+#include <bit>
 #include <vector>
 
 #include "common/contract.hh"
@@ -36,7 +42,7 @@ struct TagImage
 
 /**
  * Tag/state storage for one cache level. Meta carries the
- * level-specific payload (coherence state, dirty bit, data, ...).
+ * level-specific line state (coherence state, dirty bit, ...).
  */
 template <typename Meta>
 class SetAssocArray
@@ -48,19 +54,20 @@ class SetAssocArray
 
     SetAssocArray(std::uint64_t capacity_bytes, unsigned assoc,
                   unsigned block_bytes)
-        : _assoc(assoc), _block_bytes(block_bytes)
+        : _assoc(assoc)
     {
+        DESC_ASSERT(std::has_single_bit(block_bytes),
+                    "block size must be a power of two: ", block_bytes);
         DESC_ASSERT(capacity_bytes % (assoc * block_bytes) == 0,
                     "capacity not divisible by assoc*block");
         _sets = unsigned(capacity_bytes / (assoc * block_bytes));
-        DESC_ASSERT((_sets & (_sets - 1)) == 0,
+        DESC_ASSERT(std::has_single_bit(_sets),
                     "set count must be a power of two: ", _sets);
+        _block_shift = unsigned(std::countr_zero(block_bytes));
+        _set_shift = unsigned(std::countr_zero(_sets));
         const std::size_t lines = std::size_t(_sets) * assoc;
         _tagv.assign(lines, 0);
         _lru.assign(lines, 0);
-        // Default-construct (not copy-fill) the metadata: a Meta that
-        // leaves bulk payload members uninitialized then skips the
-        // touch of every line's payload here.
         _meta.resize(lines);
     }
 
@@ -70,13 +77,13 @@ class SetAssocArray
     unsigned
     setOf(Addr addr) const
     {
-        return unsigned((addr / _block_bytes) & (_sets - 1));
+        return unsigned((addr >> _block_shift) & (_sets - 1));
     }
 
     Addr
     tagOf(Addr addr) const
     {
-        return addr / _block_bytes / _sets;
+        return addr >> (_block_shift + _set_shift);
     }
 
     /** Reconstruct the block address of a (valid) line. */
@@ -84,7 +91,7 @@ class SetAssocArray
     addrOf(Way way) const
     {
         const Addr tag = Addr(_tagv[way] >> 1);
-        return (tag * _sets + way / _assoc) * _block_bytes;
+        return ((tag << _set_shift) | (way / _assoc)) << _block_shift;
     }
 
     bool valid(Way way) const { return _tagv[way] & 1; }
@@ -206,8 +213,9 @@ class SetAssocArray
 
   private:
     unsigned _assoc;
-    unsigned _block_bytes;
     unsigned _sets;
+    unsigned _block_shift; //!< log2(block bytes)
+    unsigned _set_shift;   //!< log2(sets)
     std::uint64_t _clock = 0;
 
     /** tag << 1 | valid, per line; the only array probes touch. */

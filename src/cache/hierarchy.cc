@@ -42,6 +42,8 @@ MemHierarchy::MemHierarchy(sim::EventQueue &eq, const L2Config &l2cfg,
     : _eq(eq), _cfg(l2cfg), _energy_model(l2cfg.org), _backing(backing),
       _dram(eq, dram_cfg),
       _l2(l2cfg.org.capacity_bytes, l2cfg.org.assoc, l2cfg.org.block_bytes),
+      _l2_data(std::make_unique_for_overwrite<Block512[]>(
+          std::size_t(_l2.numSets()) * _l2.assoc())),
       _scratch(0), _scratch_raw(l2cfg.scheme_cfg.block_bits),
       _chunk_stats(l2cfg.scheme_cfg.chunk_bits == 0
                        ? 4
@@ -163,10 +165,8 @@ MemHierarchy::evictL1Victim(unsigned core, L1Array &l1, Addr addr,
         if (vm.state == MesiState::Modified) {
             _stats.l2_writebacks_in.inc();
             if (l2way != L2Array::kNoWay) {
-                L2Meta &lm = _l2.meta(l2way);
-                lm.data = vm.data;
-                lm.dirty = true;
-                lm.virgin = false;
+                setL2Data(l2way, vm.data);
+                _l2.meta(l2way).dirty = true;
             }
             transfer(bankOf(va), vm.data, true,
                      _eq.now() + _cfg.ctrl_latency + _flight);
@@ -202,10 +202,9 @@ MemHierarchy::recallForShared(L2Array::Way way, Addr addr,
         DESC_TRACE_EVENT(Cache, _eq.now(),
                          "coherence recall: owner core ", owner,
                          " addr 0x", std::hex, addr, std::dec);
-        lm.data = l1m.data;
+        setL2Data(way, l1m.data);
         lm.dirty = true;
-        lm.virgin = false;
-        *ready = transfer(bankOf(addr), lm.data, true, earliest);
+        *ready = transfer(bankOf(addr), l1m.data, true, earliest);
         return true;
     }
     return false;
@@ -228,10 +227,9 @@ MemHierarchy::invalidateSharers(L2Array::Way way, Addr addr,
             L1Meta &l1m = _l1d[c].meta(l1way);
             if (l1m.state == MesiState::Modified) {
                 _stats.recalls.inc();
-                lm.data = l1m.data;
+                setL2Data(way, l1m.data);
                 lm.dirty = true;
-                lm.virgin = false;
-                *ready = transfer(bankOf(addr), lm.data, true, earliest);
+                *ready = transfer(bankOf(addr), l1m.data, true, earliest);
                 recalled = true;
             }
             _l1d[c].invalidate(l1way);
@@ -489,8 +487,7 @@ MemHierarchy::finishMiss(Addr addr)
         _l2.invalidate(v);
     }
     _l2.fill(v, addr);
-    _l2.meta(v).data = mem;
-    _l2.meta(v).dirty = false;
+    setL2Data(v, mem);
     _stats.l2_fills.inc();
 
     // Fill the data array through the bank's write port; the reply to
@@ -531,7 +528,7 @@ MemHierarchy::prefill(Addr addr)
         return m.sharers != 0 || m.owner != kNoOwner;
     });
     if (_l2.valid(v) && _l2.meta(v).dirty)
-        _backing.store(_l2.addrOf(v), _l2.meta(v).data);
+        _backing.store(_l2.addrOf(v), _l2_data[v]);
     _l2.invalidate(v);
     _l2.fill(v, addr);
     // Tag-only install: the payload stays virgin until the first read
@@ -544,12 +541,9 @@ MemHierarchy::prefill(Addr addr)
 const Block512 &
 MemHierarchy::l2Data(L2Array::Way way)
 {
-    L2Meta &m = _l2.meta(way);
-    if (m.virgin) {
-        m.data = _backing.fetch(_l2.addrOf(way));
-        m.virgin = false;
-    }
-    return m.data;
+    if (_l2.meta(way).virgin)
+        setL2Data(way, _backing.fetch(_l2.addrOf(way)));
+    return _l2_data[way];
 }
 
 MemHierarchy::WarmupState

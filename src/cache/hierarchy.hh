@@ -211,26 +211,25 @@ class MemHierarchy
         Block512 data{};
     };
 
+    /**
+     * Directory state of an L2 line. The payload lives apart, in
+     * _l2_data under the same Way handle, so victim choice, sharer
+     * and owner checks and the prefill walk read 4 bytes per line.
+     */
     struct L2Meta
     {
-        /** User-provided so that constructing the (multi-megabyte)
-         *  L2 array does not zero every payload: data stays
-         *  indeterminate until a fill, writeback, or l2Data()
-         *  materialization writes the whole block. */
-        L2Meta() {}
-
         bool dirty = false;
         std::uint8_t sharers = 0; //!< DL1 sharer bitmap
         std::uint8_t owner = kNoOwner;
-        /** Prefilled line whose payload was never materialized: data
-         *  is still default and must be loaded from the backing store
-         *  before the first read (see l2Data()). Cleared by any
-         *  full-block write. */
+        /** Prefilled line whose payload was never materialized: the
+         *  payload slot is indeterminate and must be loaded from the
+         *  backing store before the first read (see l2Data()).
+         *  Cleared by any full-block write (setL2Data()). */
         bool virgin = false;
-        Block512 data;
     };
 
     static constexpr std::uint8_t kNoOwner = 0xff;
+    static_assert(sizeof(L2Meta) <= 4);
 
     using L1Array = SetAssocArray<L1Meta>;
     using L2Array = SetAssocArray<L2Meta>;
@@ -332,10 +331,19 @@ class MemHierarchy
     /**
      * The payload of L2 line @p way, materializing a virgin prefill
      * from the backing store first. Every read of L2 data must come
-     * through here; full-block writes instead clear the virgin flag
-     * at the write site.
+     * through here, except the prefill walk's dirty-victim store (a
+     * dirty line was written, so it is never virgin).
      */
     const Block512 &l2Data(L2Array::Way way);
+
+    /** Overwrite the whole payload of L2 line @p way and clear its
+     *  virgin flag: the one write path into _l2_data. */
+    void
+    setL2Data(L2Array::Way way, const Block512 &data)
+    {
+        _l2_data[way] = data;
+        _l2.meta(way).virgin = false;
+    }
 
     void accessEvent(AccessEvent &ev);
     void tagProbe(TagProbeEvent &ev);
@@ -368,6 +376,10 @@ class MemHierarchy
     std::vector<L1Array> _l1i;
     std::vector<L1Array> _l1d;
     L2Array _l2;
+    /** L2 payloads, one per line, indexed by L2Array::Way. Allocated
+     *  without zeroing: a slot is written (setL2Data()) before any
+     *  read, and never-read prefilled lines never touch theirs. */
+    std::unique_ptr<Block512[]> _l2_data;
     std::vector<Bank> _banks;
 
     /**

@@ -55,7 +55,45 @@ warmupCacheInsert(const WarmupKey &key,
         warmup_cache.emplace(key, std::move(shared));
 }
 
+unsigned
+warmupThreads(const SystemConfig &cfg)
+{
+    return cfg.cpu == CpuKind::OutOfOrder
+        ? 1
+        : cfg.cores * cfg.threads_per_core;
+}
+
 } // namespace
+
+std::uint64_t
+prefillWalk(cache::MemHierarchy &mem, const SystemConfig &cfg)
+{
+    const unsigned threads = warmupThreads(cfg);
+    std::uint64_t budget_blocks =
+        cfg.l2.org.capacity_bytes / cfg.l2.org.block_bytes * 7 / 10;
+    const std::uint64_t budget = budget_blocks;
+    for (unsigned t = 0; t < threads && budget_blocks > 0; t++) {
+        Addr base = workloads::AppStream::hotBase(t);
+        for (Addr a = 0; a < cfg.app.hot_bytes && budget_blocks > 0;
+             a += 64, budget_blocks--) {
+            mem.prefill(base + a);
+        }
+    }
+    std::uint64_t shared_blocks = std::min<std::uint64_t>(
+        cfg.app.ws_shared / 64, budget_blocks / 2);
+    for (Addr a = 0; a < shared_blocks; a++)
+        mem.prefill(workloads::AppStream::sharedBase() + a * 64);
+    budget_blocks -= shared_blocks;
+    std::uint64_t priv_blocks = std::min<std::uint64_t>(
+        cfg.app.ws_private / 64, budget_blocks / threads);
+    for (unsigned t = 0; t < threads; t++) {
+        Addr base = workloads::AppStream::privateBase(t);
+        for (Addr a = 0; a < priv_blocks; a++)
+            mem.prefill(base + a * 64);
+    }
+    // Hot and shared installs came out of the budget; private did not.
+    return budget - budget_blocks + priv_blocks * threads;
+}
 
 SimResult
 runSystem(const SystemConfig &cfg)
@@ -70,46 +108,19 @@ runSystem(const SystemConfig &cfg)
 
     // Functional warmup: the timed region is a short sample of a much
     // longer execution, so the L2 must start with steady-state
-    // contents. Fill ~70% of it with the leading stripes of every
-    // region the threads touch (hot sets first, then shared and
-    // private data, round-robin).
+    // contents.
     {
-        unsigned threads = cfg.cpu == CpuKind::OutOfOrder
-            ? 1
-            : cfg.cores * cfg.threads_per_core;
         const WarmupKey key = {cfg.l2.org.capacity_bytes,
                                cfg.l2.org.block_bytes,
                                cfg.l2.org.assoc,
-                               threads,
+                               warmupThreads(cfg),
                                cfg.app.hot_bytes,
                                cfg.app.ws_shared,
                                cfg.app.ws_private};
         if (auto snap = warmupCacheFind(key)) {
             mem.restoreWarmup(*snap);
         } else {
-            std::uint64_t budget_blocks =
-                cfg.l2.org.capacity_bytes / cfg.l2.org.block_bytes * 7 / 10;
-            for (unsigned t = 0; t < threads && budget_blocks > 0; t++) {
-                Addr base = workloads::AppStream::hotBase(t);
-                for (Addr a = 0;
-                     a < cfg.app.hot_bytes && budget_blocks > 0;
-                     a += 64, budget_blocks--) {
-                    mem.prefill(base + a);
-                }
-            }
-            std::uint64_t shared_blocks =
-                std::min<std::uint64_t>(cfg.app.ws_shared / 64,
-                                        budget_blocks / 2);
-            for (Addr a = 0; a < shared_blocks; a++)
-                mem.prefill(workloads::AppStream::sharedBase() + a * 64);
-            budget_blocks -= shared_blocks;
-            std::uint64_t priv_blocks = std::min<std::uint64_t>(
-                cfg.app.ws_private / 64, budget_blocks / threads);
-            for (unsigned t = 0; t < threads; t++) {
-                Addr base = workloads::AppStream::privateBase(t);
-                for (Addr a = 0; a < priv_blocks; a++)
-                    mem.prefill(base + a * 64);
-            }
+            prefillWalk(mem, cfg);
             warmupCacheInsert(key, mem.warmupSnapshot());
         }
     }

@@ -58,6 +58,15 @@ struct SimResult
 /** Build, run to completion, and harvest one simulation. */
 SimResult runSystem(const SystemConfig &cfg);
 
+/**
+ * The functional warmup runSystem() walks on a fresh hierarchy when
+ * its warmup snapshot cache has no entry for @p cfg: prefill ~70% of
+ * the L2 with the leading stripes of every region the threads touch
+ * (hot sets first, then shared and private data). Returns the number
+ * of prefill() calls.
+ */
+std::uint64_t prefillWalk(cache::MemHierarchy &mem, const SystemConfig &cfg);
+
 } // namespace desc::sim
 
 #endif // DESC_SIM_SYSTEM_HH

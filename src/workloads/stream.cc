@@ -9,7 +9,8 @@ AppStream::AppStream(const AppParams &params, const ValueModel &values,
                      std::uint64_t seed)
     : _p(params), _values(values),
       _rng(seed ^ (params.seed_salt * 0x100000001b3ULL)
-           ^ (std::uint64_t(thread_id) << 32))
+           ^ (std::uint64_t(thread_id) << 32)),
+      _log_no_mem(std::log(1.0 - params.mem_per_inst))
 {
     // Disjoint address regions: per-thread private heaps, one shared
     // region, per-core code.
@@ -50,8 +51,7 @@ AppStream::nextGap(cpu::MemOp &op)
 {
     // Geometric gap with success probability mem_per_inst.
     double u = _rng.uniform();
-    unsigned gap = unsigned(std::log(1.0 - u)
-                            / std::log(1.0 - _p.mem_per_inst));
+    unsigned gap = unsigned(std::log(1.0 - u) / _log_no_mem);
     if (gap > 200)
         gap = 200;
 

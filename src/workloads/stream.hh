@@ -43,6 +43,9 @@ class AppStream : public cpu::InstructionStream
     const AppParams &_p;
     const ValueModel &_values;
     Rng _rng;
+    /** log(1 - mem_per_inst), the gap distribution's loop-invariant
+     *  denominator. */
+    double _log_no_mem;
 
     Addr _private_base;
     Addr _shared_base;

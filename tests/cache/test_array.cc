@@ -129,3 +129,33 @@ TEST(SetAssocArray, ForEachVisitsAllValidLines)
     a.forEach([&](Array::Way) { count++; });
     EXPECT_EQ(count, 3u);
 }
+
+TEST(SetAssocArray, AddrOfRoundTrips)
+{
+    // Shift-based set/tag/address math must reconstruct every block
+    // address, up to the 2^44-scale region bases of the workloads.
+    for (unsigned block : {32u, 64u, 128u}) {
+        for (unsigned assoc : {1u, 4u, 16u}) {
+            Array a(std::uint64_t(64) * assoc * block, assoc, block);
+            for (Addr addr : {Addr{0}, Addr{0x1234}, Addr{0xfffff},
+                              (Addr{1} << 36) + 4099 * 64 + 17,
+                              (Addr{1} << 44) - 1, Addr{1} << 44}) {
+                auto way = a.victim(addr);
+                a.fill(way, addr);
+                auto hit = a.lookup(addr);
+                ASSERT_EQ(hit, way) << "block " << block << " assoc "
+                                    << assoc << " addr " << addr;
+                EXPECT_EQ(a.addrOf(hit), addr & ~Addr(block - 1))
+                    << "block " << block << " assoc " << assoc
+                    << " addr " << addr;
+            }
+        }
+    }
+}
+
+TEST(SetAssocArrayDeath, RejectsNonPowerOfTwoBlock)
+{
+    // 48-byte blocks: capacity divides evenly into 64 sets, so only
+    // the block-size check can fire.
+    EXPECT_DEATH(Array(64 * 4 * 48, 4, 48), "power of two");
+}

@@ -241,6 +241,74 @@ TEST(Hierarchy, DirtyEvictionWritesBack)
     EXPECT_EQ(blk[0], 0xdeadull);
 }
 
+TEST(Hierarchy, RecalledDataReachesMemory)
+{
+    // The only copy of a Modified L1 line's data moves into the L2
+    // payload on a coherence recall; a later dirty eviction must then
+    // carry it to memory.
+    L2Config cfg;
+    cfg.org.capacity_bytes = 64 * 1024; // tiny L2: 64 sets of 16
+    Fixture f(cfg);
+    const Addr a = 0x10000;
+    f.write(0, a, 0xbeef);
+    // Core 1's shared read recalls the block from core 0's L1, which
+    // keeps a clean Shared copy: no L1 writeback will follow.
+    f.read(1, a);
+    EXPECT_EQ(f.mem->stats().recalls.value(), 1u);
+    // Both cores stream through the shared L1/L2 set until the line
+    // leaves the L1s and then the L2.
+    for (unsigned i = 1; i <= 40; i++) {
+        f.read(0, a + Addr(i) * 64 * 1024);
+        f.read(1, a + Addr(i) * 64 * 1024);
+    }
+    EXPECT_EQ(f.mem->stats().l2_writebacks_in.value(), 0u);
+    EXPECT_EQ(f.mem->stats().l2_evictions_out.value(), 1u);
+    EXPECT_EQ(f.backing.fetch(a)[0], 0xbeefull);
+}
+
+TEST(Hierarchy, InvalidatingRecallKeepsOwnerData)
+{
+    // An exclusive request recalls the owner's Modified data into the
+    // L2 payload before the requester's L1 fills from it.
+    L2Config cfg;
+    cfg.org.capacity_bytes = 64 * 1024;
+    Fixture f(cfg);
+    const Addr a = 0x10000;
+    f.write(0, a, 0xbeef);
+    f.write(1, a + 8, 0xf00d);
+    EXPECT_EQ(f.mem->stats().recalls.value(), 1u);
+    for (unsigned i = 1; i <= 40; i++) {
+        f.read(0, a + Addr(i) * 64 * 1024);
+        f.read(1, a + Addr(i) * 64 * 1024);
+    }
+    const Block512 &blk = f.backing.fetch(a);
+    EXPECT_EQ(blk[0], 0xbeefull);
+    EXPECT_EQ(blk[1], 0xf00dull);
+}
+
+TEST(Hierarchy, PrefillStoresDirtyVictim)
+{
+    // A dirty L2 line that the prefill walk evicts must reach memory
+    // with the data the L1 wrote back.
+    L2Config cfg;
+    cfg.org.capacity_bytes = 64 * 1024; // tiny L2: 64 sets of 16
+    Fixture f(cfg);
+    const Addr a = 0x10000;
+    f.write(0, a, 0xdead);
+    // Four more blocks in the 4-way L1 set write the line back into
+    // the L2 (now dirty, no sharers) without evicting it there.
+    for (unsigned i = 1; i <= 4; i++)
+        f.read(0, a + Addr(i) * 64 * 1024);
+    EXPECT_EQ(f.mem->stats().l2_writebacks_in.value(), 1u);
+    EXPECT_EQ(f.backing.stores, 0u);
+    for (unsigned i = 5; i <= 24; i++)
+        f.mem->prefill(a + Addr(i) * 64 * 1024);
+    EXPECT_EQ(f.backing.stores, 1u);
+    const Block512 &blk = f.backing.fetch(a);
+    EXPECT_EQ(blk[0], 0xdeadull);
+    EXPECT_EQ(blk[1], a * 31 + 1); // untouched words keep memory's
+}
+
 TEST(Hierarchy, DescSchemeLengthensHitLatency)
 {
     L2Config binary;

@@ -79,8 +79,9 @@ HOT_PATH_FILES = [
     "src/encoding/businvert.cc",
     "src/ecc/blockcodec.cc",
     # The L2 transaction chain: request, tag-probe and response events
-    # come from per-hierarchy pools, block payloads live in the
-    # set-associative arrays.
+    # come from per-hierarchy pools; the L2's block payloads live in
+    # one hierarchy-owned array sized at construction (the
+    # set-associative arrays keep only tags, recency and line state).
     "src/cache/array.hh",
     "src/cache/blockdata.hh",
     "src/cache/hierarchy.cc",
