@@ -153,32 +153,11 @@ linkConfig()
 }
 
 double
-benchLink(std::uint64_t blocks_n)
-{
-    // Auto mode: no hooks attached, so this measures the closed-form
-    // fast path (the production configuration).
-    core::DescLink link(linkConfig());
-    link.setMode(core::LinkMode::Auto);
-    auto blocks = makeBlocks(4);
-    std::uint64_t sink = 0;
-    auto t0 = Clock::now();
-    auto reads = envReads();
-    for (std::uint64_t i = 0; i < blocks_n; i++)
-        sink += link.transferBlock(blocks[i & 63]).cycles;
-    double dt = secondsSince(t0);
-    assertNoEnvReads(reads, "link fast-path kernel");
-    if (sink == 0)
-        std::fprintf(stderr, "impossible\n");
-    return double(blocks_n) / dt;
-}
-
-double
 benchLinkTicked(std::uint64_t blocks_n)
 {
-    // The cycle-accurate reference loop, kept tracked so a regression
-    // in the fallback (VCD export, fault injection) stays visible.
+    // The cycle-accurate link every VCD export and fault-injection
+    // run goes through (DescScheme is the fast model, timed below).
     core::DescLink link(linkConfig());
-    link.setMode(core::LinkMode::Ticked);
     auto blocks = makeBlocks(4);
     std::uint64_t sink = 0;
     auto t0 = Clock::now();
@@ -200,7 +179,6 @@ benchLinkTickedVcd(std::uint64_t blocks_n, const std::string &scratch)
     // bare ticked loop so the batched emission path (plane-diff
     // staging, dirty-list timesteps) stays honest.
     core::DescLink link(linkConfig());
-    link.setMode(core::LinkMode::Ticked);
     sim::VcdWriter vcd;
     if (!vcd.open(scratch)) {
         std::fprintf(stderr, "cannot open VCD scratch file %s\n",
@@ -365,21 +343,18 @@ benchL2Warmup(unsigned reps)
 }
 
 /**
- * The same workload with the encoders and links pinned to their
- * cycle-accurate references (scalar encoders, ticked links). Tracked
- * so a regression in the fallbacks stays visible, and doubling as an
- * equivalence probe: the cycle count must match the fast-path run
- * exactly.
+ * The same workload with the encoders pinned to their scalar
+ * reference loops. Tracked so a regression in the references stays
+ * visible, and doubling as an equivalence probe: the cycle count must
+ * match the default (batched) run exactly.
  */
 double
 benchRunSystemTicked(std::uint64_t insts, unsigned reps,
                      std::uint64_t *cycles)
 {
     encoding::setDefaultEncoderMode(encoding::EncoderMode::Scalar);
-    core::setDefaultLinkMode(core::LinkMode::Ticked);
     double rate = benchRunSystem(insts, reps, cycles);
     encoding::setDefaultEncoderMode(std::nullopt);
-    core::setDefaultLinkMode(std::nullopt);
     return rate;
 }
 
@@ -437,8 +412,8 @@ main(int argc, char **argv)
     }
     bool quick = desc::env::isSet(desc::env::Var::BenchQuick);
 
-    // One throwaway run touches every lazily-memoized knob (engine
-    // modes, sim scale, trace mask, profiler spec, snapshot cadence)
+    // One throwaway run touches every lazily-memoized knob (sim
+    // scale, trace mask, profiler spec, snapshot cadence)
     // so the measured regions below can hold the registry's
     // steady-state contract: zero environment reads.
     {
@@ -447,7 +422,6 @@ main(int argc, char **argv)
     }
 
     std::uint64_t ev_n = quick ? 200'000 : 2'000'000;
-    std::uint64_t link_n = quick ? 20'000 : 200'000;
     std::uint64_t link_ticked_n = quick ? 2'000 : 20'000;
     std::uint64_t scheme_n = quick ? 20'000 : 200'000;
     std::uint64_t stats_n = quick ? 20'000 : 200'000;
@@ -457,8 +431,6 @@ main(int argc, char **argv)
 
     double ev = benchEventQueue(ev_n);
     std::fprintf(stderr, "eventq:    %12.0f events/sec\n", ev);
-    double link = benchLink(link_n);
-    std::fprintf(stderr, "link:      %12.0f blocks/sec\n", link);
     double link_ticked = benchLinkTicked(link_ticked_n);
     std::fprintf(stderr, "link-tick: %12.0f blocks/sec\n", link_ticked);
     double link_vcd = benchLinkTickedVcd(link_ticked_n,
@@ -506,7 +478,6 @@ main(int argc, char **argv)
         "  \"quick\": %s,\n"
         "  \"metrics\": {\n"
         "    \"eventq_events_per_sec\": %.0f,\n"
-        "    \"link_blocks_per_sec\": %.0f,\n"
         "    \"link_ticked_blocks_per_sec\": %.0f,\n"
         "    \"link_ticked_vcd_blocks_per_sec\": %.0f,\n"
         "    \"scheme_blocks_per_sec\": %.0f,\n"
@@ -520,7 +491,7 @@ main(int argc, char **argv)
         "  },\n"
         "  \"check\": { \"runsystem_cycles\": %llu }\n"
         "}\n",
-        quick ? "true" : "false", ev, link, link_ticked, link_vcd,
+        quick ? "true" : "false", ev, link_ticked, link_vcd,
         scheme, cstats, ecc_rate, bic_rate, warmup, rs, rs_ticked,
         prof_pct,
         (unsigned long long)cycles);

@@ -70,15 +70,8 @@ MemHierarchy::MemHierarchy(sim::EventQueue &eq, const L2Config &l2cfg,
     unsigned banks = _cfg.org.banks;
     _banks.resize(banks);
     for (unsigned b = 0; b < banks; b++) {
-        if (_cfg.link_backed) {
-            _banks[b].read_scheme =
-                core::makeLinkBackedScheme(_cfg.scheme, eff);
-            _banks[b].write_scheme =
-                core::makeLinkBackedScheme(_cfg.scheme, eff);
-        } else {
-            _banks[b].read_scheme = core::makeScheme(_cfg.scheme, eff);
-            _banks[b].write_scheme = core::makeScheme(_cfg.scheme, eff);
-        }
+        _banks[b].read_scheme = core::makeScheme(_cfg.scheme, eff);
+        _banks[b].write_scheme = core::makeScheme(_cfg.scheme, eff);
         if (_cfg.snuca && banks > 1) {
             double frac = double(b) / double(banks - 1);
             _banks[b].route_latency = Cycle(

@@ -95,14 +95,6 @@ struct L2Config
     bool collect_chunk_stats = false;
 
     /**
-     * Back DESC banks with full cycle-accurate links (LinkDescScheme)
-     * instead of the behavioral model. Results are identical; with the
-     * link fast path the cost is comparable. Non-DESC schemes ignore
-     * the flag.
-     */
-    bool link_backed = false;
-
-    /**
      * The scheme configuration actually used on the wires: with ECC
      * the bus word grows by the parity bits and the bus by the parity
      * wires (Figure 9), for every scheme.

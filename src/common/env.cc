@@ -126,32 +126,6 @@ parsePositiveFloat(Var v, const char *value, double def,
     return parsed;
 }
 
-int
-parseEnum(Var v, const char *value, const EnumName *names,
-          std::size_t count, int def)
-{
-    DESC_ASSERT(count > 0, "enum knob ", name(v), " with no words");
-    if (!value || !*value)
-        return def;
-    for (std::size_t i = 0; i < count; i++) {
-        if (std::strcmp(value, names[i].name) == 0)
-            return names[i].value;
-    }
-    const char *def_word = names[0].name;
-    std::string words;
-    for (std::size_t i = 0; i < count; i++) {
-        if (i)
-            words += '|';
-        words += names[i].name;
-        if (names[i].value == def)
-            def_word = names[i].name;
-    }
-    warnOnce(warnKey(v),
-             detail::concat(name(v), "=", value, " not recognized (",
-                            words, "); using ", def_word));
-    return def;
-}
-
 bool
 boolOr(Var v, bool def, const char *off_suffix)
 {
@@ -176,12 +150,6 @@ stringOr(Var v, const char *def)
 {
     const char *value = raw(v);
     return std::string(value && *value ? value : def);
-}
-
-int
-enumOr(Var v, const EnumName *names, std::size_t count, int def)
-{
-    return parseEnum(v, raw(v), names, count, def);
 }
 
 std::uint64_t

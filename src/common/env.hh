@@ -18,7 +18,7 @@
  * The getters are read-through — they consult the environment on
  * every call so tests can setenv/unsetenv around them — and callers
  * on simulation hot paths memoize the result behind a magic static
- * (the mode selectors, simScale()), so steady-state code performs no
+ * (simScale(), the trace mask), so steady-state code performs no
  * environment lookups at all; bench/perf_kernel asserts that via
  * lookupCount().
  */
@@ -26,7 +26,6 @@
 #ifndef DESC_COMMON_ENV_HH
 #define DESC_COMMON_ENV_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -49,7 +48,7 @@ constexpr unsigned kNumVars = 0
 struct Info
 {
     const char *name; ///< environment variable name ("DESC_SIM_JOBS")
-    const char *type; ///< type vocabulary word ("int", "enum", ...)
+    const char *type; ///< type vocabulary word ("int", "path", ...)
     const char *def;  ///< human-readable default ("1.0", "unset")
     const char *doc;  ///< one-line description for the docs table
 };
@@ -102,21 +101,6 @@ double positiveFloatOr(Var v, double def, const char *def_str);
 /** String value, or @p def when unset or empty. */
 std::string stringOr(Var v, const char *def);
 
-/** One acceptable word of an enum knob and the value it maps to. */
-struct EnumName
-{
-    const char *name;
-    int value;
-};
-
-/**
- * Word-list enum: unset/empty returns @p def; an exact match on one
- * of @p names returns its value; anything else warns once (keyed per
- * variable) listing the acceptable words and returns @p def. By
- * convention names[0] is the default's word.
- */
-int enumOr(Var v, const EnumName *names, std::size_t count, int def);
-
 /**
  * Pure parse cores behind the getters above: same validation and
  * diagnostics, but applied to @p value instead of the environment,
@@ -130,8 +114,6 @@ std::uint64_t parseUint(Var v, const char *value, std::uint64_t def,
                         const char *suffix = "");
 double parsePositiveFloat(Var v, const char *value, double def,
                           const char *def_str);
-int parseEnum(Var v, const char *value, const EnumName *names,
-              std::size_t count, int def);
 
 /**
  * Total raw() lookups so far in this process. Environment reads are

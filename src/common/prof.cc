@@ -23,7 +23,7 @@ namespace {
 constexpr const char *kNames[kNumComponents] = {
     "runner",        "energy",     "cpu.inorder", "cpu.ooo",
     "cache.access",  "cache.request", "cache.miss", "cache.respond",
-    "dram",          "link.fast",  "link.ticked", "encoder",
+    "dram",          "link.ticked", "encoder",
 };
 
 /** Scope stack depth limit; deeper entries are counted, not timed. */

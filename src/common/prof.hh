@@ -53,12 +53,11 @@ enum class Component : unsigned {
     CacheMiss,    //!< L2 miss path: tag probe, fill, eviction
     CacheRespond, //!< response fan-out back into the L1s
     Dram,         //!< DDR3 command scheduling and completions
-    LinkFast,     //!< DESC link closed-form fast-forward transfers
     LinkTicked,   //!< DESC link cycle-accurate ticked transfers
     Encoder,      //!< TransferScheme::transfer block encoding
 };
 
-constexpr unsigned kNumComponents = 12;
+constexpr unsigned kNumComponents = 11;
 
 /** Dotted lower-case component name ("cache.access"). */
 const char *componentName(Component c);

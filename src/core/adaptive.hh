@@ -62,7 +62,7 @@ class AdaptiveTracker
         std::fill(_best.begin(), _best.end(), 0);
     }
 
-    /** Full-state equality (fast-path differential tests). */
+    /** Full-state equality (tx/rx lockstep tests). */
     bool
     operator==(const AdaptiveTracker &o) const
     {

@@ -20,8 +20,8 @@ splitChunks(const BitVec &block, unsigned chunk_bits)
     DESC_ASSERT(block.width() % chunk_bits == 0,
                 "block width not divisible by chunk size");
     unsigned n = block.width() / chunk_bits;
-    // Test/example convenience, not transfer-path work; the link's
-    // fast path never materializes chunk vectors.
+    // Test/example convenience, not transfer-path work: neither the
+    // link nor the schemes materialize chunk vectors per transfer.
     std::vector<std::uint8_t> chunks(n); // analyze:allow(hot-path-alloc)
     BitCursor cur(block);
     for (unsigned i = 0; i < n; i++)

@@ -99,13 +99,17 @@ chunkLog2(unsigned b)
 } // namespace
 
 DescScheme::DescScheme(const DescConfig &cfg)
-    : _cfg(cfg), _mode(encoding::defaultEncoderMode()),
-      _last(cfg.activeWires(), 0),
-      _adaptive(cfg.activeWires(), cfg.chunk_bits)
+    : _cfg(cfg), _adaptive(cfg.activeWires(), cfg.chunk_bits)
 {
     _cfg.validate();
-    const unsigned wave_bits = _cfg.activeWires() * _cfg.chunk_bits;
-    _last_words.assign((wave_bits + 63) / 64, 0);
+    _batched = batchedSupported()
+        && encoding::defaultEncoderMode() != encoding::EncoderMode::Scalar;
+    if (_batched) {
+        const unsigned wave_bits = _cfg.activeWires() * _cfg.chunk_bits;
+        _last_words.assign((wave_bits + 63) / 64, 0);
+    } else {
+        _last.assign(_cfg.activeWires(), 0);
+    }
 }
 
 const char *
@@ -121,7 +125,7 @@ DescScheme::name() const
       case SkipMode::Adaptive:
         return "Adaptive Skipped DESC";
     }
-    return "?";
+    DESC_PANIC("bad skip mode");
 }
 
 bool
@@ -146,49 +150,11 @@ DescScheme::batchedSupported() const
     return true;
 }
 
-void
-DescScheme::packLastWords()
-{
-    const unsigned b = _cfg.chunk_bits;
-    std::fill(_last_words.begin(), _last_words.end(), 0);
-    for (unsigned w = 0; w < _cfg.activeWires(); w++) {
-        const unsigned pos = w * b;
-        _last_words[pos >> 6] |= std::uint64_t{_last[w]} << (pos & 63);
-    }
-    _last_words_fresh = true;
-}
-
-void
-DescScheme::unpackLastWords()
-{
-    const unsigned b = _cfg.chunk_bits;
-    const std::uint64_t mask = (std::uint64_t{1} << b) - 1;
-    for (unsigned w = 0; w < _cfg.activeWires(); w++) {
-        const unsigned pos = w * b;
-        _last[w] = std::uint8_t((_last_words[pos >> 6] >> (pos & 63)) & mask);
-    }
-    _last_bytes_fresh = true;
-}
-
-void
-DescScheme::setEncoderMode(encoding::EncoderMode mode)
-{
-    _mode = mode;
-    // Converge the wire-state representations so either path can pick
-    // up mid-stream (only LastValue ever reads them back).
-    if (_cfg.skip == SkipMode::LastValue) {
-        if (!_last_bytes_fresh)
-            unpackLastWords();
-        if (!_last_words_fresh)
-            packLastWords();
-    }
-}
-
 encoding::TransferResult
 DescScheme::transfer(const BitVec &block)
 {
     DESC_ASSERT(block.width() == _cfg.block_bits, "block width mismatch");
-    if (usesBatchedPath())
+    if (_batched)
         return transferBatched(block);
     return transferScalar(block);
 }
@@ -201,11 +167,6 @@ DescScheme::transferScalar(const BitVec &block)
     const unsigned wires = _cfg.activeWires();
     const unsigned waves = _cfg.numWaves();
     const unsigned chunk_bits = _cfg.chunk_bits;
-
-    if (_cfg.skip == SkipMode::LastValue && !_last_bytes_fresh)
-        unpackLastWords();
-    _last_words_fresh = false;
-    _last_bytes_fresh = true;
 
     if (_cfg.skip == SkipMode::None) {
         // One reset pulse, then every wire streams its queue back to
@@ -303,8 +264,6 @@ DescScheme::transferBatched(const BitVec &block)
     }
 
     const bool last_value = _cfg.skip == SkipMode::LastValue;
-    if (last_value && !_last_words_fresh)
-        packLastWords();
 
     Cycle cycles = 1; // opening pulse of wave 0
     std::uint64_t reset_flips = 1;
@@ -337,8 +296,6 @@ DescScheme::transferBatched(const BitVec &block)
     if (last_value) {
         std::copy_n(words.data() + std::size_t(waves - 1) * wpw, wpw,
                     _last_words.begin());
-        _last_words_fresh = true;
-        _last_bytes_fresh = false;
     }
     result.cycles = cycles;
     result.control_flips = reset_flips + cycles; // + sync strobe
@@ -350,8 +307,6 @@ DescScheme::reset()
 {
     std::fill(_last.begin(), _last.end(), 0);
     std::fill(_last_words.begin(), _last_words.end(), 0);
-    _last_words_fresh = true;
-    _last_bytes_fresh = true;
     _adaptive.reset();
 }
 

@@ -3,11 +3,12 @@
  * Block-level behavioral model of a DESC link.
  *
  * Computes exactly the cycle count and transition counts the
- * cycle-accurate DescTransmitter/DescReceiver pair produces (the test
- * suite asserts bit-exact agreement over random block streams), but in
- * one pass over the chunks — this is what the multicore simulator uses
- * on its fast path. Implements the TransferScheme interface so the
- * cache model can swap it against the baseline encodings.
+ * cycle-accurate DescLink produces (the test suite asserts bit-exact
+ * agreement over random block streams), but in one pass over the
+ * chunks, from the closed form of DESIGN.md §10 — this is the DESC
+ * model every simulated L2 transfer is charged through. Implements the
+ * TransferScheme interface so the cache model can swap it against the
+ * baseline encodings.
  */
 
 #ifndef DESC_CORE_DESCSCHEME_HH
@@ -35,42 +36,28 @@ class DescScheme : public encoding::TransferScheme
     const DescConfig &config() const { return _cfg; }
 
     /**
-     * Select the scalar reference loop or the SWAR batched pass
-     * (latched from defaultEncoderMode() at construction). Switching
-     * mid-stream is safe: the wire state is converted between the
-     * byte-per-wire and packed-word representations.
+     * True when transfer() takes the word-at-a-time batched pass
+     * rather than the scalar reference loop. Fixed at construction
+     * from defaultEncoderMode() and the layout.
      */
-    void setEncoderMode(encoding::EncoderMode mode);
-
-    /** True when transfer() takes the word-at-a-time batched pass. */
-    bool usesBatchedPath() const
-    {
-        return _mode != encoding::EncoderMode::Scalar && batchedSupported();
-    }
+    bool usesBatchedPath() const { return _batched; }
 
   private:
     bool batchedSupported() const;
     encoding::TransferResult transferScalar(const BitVec &block);
     encoding::TransferResult transferBatched(const BitVec &block);
-    void packLastWords();
-    void unpackLastWords();
 
     DescConfig _cfg;
-    encoding::EncoderMode _mode;
-    std::vector<std::uint8_t> _last;
+    bool _batched = false;
     AdaptiveTracker _adaptive;
     std::vector<Cycle> _wire_time; //!< reused basic-mode scratch
 
-    /**
-     * Packed mirror of _last for the batched LastValue pass: wave
-     * layout, chunk i of the final wave at bit i*chunk_bits. Only one
-     * representation is kept fresh at a time; the mode setter and the
-     * path entry points convert on demand (None/Zero modes never read
-     * the previous values, so staleness there is unobservable).
-     */
+    // Per-wire last values, in the representation of the walk this
+    // instance runs (the other stays empty): one byte per wire for the
+    // scalar loop, or the packed final wave for the batched pass
+    // (chunk i at bit i*chunk_bits). None/Zero modes never read them.
+    std::vector<std::uint8_t> _last;
     std::vector<std::uint64_t> _last_words;
-    bool _last_words_fresh = true;
-    bool _last_bytes_fresh = true;
 };
 
 } // namespace desc::core

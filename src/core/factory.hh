@@ -20,17 +20,6 @@ namespace desc::core {
 std::unique_ptr<encoding::TransferScheme>
 makeScheme(encoding::SchemeKind kind, const encoding::SchemeConfig &cfg);
 
-/**
- * Like makeScheme, but DESC kinds are backed by a full cycle-accurate
- * DescLink (LinkDescScheme) instead of the behavioral model. Baseline
- * kinds have no link model and fall back to makeScheme. Reported
- * results are identical either way; the link backing adds the option
- * of per-cycle hooks (VCD, fault injection).
- */
-std::unique_ptr<encoding::TransferScheme>
-makeLinkBackedScheme(encoding::SchemeKind kind,
-                     const encoding::SchemeConfig &cfg);
-
 /** All scheme kinds in the order of the paper's Figure 16 legend. */
 const encoding::SchemeKind *allSchemeKinds();
 

@@ -27,17 +27,6 @@ class ToggleGenerator
     /** Invert the driven level (send one strobe). */
     void fire() { _level = !_level; }
 
-    /**
-     * Apply @p fires strobes at once: the level a ticked sequence of
-     * that many fire() calls would leave behind (link fast path).
-     */
-    void
-    fastForward(std::uint64_t fires)
-    {
-        if (fires & 1)
-            _level = !_level;
-    }
-
     bool level() const { return _level; }
     void reset() { _level = false; }
 
@@ -60,12 +49,6 @@ class ToggleDetector
         _prev = level;
         return toggled;
     }
-
-    /**
-     * Jump the delayed copy straight to @p level, as if every
-     * intermediate cycle had been sampled (link fast path).
-     */
-    void prime(bool level) { _prev = level; }
 
     void reset() { _prev = false; }
 
@@ -96,8 +79,8 @@ class ToggleGeneratorBank
     }
 
     /**
-     * Apply a whole transfer's strobes at once: XOR in the per-lane
-     * strobe parity (link fast path).
+     * Apply a run of strobes at once: XOR in the per-lane strobe
+     * parity, the levels that many fire() calls would leave behind.
      */
     void fastForward(const WirePlane &odd) { _levels.toggle(odd); }
 
@@ -141,7 +124,7 @@ class ToggleDetectorBank
 
     /**
      * Jump every delayed copy straight to @p levels, as if each
-     * intermediate cycle had been sampled (link fast path).
+     * intermediate cycle had been sampled.
      */
     void prime(const WirePlane &levels) { _prev = levels; }
 

@@ -181,118 +181,6 @@ DescTransmitter::loadBlock(const BitVec &block)
 }
 
 void
-DescTransmitter::fastForwardBlock(const BitVec &block, FastForwardPlan &plan)
-{
-    DESC_ASSERT(!_busy, "fastForwardBlock while a transfer is in flight");
-    DESC_ASSERT(block.width() == _cfg.block_bits, "block width mismatch");
-
-    const unsigned wires = _cfg.activeWires();
-    const unsigned waves = _cfg.numWaves();
-    const unsigned chunk_bits = _cfg.chunk_bits;
-
-    plan.result = encoding::TransferResult{};
-    plan.reset_flips = 1; // opening pulse
-    plan.final_window = 0;
-    plan.final_any_skipped = false;
-    plan.final_got_count = 0;
-
-    BitCursor cur(block);
-    Cycle cycles;
-
-    if (_cfg.skip == SkipMode::None) {
-        // One opening pulse, then every wire streams its chunks back
-        // to back; the block completes with the slowest wire's last
-        // strobe. final_elapsed accumulates each wire's strobe time,
-        // then flips into the receiver's idle-cycle counters.
-        std::fill(plan.final_elapsed.begin(), plan.final_elapsed.end(),
-                  0u);
-        for (unsigned g = 0; g < waves; g++) {
-            for (unsigned w = 0; w < wires; w++) {
-                std::uint64_t v = cur.next(chunk_bits);
-                plan.final_elapsed[w] += chunkCycles(v, false, 0);
-                _last[w] = std::uint8_t(v);
-            }
-        }
-        unsigned window = 0;
-        for (unsigned w = 0; w < wires; w++) {
-            if (plan.final_elapsed[w] > window)
-                window = plan.final_elapsed[w];
-        }
-        for (unsigned w = 0; w < wires; w++)
-            plan.final_elapsed[w] = window - plan.final_elapsed[w];
-        cycles = 1 + window;
-        plan.result.data_flips = _cfg.numChunks();
-        std::fill(plan.strobe_odd.begin(), plan.strobe_odd.end(),
-                  std::uint8_t(waves & 1));
-    } else {
-        // Waves of one chunk per wire; the pulse closing a wave is
-        // merged with the next wave's opening pulse.
-        std::fill(plan.strobe_odd.begin(), plan.strobe_odd.end(),
-                  std::uint8_t{0});
-        cycles = 1; // opening pulse of wave 0
-        for (unsigned g = 0; g < waves; g++) {
-            const bool final_wave = g + 1 == waves;
-            unsigned window = 0;
-            bool any_skipped = false;
-            for (unsigned w = 0; w < wires; w++) {
-                std::uint8_t v = std::uint8_t(cur.next(chunk_bits));
-                std::uint8_t s = skipValueFor(w);
-                if (v != s) {
-                    plan.result.data_flips++;
-                    plan.strobe_odd[w] ^= 1;
-                    unsigned c = chunkCycles(v, true, s);
-                    if (c > window)
-                        window = c;
-                } else {
-                    any_skipped = true;
-                    plan.result.skipped++;
-                }
-                if (final_wave) {
-                    plan.final_got[w] = std::uint8_t(v != s);
-                    plan.final_skipv[w] = s;
-                    plan.final_got_count += v != s;
-                }
-                _last[w] = v;
-                if (_cfg.skip == SkipMode::Adaptive)
-                    _adaptive.update(w, v);
-            }
-            // An all-skipped wave still needs one cycle before the
-            // closing pulse can toggle the shared wire again.
-            if (window == 0)
-                window = 1;
-            cycles += window;
-            if (!final_wave)
-                plan.reset_flips++; // merged close/open
-            else if (any_skipped)
-                plan.reset_flips++; // final closing pulse
-            if (final_wave) {
-                plan.final_window = window;
-                plan.final_any_skipped = any_skipped;
-            }
-        }
-    }
-
-    plan.result.cycles = cycles;
-    // One sync-strobe transition per busy cycle plus the reset pulses.
-    plan.result.control_flips = plan.reset_flips + cycles;
-
-    std::copy(_last.begin(), _last.end(), plan.final_vals.begin());
-
-    // Land the toggle levels and the trace clock exactly where the
-    // ticked loop would have left them.
-    _ticks += cycles;
-    _sync_tg.fastForward(cycles);
-    _reset_tg.fastForward(plan.reset_flips);
-    std::uint64_t *lv = _wires.data.mutableWords();
-    for (unsigned w = 0; w < wires; w++) {
-        if (plan.strobe_odd[w])
-            lv[w / 64] ^= std::uint64_t{1} << (w % 64);
-    }
-    _wires.reset_skip = _reset_tg.level();
-    _wires.sync = _sync_tg.level();
-}
-
-void
 DescTransmitter::tick()
 {
     if (!_busy)

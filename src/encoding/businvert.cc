@@ -106,7 +106,7 @@ BusInvertScheme::controlWires() const
       case Mode::ZeroSkipEncoded:
         return unsigned(_mode_state.size()) * 32;
     }
-    return 0;
+    DESC_PANIC("bad bus-invert mode");
 }
 
 const char *
@@ -120,7 +120,7 @@ BusInvertScheme::name() const
       case Mode::ZeroSkipEncoded:
         return "Encoded Zero Skipped Bus Invert";
     }
-    return "?";
+    DESC_PANIC("bad bus-invert mode");
 }
 
 TransferResult

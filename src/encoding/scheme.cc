@@ -1,6 +1,6 @@
 #include "encoding/scheme.hh"
 
-#include "common/env.hh"
+#include "common/log.hh"
 
 namespace desc::encoding {
 
@@ -19,18 +19,7 @@ setDefaultEncoderMode(std::optional<EncoderMode> mode)
 EncoderMode
 defaultEncoderMode()
 {
-    if (g_encoder_mode_override)
-        return *g_encoder_mode_override;
-    static const EncoderMode env_mode = [] {
-        static const env::EnumName kWords[] = {
-            {"auto", int(EncoderMode::Auto)},
-            {"scalar", int(EncoderMode::Scalar)},
-            {"batched", int(EncoderMode::Batched)},
-        };
-        return EncoderMode(env::enumOr(env::Var::EncoderMode, kWords,
-                                       3, int(EncoderMode::Auto)));
-    }();
-    return env_mode;
+    return g_encoder_mode_override.value_or(EncoderMode::Auto);
 }
 
 const char *

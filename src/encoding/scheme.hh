@@ -29,32 +29,27 @@ namespace desc::encoding {
 /**
  * How a TransferScheme walks a block: the chunk-at-a-time scalar
  * reference loops, or the word-at-a-time batched passes (SWAR chunk
- * and lane math). Both produce bit-identical
- * TransferResults and wire state — the differential suite enforces it
- * — so Auto simply takes the batched pass wherever the configuration
- * supports one and falls back to scalar elsewhere (odd chunk widths,
- * adaptive skip tracking, unaligned waves).
+ * and lane math). Both produce bit-identical TransferResults and wire
+ * state — the differential suites enforce it — so Auto simply takes
+ * the batched pass wherever the layout supports one and falls back to
+ * scalar elsewhere (odd chunk widths, adaptive skip tracking,
+ * unaligned waves).
  */
 enum class EncoderMode {
-    Auto,    //!< batched where supported (default)
-    Scalar,  //!< force the chunk-at-a-time reference loops
-    Batched, //!< batched where supported (same as Auto; named for
-             //!< symmetry with DESC_LINK_MODE forcing)
+    Auto,   //!< batched where the layout supports it (default)
+    Scalar, //!< force the chunk-at-a-time reference loops
 };
 
 /**
- * Process-wide default encoder mode, from the DESC_ENCODER_MODE
- * environment variable (auto|scalar|batched). Parsed once; an
- * unrecognized value warns and falls back to Auto. Schemes latch the
- * default at construction.
+ * Process-wide default encoder mode: Auto unless overridden by
+ * setDefaultEncoderMode(). Schemes latch it at construction.
  */
 EncoderMode defaultEncoderMode();
 
 /**
- * Programmatic override of defaultEncoderMode(), bypassing the
- * environment (nullopt restores the environment's answer). For tests
- * and benchmarks that construct schemes indirectly, e.g. through the
- * cache hierarchy.
+ * Override defaultEncoderMode() (nullopt restores Auto). The test and
+ * benchmark seam for pinning the scalar references, including in
+ * schemes built indirectly, e.g. through the cache hierarchy.
  */
 void setDefaultEncoderMode(std::optional<EncoderMode> mode);
 

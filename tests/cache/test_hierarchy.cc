@@ -367,69 +367,6 @@ TEST(Hierarchy, EccHierarchyRunsEndToEnd)
     EXPECT_GT(f.mem->stats().data_flips, 0.0);
 }
 
-TEST(Hierarchy, LinkBackedDescMatchesBehavioralModel)
-{
-    // L2Config::link_backed swaps the behavioral DescScheme for full
-    // cycle-accurate links (fast path). Run the same access pattern
-    // through both backings: every reported statistic must agree.
-    L2Config base;
-    base.scheme = encoding::SchemeKind::DescZeroSkip;
-    base.scheme_cfg.bus_wires = 128;
-    base.org.bus_wires = 128;
-
-    L2Config linked = base;
-    linked.link_backed = true;
-
-    Fixture fb(base);
-    Fixture fl(linked);
-    auto touch = [](Fixture &f) {
-        for (unsigned i = 0; i < 24; i++) {
-            f.read(i % 2, 0x4000 + Addr(i % 6) * 64);
-            f.write(i % 2, 0x9000 + Addr(i % 4) * 64, 0x1234 + i);
-        }
-    };
-    touch(fb);
-    touch(fl);
-
-    const auto &sb = fb.mem->stats();
-    const auto &sl = fl.mem->stats();
-    EXPECT_EQ(sb.read_transfers.value(), sl.read_transfers.value());
-    EXPECT_EQ(sb.write_transfers.value(), sl.write_transfers.value());
-    EXPECT_EQ(sb.l2_hits.value(), sl.l2_hits.value());
-    EXPECT_EQ(sb.l2_misses.value(), sl.l2_misses.value());
-    EXPECT_DOUBLE_EQ(sb.data_flips, sl.data_flips);
-    EXPECT_DOUBLE_EQ(sb.ctrl_flips, sl.ctrl_flips);
-    EXPECT_EQ(fb.eq.now(), fl.eq.now());
-}
-
-TEST(Hierarchy, LinkBackedEccHierarchyMatchesBehavioralModel)
-{
-    // With ECC the link carries codec-widened bus words (137 wires,
-    // 548 bits); the link backing must stay transparent there too.
-    L2Config base;
-    base.scheme = encoding::SchemeKind::DescLastValueSkip;
-    base.scheme_cfg.bus_wires = 128;
-    base.org.bus_wires = 128;
-    base.ecc = true;
-    base.ecc_segment_bits = 128;
-
-    L2Config linked = base;
-    linked.link_backed = true;
-
-    Fixture fb(base);
-    Fixture fl(linked);
-    auto touch = [](Fixture &f) {
-        for (unsigned i = 0; i < 16; i++)
-            f.read(i % 2, 0x2000 + Addr(i % 5) * 64);
-    };
-    touch(fb);
-    touch(fl);
-
-    EXPECT_DOUBLE_EQ(fb.mem->stats().data_flips, fl.mem->stats().data_flips);
-    EXPECT_DOUBLE_EQ(fb.mem->stats().ctrl_flips, fl.mem->stats().ctrl_flips);
-    EXPECT_EQ(fb.eq.now(), fl.eq.now());
-}
-
 TEST(Hierarchy, SnucaBankLatencyGrowsWithDistance)
 {
     L2Config cfg;

@@ -82,7 +82,7 @@ TEST(EnvRegistry, KnownKnobsAreRegistered)
 {
     EXPECT_STREQ(env::name(env::Var::SimJobs), "DESC_SIM_JOBS");
     EXPECT_STREQ(env::name(env::Var::SimScale), "DESC_SIM_SCALE");
-    EXPECT_STREQ(env::name(env::Var::LinkMode), "DESC_LINK_MODE");
+    EXPECT_STREQ(env::name(env::Var::StatsOut), "DESC_STATS_OUT");
 }
 
 // --- raw access and the lookup counter ----------------------------
@@ -224,20 +224,4 @@ TEST(EnvParse, FloatRejectsNonPositiveAndGarbage)
     }
     EXPECT_DOUBLE_EQ(env::parsePositiveFloat(v, nullptr, 0.25, "0.25"),
                      0.25);
-}
-
-TEST(EnvParse, EnumMatchesExactWordsOnly)
-{
-    static const env::EnumName kWords[] = {
-        {"auto", 0}, {"ticked", 1}, {"fast", 2}};
-    const auto v = env::Var::LinkMode;
-    EXPECT_EQ(env::parseEnum(v, "auto", kWords, 3, 0), 0);
-    EXPECT_EQ(env::parseEnum(v, "ticked", kWords, 3, 0), 1);
-    EXPECT_EQ(env::parseEnum(v, "fast", kWords, 3, 0), 2);
-    EXPECT_EQ(env::parseEnum(v, nullptr, kWords, 3, 0), 0);
-    EXPECT_EQ(env::parseEnum(v, "", kWords, 3, 0), 0);
-    for (const char *bad : {"AUTO", "Fast", "bogus", "fast ", "tick"}) {
-        EXPECT_EQ(env::parseEnum(v, bad, kWords, 3, 0), 0)
-            << "value \"" << bad << '"';
-    }
 }

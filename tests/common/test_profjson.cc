@@ -369,12 +369,12 @@ TEST(ProfJson, BackToBackScopesCoalesceSeparatedOnesDoNot)
 
     // 100 back-to-back scopes: gaps far below the coalescing window.
     for (int i = 0; i < 100; i++) {
-        DESC_PROF_SCOPE(LinkFast);
+        DESC_PROF_SCOPE(LinkTicked);
     }
     // A second burst separated by 50us: must start a new slab.
     spinFor(std::chrono::microseconds(50));
     {
-        DESC_PROF_SCOPE(LinkFast);
+        DESC_PROF_SCOPE(LinkTicked);
         spinFor(std::chrono::microseconds(2));
     }
 
@@ -385,7 +385,7 @@ TEST(ProfJson, BackToBackScopesCoalesceSeparatedOnesDoNot)
     for (const auto &e : doc->at("traceEvents")->array) {
         if (e->at("ph")->str != "B")
             continue;
-        if (e->at("name")->str != "link.fast")
+        if (e->at("name")->str != "link.ticked")
             continue;
         pairs++;
         scopes += std::uint64_t(e->at("args")->at("scopes")->num);

@@ -1,11 +1,13 @@
 /**
  * @file
- * Shared pieces of the DESC equivalence suite: the (wires, chunk bits,
- * skip mode) parameter, the DescEquivalence fixture, a traffic-like
- * block generator, and the case-name printer. Two test binaries
- * instantiate the fixture over different config sets: tests_core
- * over all 80 configs (test_equivalence.cc) and tests_core_adaptive
- * over the 20 adaptive-skip ones (test_adaptive_streams.cc).
+ * Shared pieces of the DESC equivalence suites: the (wires, chunk
+ * bits, skip mode) parameter, the DescEquivalence fixture, a
+ * traffic-like block generator, the lockstep check of the fast model
+ * (DescScheme) against the ticked link, and the case-name printer.
+ * Two test binaries instantiate the fixture over different config
+ * sets: tests_core over all 80 configs (test_equivalence.cc) and
+ * tests_core_adaptive over the 20 adaptive-skip ones
+ * (test_adaptive_streams.cc).
  */
 
 #ifndef DESC_TESTS_CORE_EQUIVALENCE_HH
@@ -13,11 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 #include <tuple>
 
 #include "common/rng.hh"
 #include "core/descscheme.hh"
+#include "core/link.hh"
 
 /** (wires, chunk_bits, skip mode) */
 using EquivalenceParam = std::tuple<unsigned, unsigned, desc::core::SkipMode>;
@@ -57,6 +61,38 @@ biasedBlock(desc::Rng &rng, const desc::BitVec &prev, unsigned chunk_bits,
         block.setField(pos, chunk_bits, v);
     }
     return block;
+}
+
+/**
+ * Move @p block over the ticked @p link and through each of
+ * @p schemes, and require what the fast model and the reference engine
+ * must share: identical TransferResults, the block recovered intact,
+ * and the two link endpoints in step (last-value tables, adaptive
+ * counters). Fatal failures return from here only; wrap calls in
+ * ASSERT_NO_FATAL_FAILURE.
+ */
+inline void
+expectSchemesMatchLink(
+    std::initializer_list<desc::core::DescScheme *> schemes,
+    desc::core::DescLink &link, const desc::BitVec &block, int block_no)
+{
+    desc::BitVec recv;
+    const auto hw = link.transferBlock(block, &recv);
+    ASSERT_EQ(recv, block) << "round-trip corruption at block " << block_no;
+    for (desc::core::DescScheme *scheme : schemes) {
+        const auto model = scheme->transfer(block);
+        SCOPED_TRACE(scheme->usesBatchedPath() ? "batched walk"
+                                               : "scalar walk");
+        ASSERT_EQ(model.cycles, hw.cycles) << "block " << block_no;
+        ASSERT_EQ(model.data_flips, hw.data_flips) << "block " << block_no;
+        ASSERT_EQ(model.control_flips, hw.control_flips)
+            << "block " << block_no;
+        ASSERT_EQ(model.skipped, hw.skipped) << "block " << block_no;
+    }
+    ASSERT_EQ(link.tx().lastValues(), link.rx().lastValues())
+        << "tx/rx last-value tables diverged at block " << block_no;
+    ASSERT_TRUE(link.tx().adaptive() == link.rx().adaptive())
+        << "tx/rx adaptive counters diverged at block " << block_no;
 }
 
 /** Case name suffix, e.g. "w64_c4_adaptive". */

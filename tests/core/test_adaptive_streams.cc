@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/link.hh"
 #include "equivalence.hh"
 
 using namespace desc;
@@ -20,16 +19,14 @@ using namespace desc::core;
 TEST_P(DescEquivalence, AdaptiveCountersSurviveLongStreams)
 {
     // The adaptive skip value is pure history: transmitter and
-    // receiver counters must track each other — and the closed-form
-    // fast path must track the ticked loop — across a long run of
-    // consecutive blocks, because one divergent count eventually flips
-    // a best-value decision and corrupts every later transfer.
+    // receiver counters must track each other — and the fast model
+    // must track the ticked link — across a long run of consecutive
+    // blocks, because one divergent count eventually flips a
+    // best-value decision and corrupts every later transfer.
     DescConfig cfg = config();
 
-    DescLink fast(cfg);
-    DescLink ticked(cfg);
-    fast.setMode(LinkMode::Fast);
-    ticked.setMode(LinkMode::Ticked);
+    DescLink link(cfg);
+    DescScheme scheme(cfg);
     Rng rng(0xadab + cfg.bus_wires * 3 + cfg.chunk_bits);
 
     BitVec prev(kBlockBits);
@@ -41,23 +38,8 @@ TEST_P(DescEquivalence, AdaptiveCountersSurviveLongStreams)
         BitVec block = biasedBlock(rng, prev, cfg.chunk_bits, zero_p,
                                    repeat_p);
         prev = block;
-
-        BitVec recv_f, recv_t;
-        auto rf = fast.transferBlock(block, &recv_f);
-        auto rt = ticked.transferBlock(block, &recv_t);
-
-        ASSERT_EQ(recv_t, block) << "block " << i;
-        ASSERT_EQ(recv_f, recv_t) << "block " << i;
-        ASSERT_EQ(rf.cycles, rt.cycles) << "block " << i;
-        ASSERT_EQ(rf.data_flips, rt.data_flips) << "block " << i;
-        ASSERT_EQ(rf.control_flips, rt.control_flips) << "block " << i;
-        ASSERT_EQ(rf.skipped, rt.skipped) << "block " << i;
-        ASSERT_TRUE(fast.tx().adaptive() == ticked.tx().adaptive())
-            << "tx adaptive counters diverged at block " << i;
-        ASSERT_TRUE(fast.rx().adaptive() == ticked.rx().adaptive())
-            << "rx adaptive counters diverged at block " << i;
-        ASSERT_TRUE(fast.tx().adaptive() == fast.rx().adaptive())
-            << "tx/rx adaptive counters diverged at block " << i;
+        ASSERT_NO_FATAL_FAILURE(
+            expectSchemesMatchLink({&scheme}, link, block, i));
     }
 }
 

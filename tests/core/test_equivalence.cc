@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/link.hh"
 #include "equivalence.hh"
 
 using namespace desc;
@@ -19,7 +18,6 @@ TEST_P(DescEquivalence, BehavioralMatchesCycleAccurate)
 {
     DescConfig cfg = config();
     DescLink link(cfg);
-    link.setMode(LinkMode::Ticked); // validate against the reference loop
     DescScheme scheme(cfg);
     Rng rng(0xec0de + cfg.bus_wires * 31 + cfg.chunk_bits);
 
@@ -49,7 +47,6 @@ TEST_P(DescEquivalence, RandomizedDifferential)
     // reported statistic.
     DescConfig cfg = config();
     DescLink link(cfg);
-    link.setMode(LinkMode::Ticked); // validate against the reference loop
     DescScheme scheme(cfg);
     Rng rng(0xd1ff + cfg.bus_wires * 131 + cfg.chunk_bits * 7
             + unsigned(cfg.skip));
@@ -88,7 +85,6 @@ TEST_P(DescEquivalence, AllZeroAndAllOnesBlocks)
 {
     DescConfig cfg = config();
     DescLink link(cfg);
-    link.setMode(LinkMode::Ticked); // validate against the reference loop
     DescScheme scheme(cfg);
 
     BitVec zeros(kBlockBits);
@@ -149,23 +145,22 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(TickedFastDrift, NoDriftOver240AdaptiveBlocks)
 {
-    // Long-horizon drift probe for the bit-plane ticked engine: a
-    // Ticked link and a Fast link consume the same 240-block stream
-    // with adaptive trackers live (the skip value of every wave
-    // depends on the whole history), and every reported statistic,
-    // every recovered block, and all persistent state must stay
-    // bit-identical the entire way — one silently mismatched chunk
-    // would compound for the rest of the stream.
+    // Long-horizon drift probe: the ticked link and the fast model
+    // consume the same 240-block stream with adaptive trackers live
+    // (the skip value of every wave depends on the whole history).
+    // Every reported statistic and every recovered block must stay
+    // bit-identical, and the link's two endpoints must keep identical
+    // last-value tables and adaptive counters the entire way — one
+    // silently mismatched chunk would compound for the rest of the
+    // stream.
     DescConfig cfg;
     cfg.bus_wires = 64;
     cfg.chunk_bits = 4;
     cfg.block_bits = kBlockBits;
     cfg.skip = SkipMode::Adaptive;
 
-    DescLink ticked(cfg);
-    ticked.setMode(LinkMode::Ticked);
-    DescLink fast(cfg);
-    fast.setMode(LinkMode::Fast);
+    DescLink link(cfg);
+    DescScheme scheme(cfg);
 
     Rng rng(0xd21f7);
     struct Dist
@@ -182,35 +177,8 @@ TEST(TickedFastDrift, NoDriftOver240AdaptiveBlocks)
             BitVec block =
                 biasedBlock(rng, prev, cfg.chunk_bits, d.zero_p, d.repeat_p);
             prev = block;
-
-            BitVec recv_t, recv_f;
-            auto rt = ticked.transferBlock(block, &recv_t);
-            auto rf = fast.transferBlock(block, &recv_f);
-            ASSERT_FALSE(ticked.usedFastPath());
-            ASSERT_TRUE(fast.usedFastPath());
-
-            ASSERT_EQ(recv_t, block) << "ticked corruption at block " << n;
-            ASSERT_EQ(recv_f, block) << "fast corruption at block " << n;
-            ASSERT_EQ(rt.cycles, rf.cycles) << "block " << n;
-            ASSERT_EQ(rt.data_flips, rf.data_flips) << "block " << n;
-            ASSERT_EQ(rt.control_flips, rf.control_flips) << "block " << n;
-            ASSERT_EQ(rt.skipped, rf.skipped) << "block " << n;
-
-            // All state either engine can carry into the next block.
-            ASSERT_EQ(ticked.tx().wires().data, fast.tx().wires().data)
-                << "block " << n;
-            ASSERT_EQ(ticked.tx().wires().reset_skip,
-                      fast.tx().wires().reset_skip) << "block " << n;
-            ASSERT_EQ(ticked.tx().wires().sync, fast.tx().wires().sync)
-                << "block " << n;
-            ASSERT_EQ(ticked.tx().lastValues(), fast.tx().lastValues())
-                << "block " << n;
-            ASSERT_EQ(ticked.rx().lastValues(), fast.rx().lastValues())
-                << "block " << n;
-            ASSERT_TRUE(ticked.tx().adaptive() == fast.tx().adaptive())
-                << "tx adaptive drift at block " << n;
-            ASSERT_TRUE(ticked.rx().adaptive() == fast.rx().adaptive())
-                << "rx adaptive drift at block " << n;
+            ASSERT_NO_FATAL_FAILURE(
+                expectSchemesMatchLink({&scheme}, link, block, n));
         }
     }
     EXPECT_EQ(n, 240);

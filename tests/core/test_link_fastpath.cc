@@ -1,109 +1,82 @@
 /**
  * @file
- * Differential suite for the DESC link fast path (DESIGN.md §10).
+ * The fast DESC model against the one link engine (DESIGN.md §10).
  *
- * Two links fed the same block stream — one pinned to the closed-form
- * fast path, one to the ticked reference loop — must agree bit-exactly
- * on every TransferResult field, every received block, and all
- * persistent endpoint state (wire levels, last-value tables, adaptive
- * counters). The suite also pins the automatic path selection: hooks
- * and the link trace channel force the ticked loop.
+ * DescScheme is the closed form every simulated L2 transfer is charged
+ * through; DescLink ticks the transmitter/receiver pair cycle by
+ * cycle. Fed the same block stream, both DescScheme walks (the batched
+ * pass and the scalar reference loop) must agree bit-exactly with the
+ * link on every TransferResult field, while the link recovers every
+ * block and keeps its endpoints' last-value tables and adaptive
+ * counters in step — across a mid-stream reset() and on the ECC bus
+ * layouts too. The LinkFastPathSelect cases pin what only the ticked
+ * engine offers: per-cycle hooks, the link trace channel, and an
+ * optional received block.
  */
 
 #include <gtest/gtest.h>
 
-#include <tuple>
+#include <cstdio>
+#include <optional>
+#include <string>
 
-#include "common/rng.hh"
 #include "common/trace.hh"
-#include "core/link.hh"
 #include "ecc/blockcodec.hh"
+#include "equivalence.hh"
 
 using namespace desc;
 using namespace desc::core;
 
 namespace {
 
-/** (wires, chunk_bits, skip mode) */
-using Param = std::tuple<unsigned, unsigned, SkipMode>;
-
-BitVec
-biasedBlock(Rng &rng, const BitVec &prev, unsigned chunk_bits,
-            double zero_p, double repeat_p)
+/** A DescScheme pinned to the given walk. */
+DescScheme
+pinnedScheme(const DescConfig &cfg, encoding::EncoderMode mode)
 {
-    BitVec block(prev.width());
-    for (unsigned pos = 0; pos < block.width(); pos += chunk_bits) {
-        double u = rng.uniform();
-        std::uint64_t v;
-        if (u < zero_p)
-            v = 0;
-        else if (u < zero_p + repeat_p)
-            v = prev.field(pos, chunk_bits);
-        else
-            v = rng.below(std::uint64_t{1} << chunk_bits);
-        block.setField(pos, chunk_bits, v);
-    }
-    return block;
-}
-
-/**
- * Require the two links to be in indistinguishable persistent state:
- * everything that can influence a future transfer or a caller.
- */
-void
-expectSameState(DescLink &fast, DescLink &ticked, int block_no)
-{
-    EXPECT_EQ(fast.tx().wires().data, ticked.tx().wires().data)
-        << "tx data levels, block " << block_no;
-    EXPECT_EQ(fast.tx().wires().reset_skip, ticked.tx().wires().reset_skip)
-        << "tx reset level, block " << block_no;
-    EXPECT_EQ(fast.tx().wires().sync, ticked.tx().wires().sync)
-        << "tx sync level, block " << block_no;
-    EXPECT_EQ(fast.tx().lastValues(), ticked.tx().lastValues())
-        << "tx last-value table, block " << block_no;
-    EXPECT_EQ(fast.rx().lastValues(), ticked.rx().lastValues())
-        << "rx last-value table, block " << block_no;
-    EXPECT_TRUE(fast.tx().adaptive() == ticked.tx().adaptive())
-        << "tx adaptive counters, block " << block_no;
-    EXPECT_TRUE(fast.rx().adaptive() == ticked.rx().adaptive())
-        << "rx adaptive counters, block " << block_no;
+    encoding::setDefaultEncoderMode(mode);
+    DescScheme scheme(cfg);
+    encoding::setDefaultEncoderMode(std::nullopt);
+    return scheme;
 }
 
 void
-expectSameResult(const encoding::TransferResult &f,
-                 const encoding::TransferResult &t, int block_no)
+expectSameResult(const encoding::TransferResult &a,
+                 const encoding::TransferResult &b, int block_no)
 {
-    ASSERT_EQ(f.cycles, t.cycles) << "block " << block_no;
-    ASSERT_EQ(f.data_flips, t.data_flips) << "block " << block_no;
-    ASSERT_EQ(f.control_flips, t.control_flips) << "block " << block_no;
-    ASSERT_EQ(f.skipped, t.skipped) << "block " << block_no;
+    EXPECT_EQ(a.cycles, b.cycles) << "block " << block_no;
+    EXPECT_EQ(a.data_flips, b.data_flips) << "block " << block_no;
+    EXPECT_EQ(a.control_flips, b.control_flips) << "block " << block_no;
+    EXPECT_EQ(a.skipped, b.skipped) << "block " << block_no;
 }
 
 } // namespace
 
-class LinkFastPath : public ::testing::TestWithParam<Param>
+class LinkFastPath : public DescEquivalence
 {
   protected:
-    DescConfig
-    config() const
+    LinkFastPath()
+        : link(config()),
+          batched(pinnedScheme(config(), encoding::EncoderMode::Auto)),
+          scalar(pinnedScheme(config(), encoding::EncoderMode::Scalar))
     {
-        auto [wires, chunk_bits, skip] = GetParam();
-        DescConfig c;
-        c.bus_wires = wires;
-        c.chunk_bits = chunk_bits;
-        c.block_bits = kBlockBits;
-        c.skip = skip;
-        return c;
     }
+
+    /** One block through the link and both walks, in lockstep. */
+    void
+    step(const BitVec &block, int block_no)
+    {
+        expectSchemesMatchLink({&batched, &scalar}, link, block, block_no);
+    }
+
+    DescLink link;
+    DescScheme batched;
+    DescScheme scalar;
 };
 
 TEST_P(LinkFastPath, BitIdenticalToTickedLoop)
 {
-    DescConfig cfg = config();
-    DescLink fast(cfg);
-    DescLink ticked(cfg);
-    fast.setMode(LinkMode::Fast);
-    ticked.setMode(LinkMode::Ticked);
+    const DescConfig cfg = config();
+    EXPECT_FALSE(scalar.usesBatchedPath());
     Rng rng(0xfa57 + cfg.bus_wires * 131 + cfg.chunk_bits * 7
             + unsigned(cfg.skip));
 
@@ -122,71 +95,47 @@ TEST_P(LinkFastPath, BitIdenticalToTickedLoop)
             BitVec block =
                 biasedBlock(rng, prev, cfg.chunk_bits, d.zero_p, d.repeat_p);
             prev = block;
-
-            BitVec recv_f, recv_t;
-            auto rf = fast.transferBlock(block, &recv_f);
-            auto rt = ticked.transferBlock(block, &recv_t);
-            ASSERT_TRUE(fast.usedFastPath()) << "block " << n;
-            ASSERT_FALSE(ticked.usedFastPath()) << "block " << n;
-
-            ASSERT_EQ(recv_t, block) << "ticked round trip, block " << n;
-            ASSERT_EQ(recv_f, recv_t) << "received block, block " << n;
-            expectSameResult(rf, rt, n);
-            expectSameState(fast, ticked, n);
+            ASSERT_NO_FATAL_FAILURE(step(block, n));
         }
     }
 }
 
 TEST_P(LinkFastPath, ExtremeBlocks)
 {
-    DescConfig cfg = config();
-    DescLink fast(cfg);
-    DescLink ticked(cfg);
-    fast.setMode(LinkMode::Fast);
-    ticked.setMode(LinkMode::Ticked);
-
     BitVec zeros(kBlockBits);
     BitVec ones(kBlockBits);
     ones.invertRange(0, kBlockBits);
 
     int n = 0;
-    for (const BitVec &block : {zeros, ones, zeros, zeros, ones}) {
-        BitVec recv_f, recv_t;
-        auto rf = fast.transferBlock(block, &recv_f);
-        auto rt = ticked.transferBlock(block, &recv_t);
-        ASSERT_EQ(recv_f, recv_t);
-        expectSameResult(rf, rt, n);
-        expectSameState(fast, ticked, n);
-        n++;
-    }
+    for (const BitVec &block : {zeros, ones, zeros, zeros, ones})
+        ASSERT_NO_FATAL_FAILURE(step(block, n++));
 }
 
 TEST_P(LinkFastPath, InterleavedPathsMatchPureTicked)
 {
-    // The fast path must leave both endpoints in the exact state the
-    // ticked loop produces, so a link that alternates between the two
-    // paths mid-stream must stay indistinguishable from one that ticks
-    // every block.
-    DescConfig cfg = config();
-    DescLink mixed(cfg);
-    DescLink ticked(cfg);
-    ticked.setMode(LinkMode::Ticked);
+    // reset() must return the link endpoints and both walks to the
+    // state of a fresh instance: after a mid-stream reset they keep
+    // agreeing with each other and with a scheme built at that point.
+    const DescConfig cfg = config();
     Rng rng(0x1237 + cfg.bus_wires + cfg.chunk_bits);
 
+    std::optional<DescScheme> fresh;
     BitVec prev(kBlockBits);
     for (int i = 0; i < 60; i++) {
         BitVec block = biasedBlock(rng, prev, cfg.chunk_bits, 0.4, 0.3);
         prev = block;
-
-        mixed.setMode((i % 3 == 1) ? LinkMode::Ticked : LinkMode::Fast);
-        BitVec recv_m, recv_t;
-        auto rm = mixed.transferBlock(block, &recv_m);
-        auto rt = ticked.transferBlock(block, &recv_t);
-        ASSERT_EQ(mixed.usedFastPath(), i % 3 != 1);
-
-        ASSERT_EQ(recv_m, recv_t) << "received block, block " << i;
-        expectSameResult(rm, rt, i);
-        expectSameState(mixed, ticked, i);
+        if (i == 30) {
+            link.reset();
+            batched.reset();
+            scalar.reset();
+            fresh.emplace(cfg);
+        }
+        if (fresh) {
+            ASSERT_NO_FATAL_FAILURE(expectSchemesMatchLink(
+                {&batched, &scalar, &*fresh}, link, block, i));
+        } else {
+            ASSERT_NO_FATAL_FAILURE(step(block, i));
+        }
     }
 }
 
@@ -197,154 +146,180 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(1u, 2u, 4u, 8u),
         ::testing::Values(SkipMode::None, SkipMode::Zero,
                           SkipMode::LastValue, SkipMode::Adaptive)),
-    [](const ::testing::TestParamInfo<Param> &info) {
-        unsigned wires = std::get<0>(info.param);
-        unsigned bits = std::get<1>(info.param);
-        std::string name = "w" + std::to_string(wires) + "_c"
-            + std::to_string(bits) + "_";
-        switch (std::get<2>(info.param)) {
-          case SkipMode::None:
-            name += "basic";
-            break;
-          case SkipMode::Zero:
-            name += "zero";
-            break;
-          case SkipMode::LastValue:
-            name += "last";
-            break;
-          case SkipMode::Adaptive:
-            name += "adaptive";
-            break;
-        }
-        return name;
-    });
+    equivalenceParamName);
 
 TEST(LinkFastPathEcc, EccLayoutsMatchTicked)
 {
-    // The ECC bus layouts of Figure 9: the (137,128) and (72,64) codes
-    // widen the bus by the parity chunks, giving non-power-of-two wire
-    // counts and block widths. Stream codec-encoded blocks through
-    // both paths.
+    // The ECC bus layouts of Figure 9, as the hierarchy sends them on
+    // every SECDED transfer: the (137,128) and (72,64) codes widen the
+    // bus by the parity chunks, giving non-power-of-two wire counts
+    // and block widths. Each layout is a single wave: 548 bits for
+    // (137,128), ending in a partial 64-bit word, and 576 bits, exactly
+    // nine words, for (72,64). Codec-encoded words stream through the
+    // batched pass, the scalar loop and the ticked link block by block.
     for (unsigned seg_bits : {128u, 64u}) {
-        ecc::BlockCodec codec(kBlockBits, seg_bits);
-        ASSERT_EQ(codec.totalParityBits() % 4, 0u);
+        for (SkipMode skip : {SkipMode::Zero, SkipMode::LastValue}) {
+            ecc::BlockCodec codec(kBlockBits, seg_bits);
+            ASSERT_EQ(codec.totalParityBits() % 4, 0u);
 
-        DescConfig cfg;
-        cfg.chunk_bits = 4;
-        cfg.block_bits = codec.busBits();
-        cfg.bus_wires = 128 + codec.totalParityBits() / 4;
-        cfg.skip = SkipMode::Zero;
+            DescConfig cfg;
+            cfg.chunk_bits = 4;
+            cfg.block_bits = codec.busBits();
+            cfg.bus_wires = 128 + codec.totalParityBits() / 4;
+            cfg.skip = skip;
+            ASSERT_EQ(cfg.numWaves(), 1u);
+            SCOPED_TRACE("seg " + std::to_string(seg_bits) + ", "
+                         + skipModeName(skip));
 
-        DescLink fast(cfg);
-        DescLink ticked(cfg);
-        fast.setMode(LinkMode::Fast);
-        ticked.setMode(LinkMode::Ticked);
-        Rng rng(0xecc0 + seg_bits);
+            DescLink link(cfg);
+            DescScheme batched =
+                pinnedScheme(cfg, encoding::EncoderMode::Auto);
+            DescScheme scalar =
+                pinnedScheme(cfg, encoding::EncoderMode::Scalar);
+            ASSERT_TRUE(batched.usesBatchedPath());
+            Rng rng(0xecc0 + seg_bits + unsigned(skip));
 
-        BitVec prev(kBlockBits);
-        BitVec bus;
-        for (int i = 0; i < 30; i++) {
-            BitVec payload = biasedBlock(rng, prev, 4, 0.5, 0.2);
-            prev = payload;
-            codec.encodeInto(payload, bus);
-
-            BitVec recv_f, recv_t;
-            auto rf = fast.transferBlock(bus, &recv_f);
-            auto rt = ticked.transferBlock(bus, &recv_t);
-            ASSERT_EQ(recv_f, recv_t) << "seg " << seg_bits << " block " << i;
-            ASSERT_EQ(recv_t, bus);
-            expectSameResult(rf, rt, i);
-            expectSameState(fast, ticked, i);
+            BitVec prev(kBlockBits);
+            BitVec bus;
+            for (int i = 0; i < 30; i++) {
+                BitVec payload = biasedBlock(rng, prev, 4, 0.5, 0.2);
+                prev = payload;
+                codec.encodeInto(payload, bus);
+                ASSERT_NO_FATAL_FAILURE(expectSchemesMatchLink(
+                    {&batched, &scalar}, link, bus, i));
+            }
         }
     }
 }
 
 TEST(LinkFastPathSelect, AutoUsesFastPathWhenUnobserved)
 {
+    // There is one engine: attaching observers changes nothing a
+    // caller sees, so an unobserved link and a hooked one agree on
+    // every result and received block.
     DescConfig cfg;
-    DescLink link(cfg);
-    link.setMode(LinkMode::Auto);
-    BitVec block(cfg.block_bits);
-    link.transferBlock(block);
-    EXPECT_TRUE(link.usedFastPath());
+    cfg.skip = SkipMode::LastValue;
+    DescLink plain(cfg);
+    DescLink hooked(cfg);
+    hooked.setWireHook([](Cycle, const WireBundle &) {});
+    hooked.setFaultHook([](Cycle, WireBundle &) {});
+    Rng rng(0xa070);
+
+    BitVec prev(cfg.block_bits);
+    for (int i = 0; i < 10; i++) {
+        BitVec block = biasedBlock(rng, prev, cfg.chunk_bits, 0.3, 0.3);
+        prev = block;
+        BitVec got_plain, got_hooked;
+        auto a = plain.transferBlock(block, &got_plain);
+        auto b = hooked.transferBlock(block, &got_hooked);
+        expectSameResult(a, b, i);
+        EXPECT_EQ(got_plain, got_hooked) << "block " << i;
+    }
 }
 
 TEST(LinkFastPathSelect, WireHookForcesTickedLoop)
 {
+    // The wire observer sees every transfer cycle exactly once, stamped
+    // with the link's monotonic cycle count.
     DescConfig cfg;
     DescLink link(cfg);
-    link.setMode(LinkMode::Auto);
-    unsigned observed = 0;
-    link.setWireHook([&](Cycle, const WireBundle &) { observed++; });
+    std::uint64_t observed = 0;
+    Cycle next = 0;
+    link.setWireHook([&](Cycle t, const WireBundle &) {
+        EXPECT_EQ(t, next);
+        next = t + 1;
+        observed++;
+    });
     BitVec block(cfg.block_bits);
-    auto r = link.transferBlock(block);
-    EXPECT_FALSE(link.usedFastPath());
-    EXPECT_EQ(observed, r.cycles);
+    auto r1 = link.transferBlock(block);
+    block.invertRange(0, cfg.block_bits);
+    auto r2 = link.transferBlock(block);
+    EXPECT_EQ(observed, r1.cycles + r2.cycles);
 }
 
 TEST(LinkFastPathSelect, FaultHookForcesTickedLoop)
 {
     DescConfig cfg;
     DescLink link(cfg);
-    link.setMode(LinkMode::Auto);
-    unsigned observed = 0;
+    std::uint64_t observed = 0;
     link.setFaultHook([&](Cycle, WireBundle &) { observed++; });
     BitVec block(cfg.block_bits);
     auto r = link.transferBlock(block);
-    EXPECT_FALSE(link.usedFastPath());
     EXPECT_EQ(observed, r.cycles);
 }
 
 TEST(LinkFastPathSelect, ForcedFastStillTicksBehindHooks)
 {
-    // VCD export and fault injection must see real cycles even when
-    // the environment forces the fast mode; the link warns and ticks.
+    // With both hooks attached, each fires once per cycle, the fault
+    // hook first: the observer sees the bundle after injection.
     DescConfig cfg;
     DescLink link(cfg);
-    link.setMode(LinkMode::Fast);
-    unsigned observed = 0;
-    link.setWireHook([&](Cycle, const WireBundle &) { observed++; });
+    std::uint64_t faults = 0, observed = 0;
+    link.setFaultHook([&](Cycle, WireBundle &w) {
+        faults++;
+        w.sync = true; // visible to the observer, same cycle
+    });
+    link.setWireHook([&](Cycle, const WireBundle &w) {
+        observed++;
+        EXPECT_EQ(observed, faults);
+        EXPECT_TRUE(w.sync);
+    });
     BitVec block(cfg.block_bits);
     auto r = link.transferBlock(block);
-    EXPECT_FALSE(link.usedFastPath());
+    EXPECT_EQ(faults, r.cycles);
     EXPECT_EQ(observed, r.cycles);
 }
 
 TEST(LinkFastPathSelect, LinkTraceChannelForcesTickedLoop)
 {
+    // The link trace channel reports each transfer and each wave the
+    // transmitter opens.
     DescConfig cfg;
+    cfg.skip = SkipMode::Zero;
     DescLink link(cfg);
-    link.setMode(LinkMode::Auto);
     BitVec block(cfg.block_bits);
+    block.setField(0, 4, 9);
 
+    std::FILE *out = std::tmpfile();
+    ASSERT_NE(out, nullptr);
     const std::uint32_t saved_mask = trace::mask();
     trace::setMask(1u << unsigned(trace::Channel::Link));
+    trace::setStream(out);
     link.transferBlock(block);
-    bool fast_while_traced = link.usedFastPath();
+    trace::setStream(nullptr);
     trace::setMask(saved_mask);
-    EXPECT_FALSE(fast_while_traced);
 
-    link.transferBlock(block);
-    EXPECT_TRUE(link.usedFastPath());
+    std::string text;
+    std::rewind(out);
+    for (int c; (c = std::fgetc(out)) != EOF;)
+        text += char(c);
+    std::fclose(out);
+    EXPECT_NE(text.find("tx: wave 0 open"), std::string::npos) << text;
+    EXPECT_NE(text.find("block transferred"), std::string::npos) << text;
 }
 
 TEST(LinkFastPathSelect, NullReceivedPointerWorksOnBothPaths)
 {
+    // Dropping the received block must not change the transfer or the
+    // endpoint state the next transfer starts from.
     DescConfig cfg;
     cfg.skip = SkipMode::LastValue;
-    DescLink fast(cfg);
-    DescLink ticked(cfg);
-    fast.setMode(LinkMode::Fast);
-    ticked.setMode(LinkMode::Ticked);
+    DescLink dropped(cfg);
+    DescLink kept(cfg);
+    DescScheme scheme(cfg);
     Rng rng(42);
 
     BitVec prev(cfg.block_bits);
     for (int i = 0; i < 10; i++) {
         BitVec block = biasedBlock(rng, prev, cfg.chunk_bits, 0.3, 0.3);
         prev = block;
-        auto rf = fast.transferBlock(block); // received == nullptr
-        auto rt = ticked.transferBlock(block);
-        expectSameResult(rf, rt, i);
-        expectSameState(fast, ticked, i);
+        auto rd = dropped.transferBlock(block); // received == nullptr
+        BitVec got;
+        auto rk = kept.transferBlock(block, &got);
+        EXPECT_EQ(got, block) << "block " << i;
+        expectSameResult(rd, rk, i);
+        expectSameResult(rd, scheme.transfer(block), i);
+        EXPECT_EQ(dropped.rx().lastValues(), kept.rx().lastValues())
+            << "block " << i;
     }
 }

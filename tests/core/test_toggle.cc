@@ -90,8 +90,9 @@ TEST(ToggleGeneratorBank, FastForwardAppliesStrobeParity)
     std::vector<ToggleGenerator> scalar(lanes);
     WirePlane odd(lanes);
     for (unsigned i = 0; i < lanes; i++) {
-        std::uint64_t fires = (i * 7 + 3) % 5;
-        scalar[i].fastForward(fires);
+        unsigned fires = (i * 7 + 3) % 5;
+        for (unsigned f = 0; f < fires; f++)
+            scalar[i].fire();
         odd[i] = (fires & 1) != 0;
     }
     bank.fastForward(odd);

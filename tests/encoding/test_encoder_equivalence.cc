@@ -1,9 +1,10 @@
 /**
  * @file
  * Per-layer differential suite for the baseline encoders: every
- * scheme built with the encoder mode forced to batched must produce
- * the same TransferResult and leave the same wire state, block by
- * block, as the same scheme forced to its scalar reference loop.
+ * scheme built with the default (Auto) walk, which takes the batched
+ * pass, must produce the same TransferResult and leave the same wire
+ * state, block by block, as the same scheme forced to its scalar
+ * reference loop.
  * Swept over segment widths and bus widths (including the 72-wire
  * SECDED layout) on zero-rich and value-local streams.
  */
@@ -170,7 +171,7 @@ class EncoderEquivalence : public ::testing::TestWithParam<Layout>
 TEST_P(EncoderEquivalence, BatchedMatchesScalarBlockByBlock)
 {
     const Layout &l = GetParam();
-    auto fast = make(EncoderMode::Batched);
+    auto fast = make(EncoderMode::Auto);
     auto ref = make(EncoderMode::Scalar);
     EXPECT_FALSE(batched(*ref));
     // The suite must exercise the word passes it claims to pin.

@@ -1,15 +1,16 @@
 /**
  * @file
- * Full-system differential sweep over the batched execution engines.
+ * Full-system differential sweep over the encoder walks.
  *
- * Every fast path in the stack — the word-at-a-time batched encoders
- * and the closed-form link — claims bit-identical results to its
- * reference. This suite pins that claim end to end: the link x
- * encoder mode cross product over randomized system configurations
+ * The word-at-a-time batched encoders claim bit-identical results to
+ * their scalar reference loops. This suite pins that claim end to end:
+ * randomized system configurations run with the default (Auto) walk
  * must produce identical SimResults, byte-identical stats sidecars,
- * and byte-identical run-cache entries. A link-level case additionally
- * streams enough blocks through an adaptive-skip DESC link to expose
- * any tracker drift between the two engines.
+ * and byte-identical run-cache entries to the same configurations run
+ * with every encoder forced Scalar. A link-level case additionally
+ * streams enough blocks through an adaptive-skip DescScheme and the
+ * ticked DescLink to expose any tracker drift between the fast model
+ * and the reference engine.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "core/descscheme.hh"
 #include "core/link.hh"
 #include "encoding/scheme.hh"
 #include "sim/runcache.hh"
@@ -33,45 +35,15 @@ using namespace desc::sim;
 
 namespace {
 
-/** One point in the link x encoder engine cross product. */
-struct ModePoint
+/** Pin every encoder to its scalar reference loop for the scope. */
+struct ScalarEncoders
 {
-    core::LinkMode link;
-    encoding::EncoderMode encoder;
-    const char *name;
-};
-
-constexpr ModePoint kReference = {core::LinkMode::Ticked,
-                                  encoding::EncoderMode::Scalar,
-                                  "all-reference"};
-
-const std::vector<ModePoint> &
-fastPoints()
-{
-    using core::LinkMode;
-    using encoding::EncoderMode;
-    static const std::vector<ModePoint> points = {
-        {LinkMode::Ticked, EncoderMode::Batched, "batched-encoder"},
-        {LinkMode::Fast, EncoderMode::Scalar, "fast-link"},
-        {LinkMode::Fast, EncoderMode::Batched, "all-fast"},
-    };
-    return points;
-}
-
-/** Force one point's modes for the enclosing scope. */
-struct ForcedModes
-{
-    explicit ForcedModes(const ModePoint &p)
+    ScalarEncoders()
     {
-        core::setDefaultLinkMode(p.link);
-        encoding::setDefaultEncoderMode(p.encoder);
+        encoding::setDefaultEncoderMode(encoding::EncoderMode::Scalar);
     }
 
-    ~ForcedModes()
-    {
-        core::setDefaultLinkMode(std::nullopt);
-        encoding::setDefaultEncoderMode(std::nullopt);
-    }
+    ~ScalarEncoders() { encoding::setDefaultEncoderMode(std::nullopt); }
 };
 
 /** A fresh private cache directory, removed on destruction. */
@@ -166,7 +138,7 @@ TEST(ModeSweep, CrossProductMatchesReferenceByteExactly)
     for (const auto &cfg : sweepConfigs()) {
         std::optional<AppRun> ref;
         {
-            ForcedModes forced(kReference);
+            ScalarEncoders pinned;
             ref = runScaledApp(scaledConfig(cfg));
         }
         const std::string ref_json = sidecarJson(cfg, *ref);
@@ -174,39 +146,35 @@ TEST(ModeSweep, CrossProductMatchesReferenceByteExactly)
         ASSERT_FALSE(ref_json.empty());
         ASSERT_FALSE(ref_entry.empty());
 
-        for (const auto &point : fastPoints()) {
-            std::optional<AppRun> got;
-            {
-                ForcedModes forced(point);
-                got = runScaledApp(scaledConfig(cfg));
-            }
-            SCOPED_TRACE(std::string(cfg.app.name) + " / " + point.name);
-            EXPECT_EQ(got->result.cycles, ref->result.cycles);
-            EXPECT_EQ(got->result.instructions, ref->result.instructions);
-            // The sidecar registry serializes every harvested
-            // statistic (perf, l1/l2, link flips, chunk histogram,
-            // dram, energy), so byte-identical JSON pins them all at
-            // full precision in one comparison.
-            EXPECT_EQ(sidecarJson(cfg, *got), ref_json);
-            EXPECT_EQ(cacheEntryBytes(cfg, *got), ref_entry);
-        }
+        // The default walk: batched wherever the layout allows.
+        const AppRun got = runScaledApp(scaledConfig(cfg));
+        SCOPED_TRACE(cfg.app.name);
+        EXPECT_EQ(got.result.cycles, ref->result.cycles);
+        EXPECT_EQ(got.result.instructions, ref->result.instructions);
+        // The sidecar registry serializes every harvested statistic
+        // (perf, l1/l2, link flips, chunk histogram, dram, energy), so
+        // byte-identical JSON pins them all at full precision in one
+        // comparison.
+        EXPECT_EQ(sidecarJson(cfg, got), ref_json);
+        EXPECT_EQ(cacheEntryBytes(cfg, got), ref_entry);
     }
 }
 
 TEST(ModeSweep, AdaptiveTrackerDoesNotDriftAcrossLinkEngines)
 {
     // The adaptive skip tracker carries per-wire saturating counters
-    // across transfers; a fast path that mis-updates them stays
+    // across transfers; a model that mis-updates them stays
     // bit-identical for a while and drifts later. Stream well past
-    // the counter saturation horizon and require lockstep equality.
+    // the counter saturation horizon and require lockstep equality
+    // between the fast model and the ticked link, and between the
+    // link's transmitter and receiver.
     core::DescConfig cfg;
     cfg.bus_wires = 128;
     cfg.chunk_bits = 4;
     cfg.skip = core::SkipMode::Adaptive;
 
-    core::DescLink fast(cfg), ticked(cfg);
-    fast.setMode(core::LinkMode::Fast);
-    ticked.setMode(core::LinkMode::Ticked);
+    core::DescScheme scheme(cfg);
+    core::DescLink link(cfg);
 
     Rng rng(0xada9717eULL);
     BitVec prev(cfg.block_bits);
@@ -226,17 +194,15 @@ TEST(ModeSweep, AdaptiveTrackerDoesNotDriftAcrossLinkEngines)
         }
         prev = block;
 
-        BitVec got_fast(cfg.block_bits), got_ticked(cfg.block_bits);
-        auto rf = fast.transferBlock(block, &got_fast);
-        auto rt = ticked.transferBlock(block, &got_ticked);
+        BitVec got(cfg.block_bits);
+        auto rt = link.transferBlock(block, &got);
+        auto rf = scheme.transfer(block);
         ASSERT_EQ(rf.cycles, rt.cycles) << "block " << b;
         ASSERT_EQ(rf.data_flips, rt.data_flips) << "block " << b;
         ASSERT_EQ(rf.control_flips, rt.control_flips) << "block " << b;
         ASSERT_EQ(rf.skipped, rt.skipped) << "block " << b;
-        ASSERT_EQ(got_fast, got_ticked) << "block " << b;
-        ASSERT_TRUE(fast.tx().adaptive() == ticked.tx().adaptive())
-            << "tx adaptive counters drifted, block " << b;
-        ASSERT_TRUE(fast.rx().adaptive() == ticked.rx().adaptive())
-            << "rx adaptive counters drifted, block " << b;
+        ASSERT_EQ(got, block) << "block " << b;
+        ASSERT_TRUE(link.tx().adaptive() == link.rx().adaptive())
+            << "tx/rx adaptive counters drifted, block " << b;
     }
 }

@@ -57,11 +57,9 @@ HOT_PATH_FILES = [
     "src/common/bitvec.hh",
     "src/core/chunk.cc",
     "src/core/descscheme.cc",
-    # The link fast path and its endpoints: one plan preallocated per
-    # link, closed-form transfers must stay allocation-free.
-    "src/core/fastforward.hh",
+    # The link and its endpoints: every per-block buffer is sized at
+    # construction, so a transfer stays allocation-free.
     "src/core/link.cc",
-    "src/core/linkscheme.cc",
     "src/core/transmitter.cc",
     "src/core/receiver.cc",
     # The bit-plane ticked engine (DESIGN.md §15): wire planes and the
