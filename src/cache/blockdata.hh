@@ -10,10 +10,12 @@
 #ifndef DESC_CACHE_BLOCKDATA_HH
 #define DESC_CACHE_BLOCKDATA_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 
 #include "common/bitvec.hh"
+#include "common/contract.hh"
 #include "common/types.hh"
 
 namespace desc::cache {
@@ -31,8 +33,9 @@ zeroBlock()
 inline void
 toBitVec(const Block512 &block, BitVec &out)
 {
-    out.fromBytes(reinterpret_cast<const std::uint8_t *>(block.data()),
-                  sizeof(Block512));
+    DESC_DCHECK(out.width() == 8 * sizeof(Block512),
+                "toBitVec into a ", out.width(), "-bit vector");
+    std::copy(block.begin(), block.end(), out.mutableWords().begin());
 }
 
 /** Extract a 512-bit BitVec's payload into a block. */

@@ -52,6 +52,14 @@ MemHierarchy::MemHierarchy(sim::EventQueue &eq, const L2Config &l2cfg,
 {
     DESC_ASSERT(num_cores >= 1 && num_cores <= 8,
                 "directory bitmap supports up to 8 cores");
+    // Payloads, bank interleaving and block addresses are all fixed
+    // to 64-byte lines (Block512).
+    DESC_ASSERT(l2cfg.org.block_bytes == sizeof(Block512)
+                    && l1cfg.block_bytes == sizeof(Block512)
+                    && l2cfg.scheme_cfg.block_bits == 8 * sizeof(Block512),
+                "blocks must be ", sizeof(Block512), " bytes: L2 ",
+                l2cfg.org.block_bytes, ", L1 ", l1cfg.block_bytes,
+                ", transfer ", l2cfg.scheme_cfg.block_bits, " bits");
 
     for (unsigned c = 0; c < num_cores; c++) {
         _l1i.emplace_back(l1cfg.capacity_bytes, l1cfg.assoc_i,

@@ -1,11 +1,11 @@
 #include "common/bitvec.hh"
 
-#include <bit>
 #include <cstring>
 
 #include "common/contract.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
+#include "common/swar.hh"
 
 namespace desc {
 
@@ -112,7 +112,7 @@ BitVec::popcount() const
 {
     unsigned count = 0;
     for (std::uint64_t w : _words)
-        count += std::popcount(w);
+        count += swar::popcount64(w);
     return count;
 }
 
@@ -123,7 +123,7 @@ BitVec::hammingDistance(const BitVec &other) const
                 other._width);
     unsigned count = 0;
     for (std::size_t i = 0; i < _words.size(); i++)
-        count += std::popcount(_words[i] ^ other._words[i]);
+        count += swar::popcount64(_words[i] ^ other._words[i]);
     return count;
 }
 

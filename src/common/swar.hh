@@ -7,15 +7,18 @@
  * and each helper compiles to a handful of straight-line shifts. The
  * scalar reference paths remain the semantic definition; the
  * equivalence suite pins these helpers against them chunk by chunk.
+ *
+ * popcount64 is the one population count in src/: the build targets
+ * baseline x86-64 without POPCNT, where std::popcount is a libgcc
+ * call, so every site uses this inline tree sum instead.
  */
 
-#ifndef DESC_ENCODING_SWAR_HH
-#define DESC_ENCODING_SWAR_HH
+#ifndef DESC_COMMON_SWAR_HH
+#define DESC_COMMON_SWAR_HH
 
-#include <bit>
 #include <cstdint>
 
-namespace desc::encoding::swar {
+namespace desc::swar {
 
 /** True if the batched word paths support this chunk width. */
 constexpr bool
@@ -68,37 +71,44 @@ nonzeroChunkMarkers(std::uint64_t x)
     return foldNonzero<B>(x) & laneLsbMask(B);
 }
 
-/** Number of non-zero B-bit chunks in @p x. */
-template <unsigned B>
-inline unsigned
-nonzeroChunks(std::uint64_t x)
-{
-    return unsigned(std::popcount(nonzeroChunkMarkers<B>(x)));
-}
-
 /**
  * Per-lane population count over W-bit lanes, W in {4, ..., 64}:
  * lane i of the result holds the number of set bits in lane i of
  * @p x (the classic tree sum, stopped at width W).
  */
 template <unsigned W>
-inline std::uint64_t
+constexpr std::uint64_t
 lanePopcount(std::uint64_t x)
 {
     constexpr std::uint64_t m1 = laneLsbMask(2), m2 = laneLowMask(4, 2),
                             m4 = laneLowMask(8, 4), m8 = laneLowMask(16, 8),
                             m16 = laneLowMask(32, 16);
-    if constexpr (W == 64)
-        return std::uint64_t(std::popcount(x));
     x -= (x >> 1) & m1;
     x = (x & m2) + ((x >> 2) & m2);
     if constexpr (W >= 8)
         x = (x + (x >> 4)) & m4;
+    if constexpr (W == 64)
+        return (x * laneLsbMask(8)) >> 56; // sum the byte lanes
     if constexpr (W >= 16)
         x = (x + (x >> 8)) & m8;
     if constexpr (W >= 32)
         x = (x + (x >> 16)) & m16;
     return x;
+}
+
+/** Number of set bits in @p x. */
+constexpr unsigned
+popcount64(std::uint64_t x)
+{
+    return unsigned(lanePopcount<64>(x));
+}
+
+/** Number of non-zero B-bit chunks in @p x. */
+template <unsigned B>
+inline unsigned
+nonzeroChunks(std::uint64_t x)
+{
+    return popcount64(nonzeroChunkMarkers<B>(x));
 }
 
 /**
@@ -177,6 +187,6 @@ lessPerChunk(std::uint64_t v, std::uint64_t s)
     }
 }
 
-} // namespace desc::encoding::swar
+} // namespace desc::swar
 
-#endif // DESC_ENCODING_SWAR_HH
+#endif // DESC_COMMON_SWAR_HH

@@ -5,12 +5,10 @@
 
 #include "common/contract.hh"
 #include "common/log.hh"
+#include "common/swar.hh"
 #include "encoding/scheme.hh"
-#include "encoding/swar.hh"
 
 namespace desc::core {
-
-namespace swar = encoding::swar;
 
 std::vector<std::uint8_t>
 splitChunks(const BitVec &block, unsigned chunk_bits)
@@ -154,7 +152,7 @@ countWordChunks(std::uint64_t x, unsigned chunks, std::uint32_t *counts)
         const std::uint64_t valid = chunks >= 64
             ? ~std::uint64_t{0}
             : (std::uint64_t{1} << chunks) - 1;
-        const unsigned ones = unsigned(std::popcount(x & valid));
+        const unsigned ones = swar::popcount64(x & valid);
         counts[1] += ones;
         counts[0] += chunks - ones;
     } else {

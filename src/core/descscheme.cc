@@ -4,13 +4,11 @@
 #include <bit>
 
 #include "common/contract.hh"
+#include "common/swar.hh"
 #include "core/chunk.hh"
 #include "core/timing.hh"
-#include "encoding/swar.hh"
 
 namespace desc::core {
-
-namespace swar = encoding::swar;
 
 namespace {
 
@@ -56,7 +54,7 @@ scanLastWave(const std::uint64_t *cur, const std::uint64_t *prev,
         if (!d)
             continue;
         const std::uint64_t markers = swar::nonzeroChunkMarkers<B>(d);
-        r.sent += unsigned(std::popcount(markers));
+        r.sent += swar::popcount64(markers);
         const std::uint64_t adj =
             cur[j] + swar::lessPerChunk<B>(cur[j], prev[j]);
         r.maxv = std::max(r.maxv,

@@ -1,9 +1,8 @@
 #include "core/link.hh"
 
-#include <bit>
-
 #include "common/contract.hh"
 #include "common/prof.hh"
+#include "common/swar.hh"
 #include "common/trace.hh"
 
 namespace desc::core {
@@ -36,8 +35,8 @@ DescLink::transferBlock(const BitVec &block, BitVec *received)
         // Count transitions against the previous cycle's levels:
         // popcounts of the plane XORs.
         for (unsigned k = 0; k < nwords; k++) {
-            result.data_flips += unsigned(
-                std::popcount(_cur.data.word(k) ^ _prev.data.word(k)));
+            result.data_flips +=
+                swar::popcount64(_cur.data.word(k) ^ _prev.data.word(k));
         }
         if (_cur.reset_skip != _prev.reset_skip)
             result.control_flips++;

@@ -1,6 +1,7 @@
 #include "cpu/inorder.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/contract.hh"
 #include "common/prof.hh"
@@ -43,22 +44,28 @@ InOrderCore::scheduleDispatch(Cycle when)
 }
 
 void
-InOrderCore::threadEvent(ThreadEvent &ev)
+InOrderCore::endBurst()
 {
-    DESC_PROF_SCOPE(CpuInorder);
-    const unsigned tid = ev.tid;
-    if (ev.kind == ThreadEvent::Kind::ExecMem) {
-        auto lat = _mem.access(
-            _core_id, ev.op.addr, ev.op.is_write, ev.op.store_value,
-            false, memDoneCb(tid));
-        if (lat) {
-            ev.kind = ThreadEvent::Kind::Wake;
-            _eq.scheduleIn(ev, *lat);
-        } else {
-            _threads[tid].blocked = true;
-        }
+    const BurstEnd end = std::exchange(_burst_end, BurstEnd::None);
+    if (end == BurstEnd::None)
+        return;
+    const unsigned tid = _burst_tid;
+    if (end == BurstEnd::Wake) {
+        _ready.push_back(tid);
         return;
     }
+    auto lat = _mem.access(_core_id, _burst_op.addr, _burst_op.is_write,
+                           _burst_op.store_value, false, memDoneCb(tid));
+    if (lat)
+        _eq.scheduleIn(_thread_events[tid], *lat);
+    else
+        _threads[tid].blocked = true;
+}
+
+void
+InOrderCore::wake(unsigned tid)
+{
+    DESC_PROF_SCOPE(CpuInorder);
     _ready.push_back(tid);
     scheduleDispatch(_eq.now());
 }
@@ -77,6 +84,7 @@ void
 InOrderCore::dispatch()
 {
     DESC_PROF_SCOPE(CpuInorder);
+    endBurst();
     if (_ready.empty())
         return; // all contexts blocked; a completion will wake us
 
@@ -125,17 +133,19 @@ InOrderCore::dispatch()
         return;
     }
 
-    ThreadEvent &tev = _thread_events[tid];
+    // The next dispatch, at the burst's last cycle, ends the burst
+    // first; nothing else may fire the dispatch event before then.
+    DESC_ASSERT(!_dispatch_ev.scheduled(),
+                "dispatch scheduled before the burst end");
+    _burst_tid = tid;
     if (has_mem) {
         _stats.mem_ops.inc();
-        tev.kind = ThreadEvent::Kind::ExecMem;
-        tev.op = op;
+        _burst_end = BurstEnd::Mem;
+        _burst_op = op;
     } else {
-        tev.kind = ThreadEvent::Kind::Wake;
+        _burst_end = BurstEnd::Wake;
     }
-    _eq.schedule(tev, end);
-
-    scheduleDispatch(end);
+    _eq.schedule(_dispatch_ev, end);
 }
 
 } // namespace desc::cpu

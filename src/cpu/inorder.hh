@@ -67,28 +67,28 @@ class InOrderCore
         InOrderCore *core = nullptr;
     };
 
-    /**
-     * Per-thread continuation: either the end of an execution burst
-     * whose last instruction is a memory op (issue it), or a plain
-     * wake-up that returns the thread to the ready queue. A thread
-     * has at most one continuation in flight, so one reusable event
-     * per thread suffices.
-     */
+    /** Wake-up of a thread whose memory op hit in the L1. A thread
+     *  waits on at most one, so one pinned event per thread suffices. */
     struct ThreadEvent final : sim::Event
     {
-        enum class Kind : std::uint8_t { ExecMem, Wake };
-
-        void process() override { core->threadEvent(*this); }
+        void process() override { core->wake(tid); }
 
         InOrderCore *core = nullptr;
         unsigned tid = 0;
-        Kind kind = Kind::Wake;
-        MemOp op{};
     };
 
+    /**
+     * What ends the last dispatched burst: issuing its memory op, or
+     * returning its thread to the ready queue. A burst ends in the
+     * cycle the next dispatch event fires, so that event finishes it
+     * before it dispatches.
+     */
+    enum class BurstEnd : std::uint8_t { None, Mem, Wake };
+
     void dispatch();
+    void endBurst();
     void scheduleDispatch(Cycle when);
-    void threadEvent(ThreadEvent &ev);
+    void wake(unsigned tid);
     void onMemDone(unsigned tid);
 
     /** Completion callback waking thread @p tid. */
@@ -112,6 +112,11 @@ class InOrderCore
 
     DispatchEvent _dispatch_ev;
     std::deque<ThreadEvent> _thread_events; //!< indexed by tid (pinned)
+
+    /** The pending burst end, run by the next dispatch event. */
+    BurstEnd _burst_end = BurstEnd::None;
+    unsigned _burst_tid = 0;
+    MemOp _burst_op{};
 
     CoreStats _stats;
 

@@ -4,6 +4,7 @@
 
 #include "common/contract.hh"
 #include "common/log.hh"
+#include "common/swar.hh"
 
 namespace desc::ecc {
 
@@ -63,7 +64,7 @@ SecdedCode::parityColumn(unsigned i) const
     // Bit i feeds the Hamming parity bits named by its position and,
     // through the data bit and those parity bits, the overall parity.
     const unsigned pos = _data_pos[i];
-    const std::uint64_t overall = (1u + unsigned(std::popcount(pos))) & 1;
+    const std::uint64_t overall = (1u + swar::popcount64(pos)) & 1;
     return std::uint64_t(pos) | overall << _parity_bits;
 }
 

@@ -1,9 +1,8 @@
 #include "encoding/binary.hh"
 
-#include <bit>
-
 #include "common/contract.hh"
 #include "common/log.hh"
+#include "common/swar.hh"
 
 namespace desc::encoding {
 
@@ -34,7 +33,7 @@ BinaryScheme::transfer(const BitVec &block)
                 fresh = block.fieldUnchecked(pos, avail);
             }
             std::uint64_t old = _state.fieldUnchecked(off, len);
-            result.data_flips += std::popcount(fresh ^ old);
+            result.data_flips += swar::popcount64(fresh ^ old);
             _state.setFieldUnchecked(off, len, fresh);
         }
     }

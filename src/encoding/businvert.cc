@@ -5,7 +5,7 @@
 
 #include "common/contract.hh"
 #include "common/log.hh"
-#include "encoding/swar.hh"
+#include "common/swar.hh"
 
 namespace desc::encoding {
 
@@ -50,7 +50,7 @@ laneField(std::uint64_t v, std::uint64_t field_mask,
         if (mode == Mode::ZeroSkipSparse) {
             const std::uint64_t shows_zero = ~swar::foldNonzero<B>(old);
             skip_now &= skip | ~(shows_zero & ~inv);
-            result.control_flips += std::popcount(skip ^ skip_now);
+            result.control_flips += swar::popcount64(skip ^ skip_now);
             skip = skip_now;
         }
     }
@@ -59,13 +59,13 @@ laneField(std::uint64_t v, std::uint64_t field_mask,
     const std::uint64_t send_inv = ((pc + inv + bias) >> (B - 1)) & drive;
     const std::uint64_t delta =
         (v ^ (send_inv * lane_ones) ^ old) & (drive * lane_ones);
-    result.data_flips += std::popcount(delta);
+    result.data_flips += swar::popcount64(delta);
     wires = old ^ delta;
     // Driven segments set their invert line; skipped ones hold it.
     const std::uint64_t new_inv = (inv & ~drive) | send_inv;
-    result.control_flips += std::popcount(inv ^ new_inv);
+    result.control_flips += swar::popcount64(inv ^ new_inv);
     inv = new_inv;
-    result.skipped += std::popcount(skip_now);
+    result.skipped += swar::popcount64(skip_now);
     return skip_now;
 }
 
@@ -143,7 +143,7 @@ BusInvertScheme::chargeModeBus(TransferResult &result)
         unsigned hi = std::min<unsigned>(lo + kSegsPerModeWord, _num_segs);
         for (unsigned s = hi; s-- > lo;)
             packed = packed * 3 + std::uint32_t(_seg_modes[s]);
-        result.control_flips += std::popcount(packed ^ _mode_state[w]);
+        result.control_flips += swar::popcount64(packed ^ _mode_state[w]);
         _mode_state[w] = packed;
     }
 }
@@ -218,8 +218,8 @@ BusInvertScheme::transferScalar(const BitVec &block)
 
             // Cost of each transmission mode, counting the control
             // wires the mode would have to flip.
-            unsigned cost_plain = std::popcount(value ^ old) + inv + skip;
-            unsigned cost_inv = std::popcount((~value & seg_mask) ^ old)
+            unsigned cost_plain = swar::popcount64(value ^ old) + inv + skip;
+            unsigned cost_inv = swar::popcount64((~value & seg_mask) ^ old)
                 + !inv + skip;
             unsigned cost_skip = sparse && !skip ? 1 : 0;
 
@@ -242,7 +242,7 @@ BusInvertScheme::transferScalar(const BitVec &block)
             }
             const bool invert = chosen == SegMode::Inverted;
             const std::uint64_t coded = invert ? ~value & seg_mask : value;
-            result.data_flips += std::popcount(coded ^ old);
+            result.data_flips += swar::popcount64(coded ^ old);
             _state.setFieldUnchecked(line, _seg_bits, coded);
             result.control_flips += (inv != invert) + skip;
             _inv_lines.setBit(line, invert);

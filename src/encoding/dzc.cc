@@ -5,7 +5,7 @@
 
 #include "common/contract.hh"
 #include "common/log.hh"
-#include "encoding/swar.hh"
+#include "common/swar.hh"
 
 namespace desc::encoding {
 
@@ -62,7 +62,7 @@ DynamicZeroScheme::transferScalar(const BitVec &block)
                 continue;
             }
             std::uint64_t old = _state.fieldUnchecked(line, _seg_bits);
-            result.data_flips += std::popcount(value ^ old);
+            result.data_flips += swar::popcount64(value ^ old);
             _state.setFieldUnchecked(line, _seg_bits, value);
         }
     }
@@ -89,12 +89,12 @@ dzcWord(std::uint64_t x, std::uint64_t &state, std::uint64_t &zero_marks,
     const std::uint64_t nz = swar::nonzeroChunkMarkers<SB>(x);
     const std::uint64_t zero = lsb & ~nz;
     // One indicator per segment: a flip whenever its level changes.
-    result.control_flips += std::popcount(zero ^ zero_marks);
+    result.control_flips += swar::popcount64(zero ^ zero_marks);
     zero_marks = zero;
-    result.skipped += std::popcount(zero);
+    result.skipped += swar::popcount64(zero);
     // Non-zero segments drive their new value; zero segments hold.
     const std::uint64_t drive = nz * seg_ones;
-    result.data_flips += std::popcount((x ^ state) & drive);
+    result.data_flips += swar::popcount64((x ^ state) & drive);
     state = (state & ~drive) | (x & drive);
 }
 

@@ -127,14 +127,19 @@ runSystem(const SystemConfig &cfg)
 
     std::vector<std::unique_ptr<cpu::InOrderCore>> smt_cores;
     std::unique_ptr<cpu::OooCore> ooo_core;
+    // The cores own the streams; the run publishes their op traces
+    // once it is over.
+    std::vector<workloads::AppStream *> app_streams;
 
     if (cfg.cpu == CpuKind::NiagaraSMT) {
         for (unsigned c = 0; c < cfg.cores; c++) {
             std::vector<std::unique_ptr<cpu::InstructionStream>> streams;
             for (unsigned t = 0; t < cfg.threads_per_core; t++) {
                 unsigned tid = c * cfg.threads_per_core + t;
-                streams.push_back(std::make_unique<workloads::AppStream>(
-                    cfg.app, values, tid, c, cfg.seed));
+                auto stream = std::make_unique<workloads::AppStream>(
+                    cfg.app, values, tid, c, cfg.seed);
+                app_streams.push_back(stream.get());
+                streams.push_back(std::move(stream));
             }
             smt_cores.push_back(std::make_unique<cpu::InOrderCore>(
                 eq, mem, c, std::move(streams), cfg.insts_per_thread));
@@ -144,6 +149,7 @@ runSystem(const SystemConfig &cfg)
     } else {
         auto stream = std::make_unique<workloads::AppStream>(
             cfg.app, values, 0, 0, cfg.seed);
+        app_streams.push_back(stream.get());
         ooo_core = std::make_unique<cpu::OooCore>(
             eq, mem, 0, std::move(stream),
             cfg.insts_per_thread * cfg.threads_per_core);
@@ -197,6 +203,8 @@ runSystem(const SystemConfig &cfg)
     } else {
         DESC_ASSERT(ooo_core->done(), "OoO core did not finish");
     }
+    for (auto *stream : app_streams)
+        stream->publishTrace();
 
     SimResult result;
     result.cycles = eq.now();

@@ -49,6 +49,10 @@ class ValueModel
     /** Deterministic content of the block at @p block_addr. */
     cache::Block512 block(Addr block_addr) const;
 
+    /** The parameters and seed this model was built from. */
+    const AppParams &params() const { return _p; }
+    std::uint64_t seed() const { return _seed ^ _p.seed_salt; }
+
   private:
     AppParams _p;
     std::uint64_t _seed;

@@ -1,11 +1,13 @@
 /**
  * @file
- * Unit tests for the generic set-associative array.
+ * Unit tests for the generic set-associative array, and the line-size
+ * contract of the hierarchy built on it.
  */
 
 #include <gtest/gtest.h>
 
 #include "cache/array.hh"
+#include "cache/hierarchy.hh"
 
 using namespace desc;
 using namespace desc::cache;
@@ -158,4 +160,39 @@ TEST(SetAssocArrayDeath, RejectsNonPowerOfTwoBlock)
     // 48-byte blocks: capacity divides evenly into 64 sets, so only
     // the block-size check can fire.
     EXPECT_DEATH(Array(64 * 4 * 48, 4, 48), "power of two");
+}
+
+namespace {
+
+/** Backing store for hierarchies that must fail to construct. */
+class NullStore : public BackingStore
+{
+  public:
+    const Block512 &fetch(Addr) override { return _block; }
+    void store(Addr, const Block512 &) override {}
+
+  private:
+    Block512 _block{};
+};
+
+} // namespace
+
+TEST(MemHierarchyDeath, RejectsBlocksOtherThan64Bytes)
+{
+    // Payloads (Block512), bank interleaving (addr >> 6) and block
+    // addresses (addr & ~63) are fixed to 64-byte lines; any other
+    // L1 or L2 line size, or transfer width, must not build.
+    sim::EventQueue eq;
+    NullStore store;
+    L2Config l2;
+    l2.org.block_bytes = 128;
+    EXPECT_DEATH(MemHierarchy(eq, l2, store, 1), "blocks must be 64 bytes");
+    L1Config l1;
+    l1.block_bytes = 32;
+    EXPECT_DEATH(MemHierarchy(eq, L2Config{}, store, 1, l1),
+                 "blocks must be 64 bytes");
+    L2Config narrow;
+    narrow.scheme_cfg.block_bits = 256;
+    EXPECT_DEATH(MemHierarchy(eq, narrow, store, 1),
+                 "blocks must be 64 bytes");
 }

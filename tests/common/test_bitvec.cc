@@ -1,15 +1,18 @@
 /**
  * @file
- * Unit tests for the BitVec bit-accurate storage primitive.
+ * Unit tests for the BitVec bit-accurate storage primitive and the
+ * SWAR popcount it counts with.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/bitvec.hh"
 #include "common/rng.hh"
+#include "common/swar.hh"
 
 using desc::BitVec;
 using desc::Rng;
+namespace swar = desc::swar;
 
 TEST(BitVec, ConstructsAllZero)
 {
@@ -196,4 +199,27 @@ TEST(BitVecDeath, OversizedFieldPanics)
 {
     BitVec v(64);
     EXPECT_DEATH(v.field(60, 8), "assertion failed");
+}
+
+TEST(Swar, Popcount64MatchesBitLoop)
+{
+    static_assert(swar::popcount64(0) == 0);
+    static_assert(swar::popcount64(~std::uint64_t{0}) == 64);
+    static_assert(swar::popcount64(std::uint64_t{1} << 63) == 1);
+    auto loop = [](std::uint64_t x) {
+        unsigned n = 0;
+        for (unsigned i = 0; i < 64; i++)
+            n += (x >> i) & 1;
+        return n;
+    };
+    Rng rng(42);
+    for (unsigned i = 0; i < 10000; i++) {
+        // Mix sparse, dense and uniform words.
+        std::uint64_t x = rng.next();
+        if (i % 3 == 1)
+            x &= rng.next() & rng.next();
+        else if (i % 3 == 2)
+            x |= rng.next() | rng.next();
+        ASSERT_EQ(swar::popcount64(x), loop(x)) << std::hex << x;
+    }
 }

@@ -34,6 +34,10 @@ Enforces repo invariants the compiler cannot see:
   contract-include   files using DESC_ASSERT/DESC_DCHECK/
                      DESC_UNREACHABLE include common/contract.hh
                      directly, not transitively
+  popcount           no std::popcount / __builtin_popcount* in src/ —
+                     the build enables no POPCNT, so those are libgcc
+                     calls; count bits with swar::popcount64
+                     (src/common/swar.hh)
 
 Usage:
   desc_lint.py [--root DIR]     lint the tree (exit 1 on findings)
@@ -70,7 +74,7 @@ HOT_PATH_FILES = [
     # The batched encoder passes (word-at-a-time SWAR loops) and the
     # per-transfer codecs the L2 runs on every block: baseline
     # encoders and the SECDED mask-fold.
-    "src/encoding/swar.hh",
+    "src/common/swar.hh",
     "src/encoding/scheme.cc",
     "src/encoding/binary.cc",
     "src/encoding/dzc.cc",
@@ -430,6 +434,18 @@ def check_contract_include(root, rel, text, code, findings):
             f"common/contract.hh"))
 
 
+POPCOUNT_RE = re.compile(
+    r"(?<![\w.])(?:std\s*::\s*popcount|__builtin_popcount\w*)\b")
+
+
+def check_popcount(root, rel, text, code, findings):
+    for m in POPCOUNT_RE.finditer(code):
+        findings.append(Finding(
+            "popcount", rel, line_of(code, m.start()),
+            "%s compiles to a libgcc call without POPCNT: use "
+            "swar::popcount64 (src/common/swar.hh)" % m.group(0)))
+
+
 PER_FILE_CHECKS = [
     check_hot_path_alloc,
     check_env_registry,
@@ -438,6 +454,7 @@ PER_FILE_CHECKS = [
     check_include_guard,
     check_test_include,
     check_contract_include,
+    check_popcount,
 ]
 
 # Token scans that desc-analyze (tools/analyze/desc_analyze.py)
@@ -484,6 +501,7 @@ FIXTURE_EXPECT = {
     "fixtures/bad/profiling.cc": {"prof-component"},
     "fixtures/bad/entropy.cc": {"determinism", "test-include"},
     "fixtures/bad/envknob.cc": {"env-registry"},
+    "fixtures/bad/popcount.cc": {"popcount"},
     "fixtures/good/clean.hh": set(),
 }
 
