@@ -343,22 +343,6 @@ benchL2Warmup(unsigned reps)
 }
 
 /**
- * The same workload with the encoders pinned to their scalar
- * reference loops. Tracked so a regression in the references stays
- * visible, and doubling as an equivalence probe: the cycle count must
- * match the default (batched) run exactly.
- */
-double
-benchRunSystemTicked(std::uint64_t insts, unsigned reps,
-                     std::uint64_t *cycles)
-{
-    encoding::setDefaultEncoderMode(encoding::EncoderMode::Scalar);
-    double rate = benchRunSystem(insts, reps, cycles);
-    encoding::setDefaultEncoderMode(std::nullopt);
-    return rate;
-}
-
-/**
  * Cost of the profiler when it is OFF, as a percentage of a
  * runsystem execution: (scopes per run) x (ns per disabled scope)
  * against the disabled run's wall time. The acceptance contract is
@@ -450,18 +434,6 @@ main(int argc, char **argv)
     double rs = benchRunSystem(insts, reps, &cycles);
     std::fprintf(stderr, "runsystem: %12.0f sim-cycles/sec (%llu cycles)\n",
                  rs, (unsigned long long)cycles);
-    std::uint64_t cycles_ticked = 0;
-    double rs_ticked = benchRunSystemTicked(insts, reps, &cycles_ticked);
-    std::fprintf(stderr, "runsys-tk: %12.0f sim-cycles/sec (%llu cycles)\n",
-                 rs_ticked, (unsigned long long)cycles_ticked);
-    if (cycles_ticked != cycles) {
-        std::fprintf(stderr,
-                     "FAIL: ticked reference diverged (%llu vs %llu "
-                     "cycles)\n",
-                     (unsigned long long)cycles_ticked,
-                     (unsigned long long)cycles);
-        return 1;
-    }
     double prof_pct = benchProfOverheadPct(insts, rs, cycles, quick);
     std::fprintf(stderr, "prof-off:  %12.3f %% of a runsystem run\n",
                  prof_pct);
@@ -486,14 +458,12 @@ main(int argc, char **argv)
         "    \"bic_blocks_per_sec\": %.0f,\n"
         "    \"l2_warmup_blocks_per_sec\": %.0f,\n"
         "    \"runsystem_cycles_per_sec\": %.0f,\n"
-        "    \"runsystem_ticked_cycles_per_sec\": %.0f,\n"
         "    \"runsystem_prof_overhead_pct\": %.3f\n"
         "  },\n"
         "  \"check\": { \"runsystem_cycles\": %llu }\n"
         "}\n",
         quick ? "true" : "false", ev, link_ticked, link_vcd,
-        scheme, cstats, ecc_rate, bic_rate, warmup, rs, rs_ticked,
-        prof_pct,
+        scheme, cstats, ecc_rate, bic_rate, warmup, rs, prof_pct,
         (unsigned long long)cycles);
     std::fclose(f);
     return 0;

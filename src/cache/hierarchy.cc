@@ -3,7 +3,6 @@
 #include "common/contract.hh"
 #include "common/prof.hh"
 #include "common/trace.hh"
-#include "core/factory.hh"
 
 namespace desc::cache {
 
@@ -38,7 +37,8 @@ L2Config::effectiveSchemeConfig() const
 MemHierarchy::MemHierarchy(sim::EventQueue &eq, const L2Config &l2cfg,
                            BackingStore &backing, unsigned num_cores,
                            const L1Config &l1cfg,
-                           const dram::DramConfig &dram_cfg)
+                           const dram::DramConfig &dram_cfg,
+                           core::SchemeFactory make_scheme)
     : _eq(eq), _cfg(l2cfg), _energy_model(l2cfg.org), _backing(backing),
       _dram(eq, dram_cfg),
       _l2(l2cfg.org.capacity_bytes, l2cfg.org.assoc, l2cfg.org.block_bytes),
@@ -78,8 +78,8 @@ MemHierarchy::MemHierarchy(sim::EventQueue &eq, const L2Config &l2cfg,
     unsigned banks = _cfg.org.banks;
     _banks.resize(banks);
     for (unsigned b = 0; b < banks; b++) {
-        _banks[b].read_scheme = core::makeScheme(_cfg.scheme, eff);
-        _banks[b].write_scheme = core::makeScheme(_cfg.scheme, eff);
+        _banks[b].read_scheme = make_scheme(_cfg.scheme, eff);
+        _banks[b].write_scheme = make_scheme(_cfg.scheme, eff);
         if (_cfg.snuca && banks > 1) {
             double frac = double(b) / double(banks - 1);
             _banks[b].route_latency = Cycle(

@@ -25,6 +25,7 @@
 #include "cache/blockdata.hh"
 #include "common/stats.hh"
 #include "core/chunk.hh"
+#include "core/factory.hh"
 #include "dram/ddr3.hh"
 #include "ecc/blockcodec.hh"
 #include "encoding/scheme.hh"
@@ -142,7 +143,8 @@ class MemHierarchy
     MemHierarchy(sim::EventQueue &eq, const L2Config &l2cfg,
                  BackingStore &backing, unsigned num_cores,
                  const L1Config &l1cfg = L1Config{},
-                 const dram::DramConfig &dram_cfg = dram::DramConfig{});
+                 const dram::DramConfig &dram_cfg = dram::DramConfig{},
+                 core::SchemeFactory make_scheme = core::makeScheme);
 
     /**
      * One core memory access. Returns the access latency if it

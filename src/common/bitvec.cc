@@ -107,6 +107,21 @@ BitVec::setField(unsigned pos, unsigned len, std::uint64_t value)
     }
 }
 
+void
+BitVec::copyRange(const BitVec &src, unsigned src_pos, unsigned len)
+{
+    DESC_DCHECK(len <= _width && src_pos + len <= src._width,
+                "copy [", src_pos, ",+", len, ") of width ", src._width,
+                " into width ", _width);
+    // Whole words, then the tail: the destination starts at bit 0.
+    const unsigned tail = len % kWordBits;
+    for (unsigned w = 0; w < len / kWordBits; w++)
+        _words[w] = src.fieldUnchecked(src_pos + w * kWordBits, kWordBits);
+    if (tail)
+        setFieldUnchecked(len - tail, tail,
+                          src.fieldUnchecked(src_pos + len - tail, tail));
+}
+
 unsigned
 BitVec::popcount() const
 {

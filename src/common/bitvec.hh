@@ -57,6 +57,9 @@ class BitVec
      */
     void setField(unsigned pos, unsigned len, std::uint64_t value);
 
+    /** Overwrite bits [0, len) with @p src's [src_pos, +len). */
+    void copyRange(const BitVec &src, unsigned src_pos, unsigned len);
+
     /** Number of set bits. */
     unsigned popcount() const;
 
@@ -162,7 +165,9 @@ class BitVec
 class BitCursor
 {
   public:
-    explicit BitCursor(const BitVec &v) : _words(v.words().data())
+    /** A cursor whose first read starts at bit @p pos of @p v. */
+    explicit BitCursor(const BitVec &v, unsigned pos = 0)
+        : _words(v.words().data()), _pos(pos)
     {
 #ifndef NDEBUG
         _width = v.width();

@@ -1,12 +1,12 @@
 /**
  * @file
  * SWAR (SIMD-within-a-register) helpers over packed fixed-width
- * chunks, shared by the batched encoder paths. A 64-bit word holds
- * 64/B chunks of B bits each, B in {1, 2, 4, 8}; the chunk width is a
+ * chunks, shared by the transfer kernels. A 64-bit word holds 64/B
+ * chunks of B bits each, B in {1, 2, 4, 8}; the chunk width is a
  * template parameter so every mask folds to a compile-time constant
  * and each helper compiles to a handful of straight-line shifts. The
- * scalar reference paths remain the semantic definition; the
- * equivalence suite pins these helpers against them chunk by chunk.
+ * scalar oracles (tests/oracle) remain the semantic definition; the
+ * equivalence suites pin the kernels against them chunk by chunk.
  *
  * popcount64 is the one population count in src/: the build targets
  * baseline x86-64 without POPCNT, where std::popcount is a libgcc
@@ -20,7 +20,7 @@
 
 namespace desc::swar {
 
-/** True if the batched word paths support this chunk width. */
+/** True if the SWAR lanes support this chunk width. */
 constexpr bool
 supportedChunk(unsigned b)
 {

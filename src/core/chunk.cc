@@ -4,9 +4,7 @@
 #include <bit>
 
 #include "common/contract.hh"
-#include "common/log.hh"
 #include "common/swar.hh"
-#include "encoding/scheme.hh"
 
 namespace desc::core {
 
@@ -40,196 +38,104 @@ joinChunks(const std::vector<std::uint8_t> &chunks, unsigned chunk_bits,
 }
 
 ChunkStats::ChunkStats(unsigned chunk_bits, unsigned wires)
-    : _chunk_bits(chunk_bits), _wires(wires),
-      _batched(encoding::defaultEncoderMode() != encoding::EncoderMode::Scalar
-               && swar::supportedChunk(chunk_bits)),
-      _hist(1u << chunk_bits), _last(wires, 0), _last_valid(wires, false),
-      _prev_words((std::size_t(wires) * chunk_bits + 63) / 64, 0)
+    : _chunk_bits(chunk_bits), _wires(wires), _hist(1u << chunk_bits),
+      _prev(wires * chunk_bits)
 {
-}
-
-bool
-ChunkStats::batchedObservable(unsigned n) const
-{
-    // The word pass needs complete waves (every wire sees the same
-    // number of chunks) laid out as whole-word slices of the block; a
-    // single wave always starts at bit 0 and pads with zero bits that
-    // produce no samples or match candidates.
-    if (n % _wires != 0)
-        return false;
-    const unsigned waves = n / _wires;
-    if (waves > 1 && (_wires * _chunk_bits) % 64 != 0)
-        return false;
-    return true;
-}
-
-void
-ChunkStats::packPrevWords()
-{
-    std::fill(_prev_words.begin(), _prev_words.end(), 0);
-    for (unsigned w = 0; w < _wires; w++) {
-        const unsigned pos = w * _chunk_bits;
-        _prev_words[pos >> 6] |= std::uint64_t{_last[w]} << (pos & 63);
-    }
-    _words_fresh = true;
-}
-
-void
-ChunkStats::unpackPrevWords()
-{
-    const std::uint64_t mask = (std::uint64_t{1} << _chunk_bits) - 1;
-    for (unsigned w = 0; w < _wires; w++) {
-        const unsigned pos = w * _chunk_bits;
-        _last[w] =
-            std::uint8_t((_prev_words[pos >> 6] >> (pos & 63)) & mask);
-        _last_valid[w] = _primed;
-    }
-    _words_fresh = false;
-}
-
-void
-ChunkStats::observe(const BitVec &block)
-{
-    DESC_ASSERT(block.width() % _chunk_bits == 0,
-                "block width not divisible by chunk size");
-    const unsigned n = block.width() / _chunk_bits;
-    if (_batched && batchedObservable(n)) {
-        if (!_words_fresh) {
-            // Adopting the packed representation needs uniform wire
-            // validity, which only complete blocks guarantee; mixed
-            // scalar streams with ragged validity stay scalar.
-            const bool uniform = _hist.total() == 0
-                || std::all_of(_last_valid.begin(), _last_valid.end(),
-                               [&](bool v) { return v == _primed; });
-            if (!uniform) {
-                observeScalar(block, n);
-                return;
-            }
-            packPrevWords();
-        }
-        observeBatched(block, n);
-        return;
-    }
-    if (_words_fresh)
-        unpackPrevWords();
-    observeScalar(block, n);
-}
-
-void
-ChunkStats::observeScalar(const BitVec &block, unsigned n)
-{
-    BitCursor cur(block);
-    unsigned w = 0;
-    for (unsigned i = 0; i < n; i++) {
-        const auto chunk = std::uint8_t(cur.next(_chunk_bits));
-        _hist.sample(chunk);
-        if (_last_valid[w]) {
-            _match_candidates++;
-            if (_last[w] == chunk)
-                _matches++;
-        }
-        _last[w] = chunk;
-        _last_valid[w] = true;
-        if (++w == _wires)
-            w = 0;
-    }
-    if (n % _wires == 0 && n > 0)
-        _primed = true;
 }
 
 namespace {
 
 /**
- * Per-value chunk counts of one word (only the low @p chunks chunks).
- * B == 1 short-circuits to a popcount; wider chunks extract serially
- * into the local count array.
+ * Tally a block of B-bit chunks on a bus whose waves span @p wave_bits:
+ * per-value counts into @p counts, the match candidates into
+ * @p candidates and the candidates that differ from their predecessor
+ * into @p diffs. Wave by wave (the last one may be partial), in pieces
+ * of up to 64 bits of whole chunks, a chunk's predecessor on its wire
+ * is the previous block's last chunk there for wave 0 (@p prev; a
+ * candidate only in its first @p valid_bits), and the same wire's
+ * chunk in the preceding wave after that. B == 1 counts values with a
+ * popcount; wider chunks extract serially into the count array.
  */
 template <unsigned B>
-inline void
-countWordChunks(std::uint64_t x, unsigned chunks, std::uint32_t *counts)
+void
+tallyBlock(const BitVec &block, const BitVec &prev, unsigned wave_bits,
+           unsigned valid_bits, std::uint32_t *counts,
+           std::uint64_t &candidates, std::uint64_t &diffs)
 {
-    if constexpr (B == 1) {
-        const std::uint64_t valid = chunks >= 64
-            ? ~std::uint64_t{0}
-            : (std::uint64_t{1} << chunks) - 1;
-        const unsigned ones = swar::popcount64(x & valid);
-        counts[1] += ones;
-        counts[0] += chunks - ones;
-    } else {
-        constexpr std::uint64_t mask = (std::uint64_t{1} << B) - 1;
-        for (unsigned k = 0; k < chunks; k++) {
-            counts[x & mask]++;
-            x >>= B;
+    const unsigned width = block.width();
+    for (unsigned base = 0; base < width; base += wave_bits) {
+        const unsigned len = std::min(wave_bits, width - base);
+        const unsigned valid = base == 0 ? std::min(len, valid_bits) : len;
+        for (unsigned off = 0; off < len; off += 64) {
+            const unsigned n = std::min(64u, len - off);
+            std::uint64_t x = block.fieldUnchecked(base + off, n);
+            const std::uint64_t p = base == 0
+                ? prev.fieldUnchecked(off, n)
+                : block.fieldUnchecked(base - wave_bits + off, n);
+            const unsigned cand = valid > off ? std::min(n, valid - off) : 0;
+            const std::uint64_t cand_mask = cand >= 64
+                ? ~std::uint64_t{0}
+                : (std::uint64_t{1} << cand) - 1;
+            candidates += cand / B;
+            diffs += swar::nonzeroChunks<B>((x ^ p) & cand_mask);
+            if constexpr (B == 1) {
+                const unsigned ones = swar::popcount64(x);
+                counts[1] += ones;
+                counts[0] += n - ones;
+            } else {
+                constexpr std::uint64_t mask = (std::uint64_t{1} << B) - 1;
+                for (unsigned k = 0; k < n / B; k++) {
+                    counts[x & mask]++;
+                    x >>= B;
+                }
+            }
         }
     }
 }
 
-using CountFn = void (*)(std::uint64_t, unsigned, std::uint32_t *);
-using DiffFn = unsigned (*)(std::uint64_t);
+using TallyFn = void (*)(const BitVec &, const BitVec &, unsigned, unsigned,
+                         std::uint32_t *, std::uint64_t &, std::uint64_t &);
 
-template <unsigned B>
-inline unsigned
-diffChunks(std::uint64_t d)
-{
-    return swar::nonzeroChunks<B>(d);
-}
-
-constexpr CountFn kCount[4] = {countWordChunks<1>, countWordChunks<2>,
-                               countWordChunks<4>, countWordChunks<8>};
-constexpr DiffFn kDiff[4] = {diffChunks<1>, diffChunks<2>, diffChunks<4>,
-                             diffChunks<8>};
+/** Instantiations for each supported chunk width, indexed by log2. */
+constexpr TallyFn kTally[4] = {tallyBlock<1>, tallyBlock<2>, tallyBlock<4>,
+                               tallyBlock<8>};
 
 } // namespace
 
 void
-ChunkStats::observeBatched(const BitVec &block, unsigned n)
+ChunkStats::observe(const BitVec &block)
 {
-    const unsigned lb = unsigned(std::countr_zero(_chunk_bits));
-    const unsigned waves = n / _wires;
-    const auto &words = block.words();
-    const unsigned wpw = waves > 1 ? _wires * _chunk_bits / 64
-                                   : unsigned(words.size());
-    const unsigned cpw = 64 / _chunk_bits; // chunks per full word
+    DESC_ASSERT(swar::supportedChunk(_chunk_bits) && _wires >= 1,
+                "chunk statistics need 1, 2, 4 or 8-bit chunks on >= 1 "
+                "wire: ", _chunk_bits, " bits, ", _wires, " wires");
+    DESC_ASSERT(block.width() % _chunk_bits == 0,
+                "block width not divisible by chunk size");
+    const unsigned width = block.width();
+    const unsigned wave_bits = _wires * _chunk_bits;
 
     std::uint32_t counts[256] = {};
+    std::uint64_t candidates = 0;
     std::uint64_t diffs = 0;
-    unsigned candidate_waves = 0;
-
-    for (unsigned g = 0; g < waves; g++) {
-        const std::uint64_t *cur = words.data() + std::size_t(g) * wpw;
-        // Histogram: padding chunks past the wave's real width must
-        // not be sampled, so the final word counts only its remainder.
-        unsigned left = _wires;
-        for (unsigned j = 0; j < wpw; j++) {
-            kCount[lb](cur[j], std::min(left, cpw), counts);
-            left -= std::min(left, cpw);
-        }
-        // Matches against the previous chunk on each wire: the prior
-        // word slice, or the previous block's final wave for wave 0.
-        // Padding bits are zero on both sides and cannot produce a
-        // spurious difference.
-        const std::uint64_t *prev = g == 0 ? _prev_words.data() : cur - wpw;
-        if (g > 0 || _primed) {
-            candidate_waves++;
-            for (unsigned j = 0; j < wpw; j++) {
-                const std::uint64_t d = cur[j] ^ prev[j];
-                if (d)
-                    diffs += kDiff[lb](d);
-            }
-        }
-    }
-
+    kTally[std::countr_zero(_chunk_bits)](block, _prev, wave_bits,
+                                          _valid_wires * _chunk_bits, counts,
+                                          candidates, diffs);
     for (unsigned v = 0; v < (1u << _chunk_bits); v++) {
         if (counts[v])
             _hist.sample(v, counts[v]);
     }
-    _match_candidates += std::uint64_t(candidate_waves) * _wires;
-    _matches += std::uint64_t(candidate_waves) * _wires - diffs;
+    _match_candidates += candidates;
+    _matches += candidates - diffs;
 
-    std::copy_n(words.data() + std::size_t(waves - 1) * wpw, wpw,
-                _prev_words.begin());
-    _primed = true;
-    _words_fresh = true;
+    // Each wire's last chunk: the final complete wave, overlaid by a
+    // trailing partial wave on its leading wires.
+    const unsigned full = width / wave_bits;
+    const unsigned tail = width % wave_bits;
+    if (full)
+        _prev.copyRange(block, (full - 1) * wave_bits, wave_bits);
+    if (tail)
+        _prev.copyRange(block, full * wave_bits, tail);
+    _valid_wires = std::max(_valid_wires,
+                            std::min(_wires, width / _chunk_bits));
 }
 
 double

@@ -50,7 +50,10 @@ class ChunkStats
   public:
     ChunkStats(unsigned chunk_bits, unsigned wires);
 
-    /** Account one transferred block. */
+    /**
+     * Account one transferred block: chunk i goes to wire
+     * i % wires. Chunk widths 1, 2, 4 and 8 only.
+     */
     void observe(const BitVec &block);
 
     /** Fraction of chunks with value @p v (Figure 12). */
@@ -89,33 +92,23 @@ class ChunkStats
         _match_candidates = match_candidates;
     }
 
-  private:
-    void observeScalar(const BitVec &block, unsigned n);
-    void observeBatched(const BitVec &block, unsigned n);
-    bool batchedObservable(unsigned n) const;
-    void packPrevWords();
-    void unpackPrevWords();
-
+  protected:
+    // Shared with the scalar test oracle (tests/oracle), a subclass.
     unsigned _chunk_bits;
     unsigned _wires;
-    bool _batched; //!< word-at-a-time pass (latched encoder mode)
     Histogram _hist;
-    std::vector<std::uint8_t> _last;
-    std::vector<bool> _last_valid;
     std::uint64_t _matches = 0;
     std::uint64_t _match_candidates = 0;
 
+  private:
     /**
-     * Batched-pass state: the previous wave packed at chunk_bits per
-     * wire, and whether every wire has transmitted at least once (a
-     * complete block primes all wires, so one flag replaces the
-     * per-wire valid bits). Exactly one of the byte/word wire-state
-     * representations is fresh at a time; the observe paths convert
-     * on entry when the other path ran last.
+     * The last chunk on every wire, packed as a wave is in the block
+     * (wire w's chunk at bit w * chunk_bits), and how many wires have
+     * carried a chunk. Every block starts at wire 0, so the wires seen
+     * so far are always a prefix and one count holds their validity.
      */
-    std::vector<std::uint64_t> _prev_words;
-    bool _primed = false;
-    bool _words_fresh = false;
+    BitVec _prev;
+    unsigned _valid_wires = 0;
 };
 
 } // namespace desc::core

@@ -60,16 +60,23 @@ struct DescConfig
         return (std::uint64_t{1} << chunk_bits) - 1;
     }
 
-    void
+    /**
+     * Abort on a layout no DESC model can carry, else return this
+     * config (constructors validate before sizing members from it).
+     * The width checks come first: the derived quantities divide.
+     */
+    const DescConfig &
     validate() const
     {
         DESC_ASSERT(chunk_bits >= 1 && chunk_bits <= 8,
                     "chunk size must be 1..8 bits: ", chunk_bits);
+        DESC_ASSERT(bus_wires >= 1, "bus needs at least one wire");
         DESC_ASSERT(block_bits % chunk_bits == 0,
                     "block bits not divisible by chunk bits");
         DESC_ASSERT(numChunks() % activeWires() == 0,
                     "chunks (", numChunks(), ") not divisible by wires (",
                     activeWires(), ")");
+        return *this;
     }
 };
 

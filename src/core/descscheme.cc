@@ -5,34 +5,45 @@
 
 #include "common/contract.hh"
 #include "common/swar.hh"
-#include "core/chunk.hh"
 #include "core/timing.hh"
 
 namespace desc::core {
 
+struct DescScheme::WaveScan
+{
+    Cycle window = 0;
+    unsigned skipped = 0;
+};
+
 namespace {
 
-/** Occupancy window and driven-chunk count of one scanned wave. */
-struct WaveScan
-{
-    std::uint64_t maxv = 0;
-    unsigned sent = 0;
-};
+using WaveScan = DescScheme::WaveScan;
 
 /** Zero-skip wave: a chunk is driven iff non-zero, at cost v. */
 template <unsigned B>
 WaveScan
-scanZeroWave(const std::uint64_t *cur, unsigned wpw)
+zeroWave(const std::uint64_t *cur, const std::uint64_t *, unsigned wpw,
+         unsigned wires)
 {
-    WaveScan r;
+    std::uint64_t maxv = 0;
+    unsigned sent = 0;
     for (unsigned j = 0; j < wpw; j++) {
         const std::uint64_t x = cur[j];
         if (!x)
             continue;
-        r.sent += swar::nonzeroChunks<B>(x);
-        r.maxv = std::max(r.maxv, swar::maxChunk<B>(x));
+        sent += swar::nonzeroChunks<B>(x);
+        maxv = std::max(maxv, swar::maxChunk<B>(x));
     }
-    return r;
+    return {Cycle(maxv), wires - sent};
+}
+
+/** Basic mode, single wave: every chunk is driven, at cost v + 1. */
+template <unsigned B>
+WaveScan
+basicWave(const std::uint64_t *cur, const std::uint64_t *prev,
+          unsigned wpw, unsigned wires)
+{
+    return {zeroWave<B>(cur, prev, wpw, wires).window + 1, 0};
 }
 
 /**
@@ -44,69 +55,55 @@ scanZeroWave(const std::uint64_t *cur, unsigned wpw)
  */
 template <unsigned B>
 WaveScan
-scanLastWave(const std::uint64_t *cur, const std::uint64_t *prev,
-             unsigned wpw)
+lastValueWave(const std::uint64_t *cur, const std::uint64_t *prev,
+              unsigned wpw, unsigned wires)
 {
     constexpr std::uint64_t lane_ones = (std::uint64_t{1} << B) - 1;
-    WaveScan r;
+    std::uint64_t maxv = 0;
+    unsigned sent = 0;
     for (unsigned j = 0; j < wpw; j++) {
         const std::uint64_t d = cur[j] ^ prev[j];
         if (!d)
             continue;
         const std::uint64_t markers = swar::nonzeroChunkMarkers<B>(d);
-        r.sent += swar::popcount64(markers);
+        sent += swar::popcount64(markers);
         const std::uint64_t adj =
             cur[j] + swar::lessPerChunk<B>(cur[j], prev[j]);
-        r.maxv = std::max(r.maxv,
-                          swar::maxChunk<B>(adj & (markers * lane_ones)));
+        maxv = std::max(maxv,
+                        swar::maxChunk<B>(adj & (markers * lane_ones)));
     }
-    return r;
+    return {Cycle(maxv), wires - sent};
 }
 
-/** Basic mode, single wave: the slowest wire is the maximum chunk. */
-template <unsigned B>
-std::uint64_t
-maxOverWords(const std::uint64_t *cur, unsigned wpw)
-{
-    std::uint64_t maxv = 0;
-    for (unsigned j = 0; j < wpw; j++)
-        maxv = std::max(maxv, swar::maxChunk<B>(cur[j]));
-    return maxv;
-}
-
-using ScanZeroFn = WaveScan (*)(const std::uint64_t *, unsigned);
-using ScanLastFn = WaveScan (*)(const std::uint64_t *,
-                                const std::uint64_t *, unsigned);
-using MaxFn = std::uint64_t (*)(const std::uint64_t *, unsigned);
-
-/** Instantiations for each supported chunk width, indexed by log2. */
-constexpr ScanZeroFn kScanZero[4] = {scanZeroWave<1>, scanZeroWave<2>,
-                                     scanZeroWave<4>, scanZeroWave<8>};
-constexpr ScanLastFn kScanLast[4] = {scanLastWave<1>, scanLastWave<2>,
-                                     scanLastWave<4>, scanLastWave<8>};
-constexpr MaxFn kMaxWords[4] = {maxOverWords<1>, maxOverWords<2>,
-                                maxOverWords<4>, maxOverWords<8>};
-
-/** log2 of a supported chunk width (1, 2, 4, 8). */
-inline unsigned
-chunkLog2(unsigned b)
-{
-    return unsigned(std::countr_zero(b));
-}
+/** Instantiations per skip mode (None, Zero, LastValue) and chunk
+ *  width (1, 2, 4, 8, indexed by log2). */
+constexpr DescScheme::LaneFn kLanes[3][4] = {
+    {basicWave<1>, basicWave<2>, basicWave<4>, basicWave<8>},
+    {zeroWave<1>, zeroWave<2>, zeroWave<4>, zeroWave<8>},
+    {lastValueWave<1>, lastValueWave<2>, lastValueWave<4>,
+     lastValueWave<8>},
+};
 
 } // namespace
 
 DescScheme::DescScheme(const DescConfig &cfg)
-    : _cfg(cfg), _adaptive(cfg.activeWires(), cfg.chunk_bits)
+    : _cfg(cfg.validate()),
+      _adaptive(_cfg.activeWires(), _cfg.chunk_bits),
+      _last(_cfg.activeWires() * _cfg.chunk_bits)
 {
-    _cfg.validate();
-    _batched = batchedSupported()
-        && encoding::defaultEncoderMode() != encoding::EncoderMode::Scalar;
-    if (_batched) {
-        const unsigned wave_bits = _cfg.activeWires() * _cfg.chunk_bits;
-        _last_words.assign((wave_bits + 63) / 64, 0);
-    } else {
-        _last.assign(_cfg.activeWires(), 0);
+    // The SWAR lanes need chunks that pack a 64-bit word evenly and
+    // waves that are whole-word slices of the block (a single wave
+    // always starts at bit 0). The adaptive tracker updates per chunk
+    // in stream order, and basic mode sums each wire's time across
+    // waves: both take the scalar lane, as do all other layouts.
+    const unsigned waves = _cfg.numWaves();
+    const bool whole_words = waves == 1
+        || (_cfg.activeWires() * _cfg.chunk_bits) % 64 == 0;
+    if (_cfg.skip != SkipMode::Adaptive
+        && swar::supportedChunk(_cfg.chunk_bits) && whole_words
+        && (_cfg.skip != SkipMode::None || waves == 1)) {
+        _lane = kLanes[unsigned(_cfg.skip)]
+                      [std::countr_zero(_cfg.chunk_bits)];
     }
 }
 
@@ -126,185 +123,104 @@ DescScheme::name() const
     DESC_PANIC("bad skip mode");
 }
 
-bool
-DescScheme::batchedSupported() const
-{
-    // The SWAR pass needs chunks that pack a 64-bit word evenly and a
-    // wave layout where every wave is a whole-word slice of the block
-    // (a single wave always starts at bit 0, so only multi-wave
-    // configurations need the alignment). The adaptive tracker updates
-    // per chunk in stream order and stays on the reference loop; basic
-    // mode accumulates per-wire time across waves, which the word pass
-    // only reproduces for the single-wave layout.
-    if (_cfg.skip == SkipMode::Adaptive)
-        return false;
-    if (!swar::supportedChunk(_cfg.chunk_bits))
-        return false;
-    const unsigned waves = _cfg.numWaves();
-    if (waves > 1 && (_cfg.activeWires() * _cfg.chunk_bits) % 64 != 0)
-        return false;
-    if (_cfg.skip == SkipMode::None && waves > 1)
-        return false;
-    return true;
-}
-
 encoding::TransferResult
 DescScheme::transfer(const BitVec &block)
 {
     DESC_ASSERT(block.width() == _cfg.block_bits, "block width mismatch");
-    if (_batched)
-        return transferBatched(block);
-    return transferScalar(block);
-}
-
-encoding::TransferResult
-DescScheme::transferScalar(const BitVec &block)
-{
     encoding::TransferResult result;
 
+    // Value-skipped protocol: one chunk per wire per wave, and the
+    // pulse closing a wave is merged with the next wave's opening
+    // pulse. Basic mode sends one reset pulse, then every wire streams
+    // its queue back to back: the whole block is one window, closed
+    // by the slowest wire.
+    const bool basic = _cfg.skip == SkipMode::None;
+    const unsigned waves = basic ? 1 : _cfg.numWaves();
     const unsigned wires = _cfg.activeWires();
-    const unsigned waves = _cfg.numWaves();
+    const auto &words = block.words();
+    // Each wave is a whole-word slice on the SWAR lane; a single wave
+    // spans the entire block, whose padding bits read zero and so
+    // never produce spurious chunk activity.
+    const unsigned wpw = _cfg.numWaves() > 1
+        ? wires * _cfg.chunk_bits / 64
+        : unsigned(words.size());
+
+    Cycle cycles = 1; // opening pulse of wave 0
+    std::uint64_t reset_flips = 1;
+    for (unsigned g = 0; g < waves; g++) {
+        WaveScan scan;
+        if (_lane) {
+            // Last-value skip compares against the preceding word
+            // slice of this block, or the previous block's final wave
+            // for wave 0.
+            const std::uint64_t *cur = words.data() + std::size_t(g) * wpw;
+            scan = _lane(cur, g == 0 ? _last.words().data() : cur - wpw,
+                         wpw, wires);
+        } else {
+            scan = scanScalar(block, g);
+        }
+        result.skipped += scan.skipped;
+        // An all-skipped wave: the closing pulse one cycle later.
+        cycles += std::max<Cycle>(scan.window, 1);
+        if (g + 1 < waves)
+            reset_flips++; // merged close/open
+        else if (scan.skipped)
+            reset_flips++; // final closing pulse
+    }
+    if (_cfg.skip == SkipMode::LastValue) {
+        const unsigned wave_bits = _last.width();
+        _last.copyRange(block, _cfg.block_bits - wave_bits, wave_bits);
+    }
+    result.cycles = cycles;
+    result.data_flips = _cfg.numChunks() - result.skipped;
+    result.control_flips = reset_flips + cycles; // + sync strobe
+    return result;
+}
+
+DescScheme::WaveScan
+DescScheme::scanScalar(const BitVec &block, unsigned wave)
+{
+    const unsigned wires = _cfg.activeWires();
     const unsigned chunk_bits = _cfg.chunk_bits;
+    WaveScan scan;
 
     if (_cfg.skip == SkipMode::None) {
-        // One reset pulse, then every wire streams its queue back to
-        // back; the block completes when the slowest wire finishes.
-        // Walked wave-major so the chunks read sequentially; per-wire
-        // time accumulates in a reused scratch vector.
+        // Every wave at once, wave-major: per-wire time accumulates.
         _wire_time.assign(wires, 0);
         BitCursor cur(block);
-        for (unsigned g = 0; g < waves; g++) {
-            for (unsigned w = 0; w < wires; w++) {
-                std::uint64_t v = cur.next(chunk_bits);
-                _wire_time[w] += chunkCycles(v, false, 0);
-                _last[w] = std::uint8_t(v);
-            }
+        for (unsigned g = 0; g < _cfg.numWaves(); g++) {
+            for (unsigned w = 0; w < wires; w++)
+                _wire_time[w] += chunkCycles(cur.next(chunk_bits), false, 0);
         }
-        Cycle window = 0;
-        for (unsigned w = 0; w < wires; w++) {
-            if (_wire_time[w] > window)
-                window = _wire_time[w];
-        }
-        result.cycles = 1 + window;
-        result.data_flips = _cfg.numChunks();
-        // Reset pulse plus one sync-strobe transition per busy cycle.
-        result.control_flips = 1 + result.cycles;
-        return result;
+        scan.window = *std::max_element(_wire_time.begin(), _wire_time.end());
+        return scan;
     }
 
-    // Value-skipped protocol: one chunk per wire per wave; the pulse
-    // closing a wave is merged with the next wave's opening pulse.
-    // The (wave, wire) order reads the block's chunks sequentially.
-    BitCursor cur(block);
-    Cycle cycles = 1; // opening pulse of wave 0
-    std::uint64_t reset_flips = 1;
-    for (unsigned g = 0; g < waves; g++) {
-        unsigned window = 0;
-        bool any_skipped = false;
-        for (unsigned w = 0; w < wires; w++) {
-            std::uint64_t v = cur.next(chunk_bits);
-            std::uint64_t s = _cfg.skip == SkipMode::Zero
-                ? 0
-                : (_cfg.skip == SkipMode::Adaptive
-                       ? _adaptive.best(w)
-                       : _last[w]);
-            if (v == s) {
-                any_skipped = true;
-                result.skipped++;
-            } else {
-                result.data_flips++;
-                unsigned c = chunkCycles(v, true, s);
-                if (c > window)
-                    window = c;
-            }
-            _last[w] = std::uint8_t(v);
-            if (_cfg.skip == SkipMode::Adaptive)
-                _adaptive.update(w, std::uint8_t(v));
-        }
-        if (window == 0)
-            window = 1; // all-skipped wave: closing pulse one cycle later
-        cycles += window;
-        if (g + 1 < waves)
-            reset_flips++; // merged close/open
-        else if (any_skipped)
-            reset_flips++; // final closing pulse
+    const unsigned wave_bits = wires * chunk_bits;
+    BitCursor cur(block, wave * wave_bits);
+    BitCursor prev = wave == 0 ? BitCursor(_last)
+                               : BitCursor(block, (wave - 1) * wave_bits);
+    for (unsigned w = 0; w < wires; w++) {
+        const std::uint64_t v = cur.next(chunk_bits);
+        const std::uint64_t last = prev.next(chunk_bits);
+        const std::uint64_t s = _cfg.skip == SkipMode::Zero
+            ? 0
+            : (_cfg.skip == SkipMode::Adaptive ? _adaptive.best(w) : last);
+        if (v == s)
+            scan.skipped++;
+        else
+            scan.window = std::max<Cycle>(scan.window,
+                                          chunkCycles(v, true, s));
+        if (_cfg.skip == SkipMode::Adaptive)
+            _adaptive.update(w, std::uint8_t(v));
     }
-    result.cycles = cycles;
-    result.control_flips = reset_flips + cycles; // + sync strobe
-    return result;
-}
-
-encoding::TransferResult
-DescScheme::transferBatched(const BitVec &block)
-{
-    encoding::TransferResult result;
-
-    const unsigned lb = chunkLog2(_cfg.chunk_bits);
-    const unsigned wires = _cfg.activeWires();
-    const unsigned waves = _cfg.numWaves();
-    const auto &words = block.words();
-    // Each wave is a whole-word slice (batchedSupported); a single
-    // wave spans the entire block, padding bits beyond the width read
-    // zero and so never produce spurious chunk activity.
-    const unsigned wpw = waves > 1 ? wires * _cfg.chunk_bits / 64
-                                   : unsigned(words.size());
-
-    if (_cfg.skip == SkipMode::None) {
-        // Single wave: every wire carries exactly one chunk, so the
-        // slowest wire is simply the maximum chunk value (+1 cycle of
-        // per-chunk overhead). The per-wire last values are write-only
-        // in basic mode, so the pass skips maintaining them.
-        const std::uint64_t maxv = kMaxWords[lb](words.data(), wpw);
-        result.cycles = 1 + (Cycle(maxv) + 1);
-        result.data_flips = _cfg.numChunks();
-        result.control_flips = 1 + result.cycles;
-        return result;
-    }
-
-    const bool last_value = _cfg.skip == SkipMode::LastValue;
-
-    Cycle cycles = 1; // opening pulse of wave 0
-    std::uint64_t reset_flips = 1;
-    for (unsigned g = 0; g < waves; g++) {
-        const std::uint64_t *cur = words.data() + std::size_t(g) * wpw;
-        WaveScan scan;
-        if (last_value) {
-            // Skip value is the previous wave of the same stream: the
-            // preceding word slice of this block, or the tail of the
-            // previous block for wave 0.
-            const std::uint64_t *prev = g == 0
-                ? _last_words.data()
-                : cur - wpw;
-            scan = kScanLast[lb](cur, prev, wpw);
-        } else {
-            scan = kScanZero[lb](cur, wpw);
-        }
-        const unsigned sent = scan.sent;
-        result.data_flips += sent;
-        result.skipped += wires - sent;
-        Cycle window = Cycle(scan.maxv);
-        if (window == 0)
-            window = 1; // all-skipped wave: closing pulse one cycle later
-        cycles += window;
-        if (g + 1 < waves)
-            reset_flips++; // merged close/open
-        else if (sent < wires)
-            reset_flips++; // final closing pulse
-    }
-    if (last_value) {
-        std::copy_n(words.data() + std::size_t(waves - 1) * wpw, wpw,
-                    _last_words.begin());
-    }
-    result.cycles = cycles;
-    result.control_flips = reset_flips + cycles; // + sync strobe
-    return result;
+    return scan;
 }
 
 void
 DescScheme::reset()
 {
-    std::fill(_last.begin(), _last.end(), 0);
-    std::fill(_last_words.begin(), _last_words.end(), 0);
+    _last.clear();
     _adaptive.reset();
 }
 

@@ -36,28 +36,42 @@ class DescScheme : public encoding::TransferScheme
     const DescConfig &config() const { return _cfg; }
 
     /**
-     * True when transfer() takes the word-at-a-time batched pass
-     * rather than the scalar reference loop. Fixed at construction
-     * from defaultEncoderMode() and the layout.
+     * True when every wave is scanned in SWAR lanes (chunk widths 1,
+     * 2, 4 and 8 on whole-word waves, except adaptive skip and
+     * multi-wave basic mode); false when the scalar lane scans them.
+     * Fixed by the layout at construction.
      */
-    bool usesBatchedPath() const { return _batched; }
+    bool usesBatchedPath() const { return _lane != nullptr; }
 
-  private:
-    bool batchedSupported() const;
-    encoding::TransferResult transferScalar(const BitVec &block);
-    encoding::TransferResult transferBatched(const BitVec &block);
+    /** Window cost and skipped-chunk count of one scanned wave. */
+    struct WaveScan;
 
+    /**
+     * SWAR scan of one wave spanning @p wpw words at @p cur, against
+     * the previous wave at @p prev (last-value skip only), on a
+     * @p wires-wire bus.
+     */
+    using LaneFn = WaveScan (*)(const std::uint64_t *cur,
+                                const std::uint64_t *prev, unsigned wpw,
+                                unsigned wires);
+
+  protected:
+    // Shared with the scalar test oracle (tests/oracle), a subclass.
     DescConfig _cfg;
-    bool _batched = false;
     AdaptiveTracker _adaptive;
     std::vector<Cycle> _wire_time; //!< reused basic-mode scratch
 
-    // Per-wire last values, in the representation of the walk this
-    // instance runs (the other stays empty): one byte per wire for the
-    // scalar loop, or the packed final wave for the batched pass
-    // (chunk i at bit i*chunk_bits). None/Zero modes never read them.
-    std::vector<std::uint8_t> _last;
-    std::vector<std::uint64_t> _last_words;
+  private:
+    WaveScan scanScalar(const BitVec &block, unsigned wave);
+
+    LaneFn _lane = nullptr; //!< SWAR wave scan, or null: scalar lane
+
+    /**
+     * The previous wave, packed as in the block (wire w's chunk at bit
+     * w * chunk_bits): the last-value skip reference for wave 0 of the
+     * next block. Only last-value skip reads or writes it.
+     */
+    BitVec _last;
 };
 
 } // namespace desc::core

@@ -20,6 +20,10 @@ namespace desc::core {
 std::unique_ptr<encoding::TransferScheme>
 makeScheme(encoding::SchemeKind kind, const encoding::SchemeConfig &cfg);
 
+/** How the memory hierarchy builds its bank schemes: makeScheme, or
+ *  a test's substitute implementation of the same schemes. */
+using SchemeFactory = decltype(&makeScheme);
+
 /** All scheme kinds in the order of the paper's Figure 16 legend. */
 const encoding::SchemeKind *allSchemeKinds();
 

@@ -11,7 +11,7 @@
 namespace desc::core {
 
 DescReceiver::DescReceiver(const DescConfig &cfg)
-    : _cfg(cfg), _data_bank(cfg.activeWires()),
+    : _cfg(cfg.validate()), _data_bank(cfg.activeWires()),
       _toggles(cfg.activeWires()),
       _chunks(cfg.numChunks(), 0),
       _last(cfg.activeWires(), 0),
@@ -21,7 +21,6 @@ DescReceiver::DescReceiver(const DescConfig &cfg)
       _got(cfg.activeWires()),
       _skipv(cfg.activeWires(), 0)
 {
-    _cfg.validate();
 }
 
 std::uint8_t

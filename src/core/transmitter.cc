@@ -26,7 +26,7 @@ skipModeName(SkipMode mode)
 }
 
 DescTransmitter::DescTransmitter(const DescConfig &cfg)
-    : _cfg(cfg), _wires(cfg.activeWires()),
+    : _cfg(cfg.validate()), _wires(cfg.activeWires()),
       _last(cfg.activeWires(), 0),
       _adaptive(cfg.activeWires(), cfg.chunk_bits),
       _plane_words((cfg.activeWires() + 63) / 64),
@@ -35,7 +35,6 @@ DescTransmitter::DescTransmitter(const DescConfig &cfg)
       _wave_skipped_of(cfg.numWaves(), 0),
       _basic_cum(cfg.activeWires(), 0)
 {
-    _cfg.validate();
     // Upper bound on a block's cycles in either mode: the opening
     // pulse plus numWaves chunks of at most maxValue()+1 cycles each
     // on the slowest wire.

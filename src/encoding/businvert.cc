@@ -16,11 +16,10 @@ namespace {
 constexpr unsigned kSegsPerModeWord = 20;
 
 /**
- * Every B-bit segment of one field at once, taking the reference
- * loop's decisions (transferScalar). With pc = popcount(value ^ old),
- * inverting costs B - pc + !inv flips against pc + inv plainly (the
- * sparse skip-line term is common to both), so it wins iff
- * pc + inv > B/2. A zero segment skips when that is no dearer: always
+ * Every B-bit segment of one field at once. With pc = popcount(value
+ * ^ old), inverting costs B - pc + !inv flips against pc + inv
+ * plainly (the sparse skip-line term is common to both), so it wins
+ * iff pc + inv > B/2. A zero segment skips when that is no dearer: always
  * in the encoded mode; in the sparse mode unless its skip line would
  * rise while the wires already show zero with the invert line low
  * (free to send). All ones with the invert line high would be free
@@ -76,23 +75,25 @@ BusInvertScheme::BusInvertScheme(const SchemeConfig &cfg, Mode mode)
       _seg_bits(cfg.segment_bits), _mode(mode), _state(cfg.bus_wires),
       _inv_lines(cfg.bus_wires), _skip_lines(cfg.bus_wires)
 {
+    DESC_ASSERT(_wires > 0, "bus needs at least one wire");
     DESC_ASSERT(_seg_bits > 0 && _seg_bits <= 64,
                 "segment size must be 1..64 bits: ", _seg_bits);
     DESC_ASSERT(_wires % _seg_bits == 0,
                 "bus width ", _wires, " not divisible by segment ",
                 _seg_bits);
+    // The lane pass needs whole segments of >= 4 bits in every
+    // 64-wire field.
+    DESC_ASSERT(_seg_bits >= 4 && 64 % _seg_bits == 0,
+                "segment size must be 4, 8, 16, 32 or 64 bits: ", _seg_bits);
     _beats = (_block_bits + _wires - 1) / _wires;
     _num_segs = _wires / _seg_bits;
     _mode_state.assign((_num_segs + kSegsPerModeWord - 1) / kSegsPerModeWord,
                        0);
     _seg_modes.assign(_num_segs, SegMode::AsIs);
-    // The lane pass needs whole segments of >= 4 bits in every field.
     static constexpr LaneFn kLaneFns[] = {laneField<4>, laneField<8>,
                                           laneField<16>, laneField<32>,
                                           laneField<64>};
-    if (defaultEncoderMode() != EncoderMode::Scalar && _seg_bits >= 4
-        && 64 % _seg_bits == 0)
-        _lane_fn = kLaneFns[std::countr_zero(_seg_bits) - 2];
+    _lane_fn = kLaneFns[std::countr_zero(_seg_bits) - 2];
 }
 
 unsigned
@@ -123,15 +124,6 @@ BusInvertScheme::name() const
     DESC_PANIC("bad bus-invert mode");
 }
 
-TransferResult
-BusInvertScheme::transfer(const BitVec &block)
-{
-    DESC_ASSERT(block.width() == _block_bits, "block width mismatch");
-    if (usesBatchedPath())
-        return transferLanes(block);
-    return transferScalar(block);
-}
-
 void
 BusInvertScheme::chargeModeBus(TransferResult &result)
 {
@@ -149,9 +141,12 @@ BusInvertScheme::chargeModeBus(TransferResult &result)
 }
 
 TransferResult
-BusInvertScheme::transferLanes(const BitVec &block)
+BusInvertScheme::transfer(const BitVec &block)
 {
+    DESC_ASSERT(block.width() == _block_bits, "block width mismatch");
     TransferResult result;
+    // Encode/decode pipeline stage for the non-trivial codings
+    // (responsible for the ~1% execution-time overhead in Figure 20).
     result.cycles = _beats + (_mode == Mode::ZeroSkipEncoded ? 2 : 1);
     const bool encoded = _mode == Mode::ZeroSkipEncoded;
     auto &wires = _state.mutableWords();
@@ -183,73 +178,6 @@ BusInvertScheme::transferLanes(const BitVec &block)
             }
         }
         if (encoded)
-            chargeModeBus(result);
-    }
-    return result;
-}
-
-TransferResult
-BusInvertScheme::transferScalar(const BitVec &block)
-{
-    TransferResult result;
-    // Encode/decode pipeline stage for the non-trivial codings
-    // (responsible for the ~1% execution-time overhead in Figure 20).
-    result.cycles = _beats + (_mode == Mode::ZeroSkipEncoded ? 2 : 1);
-
-    const std::uint64_t seg_mask = _seg_bits == 64
-        ? ~std::uint64_t{0}
-        : ((std::uint64_t{1} << _seg_bits) - 1);
-    const bool skip_supported = _mode != Mode::Plain;
-    const bool sparse = _mode == Mode::ZeroSkipSparse;
-
-    for (unsigned beat = 0; beat < _beats; beat++) {
-        unsigned beat_base = beat * _wires;
-        for (unsigned s = 0; s < _num_segs; s++) {
-            const unsigned line = s * _seg_bits;
-            unsigned pos = beat_base + line;
-            std::uint64_t value = 0;
-            if (pos < _block_bits) {
-                unsigned avail = std::min(_seg_bits, _block_bits - pos);
-                value = block.fieldUnchecked(pos, avail);
-            }
-            std::uint64_t old = _state.fieldUnchecked(line, _seg_bits);
-            const bool inv = _inv_lines.bit(line);
-            const bool skip = sparse && _skip_lines.bit(line);
-
-            // Cost of each transmission mode, counting the control
-            // wires the mode would have to flip.
-            unsigned cost_plain = swar::popcount64(value ^ old) + inv + skip;
-            unsigned cost_inv = swar::popcount64((~value & seg_mask) ^ old)
-                + !inv + skip;
-            unsigned cost_skip = sparse && !skip ? 1 : 0;
-
-            SegMode chosen = SegMode::AsIs;
-            if (skip_supported && value == 0 &&
-                cost_skip <= std::min(cost_plain, cost_inv)) {
-                chosen = SegMode::Skip;
-            } else if (cost_inv < cost_plain) {
-                chosen = SegMode::Inverted;
-            }
-            _seg_modes[s] = chosen;
-
-            if (chosen == SegMode::Skip) {
-                // Data and invert wires hold; receiver substitutes 0.
-                result.skipped++;
-                result.control_flips += cost_skip;
-                if (sparse)
-                    _skip_lines.setBit(line, true);
-                continue;
-            }
-            const bool invert = chosen == SegMode::Inverted;
-            const std::uint64_t coded = invert ? ~value & seg_mask : value;
-            result.data_flips += swar::popcount64(coded ^ old);
-            _state.setFieldUnchecked(line, _seg_bits, coded);
-            result.control_flips += (inv != invert) + skip;
-            _inv_lines.setBit(line, invert);
-            _skip_lines.setBit(line, false);
-        }
-
-        if (_mode == Mode::ZeroSkipEncoded)
             chargeModeBus(result);
     }
     return result;

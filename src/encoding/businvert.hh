@@ -37,33 +37,17 @@ class BusInvertScheme : public TransferScheme
     const char *name() const override;
     void reset() override;
 
-    /** True when transfer() takes the word-at-a-time lane pass. */
-    bool usesBatchedPath() const { return _lane_fn != nullptr; }
-
     /** Line levels after the last transfer, for differential tests. */
     const BitVec &wireLevels() const { return _state; }
     const BitVec &invertLevels() const { return _inv_lines; }
     const BitVec &skipLevels() const { return _skip_lines; }
     const std::vector<std::uint32_t> &modeBus() const { return _mode_state; }
 
-  private:
+  protected:
+    // Shared with the scalar test oracle (tests/oracle), a subclass.
     /** Per-segment transmission decision for one beat. */
     enum class SegMode : std::uint8_t { AsIs = 0, Inverted = 1, Skip = 2 };
 
-    /**
-     * One field (up to 64 wires, @p field_mask) of a beat through the
-     * lane pass: updates the field's wire, invert and skip words and
-     * returns the lane-LSB marks of the segments it skipped.
-     */
-    using LaneFn = std::uint64_t (*)(std::uint64_t value,
-                                     std::uint64_t field_mask, Mode mode,
-                                     std::uint64_t &wires,
-                                     std::uint64_t &inv,
-                                     std::uint64_t &skip,
-                                     TransferResult &result);
-
-    TransferResult transferScalar(const BitVec &block);
-    TransferResult transferLanes(const BitVec &block);
     void chargeModeBus(TransferResult &result);
 
     unsigned _wires;
@@ -72,7 +56,6 @@ class BusInvertScheme : public TransferScheme
     unsigned _seg_bits;
     unsigned _num_segs;
     Mode _mode;
-    LaneFn _lane_fn = nullptr; //!< lane pass (encoder mode + width gate)
 
     /**
      * Wire state, one bit per wire: the data wire levels, and the
@@ -85,6 +68,21 @@ class BusInvertScheme : public TransferScheme
     BitVec _skip_lines;
     std::vector<std::uint32_t> _mode_state; //!< encoded mode bus words
     std::vector<SegMode> _seg_modes;  //!< reused per-beat scratch
+
+  private:
+    /**
+     * One field (up to 64 wires, @p field_mask) of a beat through the
+     * lane pass: updates the field's wire, invert and skip words and
+     * returns the lane-LSB marks of the segments it skipped.
+     */
+    using LaneFn = std::uint64_t (*)(std::uint64_t value,
+                                     std::uint64_t field_mask, Mode mode,
+                                     std::uint64_t &wires,
+                                     std::uint64_t &inv,
+                                     std::uint64_t &skip,
+                                     TransferResult &result);
+
+    LaneFn _lane_fn; //!< lane pass for this segment width
 };
 
 } // namespace desc::encoding

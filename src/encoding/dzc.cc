@@ -4,90 +4,29 @@
 #include <bit>
 
 #include "common/contract.hh"
-#include "common/log.hh"
 #include "common/swar.hh"
 
 namespace desc::encoding {
 
-DynamicZeroScheme::DynamicZeroScheme(const SchemeConfig &cfg)
-    : _wires(cfg.bus_wires), _block_bits(cfg.block_bits),
-      _seg_bits(cfg.segment_bits), _state(cfg.bus_wires),
-      _zero_lines(cfg.bus_wires)
-{
-    DESC_ASSERT(_seg_bits > 0 && _seg_bits <= 64,
-                "segment size must be 1..64 bits: ", _seg_bits);
-    DESC_ASSERT(_wires % _seg_bits == 0,
-                "bus width not divisible by segment size");
-    _beats = (_block_bits + _wires - 1) / _wires;
-    _num_segs = _wires / _seg_bits;
-    // The word pass needs whole words of segments per beat: power-of-
-    // two segments and a beat width that is a multiple of 64 bits.
-    _batched = defaultEncoderMode() != EncoderMode::Scalar
-        && std::has_single_bit(_seg_bits) && _wires % 64 == 0;
-}
-
-TransferResult
-DynamicZeroScheme::transfer(const BitVec &block)
-{
-    DESC_ASSERT(block.width() == _block_bits, "block width mismatch");
-    if (_batched)
-        return transferBatched(block);
-    return transferScalar(block);
-}
-
-TransferResult
-DynamicZeroScheme::transferScalar(const BitVec &block)
-{
-    TransferResult result;
-    result.cycles = _beats + 1; // zero-detect pipeline stage
-
-    for (unsigned beat = 0; beat < _beats; beat++) {
-        unsigned beat_base = beat * _wires;
-        for (unsigned s = 0; s < _num_segs; s++) {
-            const unsigned line = s * _seg_bits;
-            unsigned pos = beat_base + line;
-            std::uint64_t value = 0;
-            if (pos < _block_bits) {
-                unsigned avail = std::min(_seg_bits, _block_bits - pos);
-                value = block.fieldUnchecked(pos, avail);
-            }
-
-            // The indicator follows the segment's zero-ness; a zero
-            // segment's data wires hold.
-            const bool zero = value == 0;
-            result.control_flips += _zero_lines.bit(line) != zero;
-            _zero_lines.setBit(line, zero);
-            if (zero) {
-                result.skipped++;
-                continue;
-            }
-            std::uint64_t old = _state.fieldUnchecked(line, _seg_bits);
-            result.data_flips += swar::popcount64(value ^ old);
-            _state.setFieldUnchecked(line, _seg_bits, value);
-        }
-    }
-    return result;
-}
-
 namespace {
 
 /**
- * One 64-bit word of one beat: count indicator transitions, skipped
- * (zero) segments, and data flips on the non-zero segments, holding
- * zero segments' wires at their previous levels. Padding segments
- * past the block read zero, exactly as the scalar loop treats them.
+ * One field (up to 64 wires, @p field_mask) of one beat: count
+ * indicator transitions, skipped (zero) segments, and data flips on
+ * the non-zero segments, holding zero segments' wires at their
+ * previous levels. Segments past the block read zero.
  */
 template <unsigned SB>
-inline void
-dzcWord(std::uint64_t x, std::uint64_t &state, std::uint64_t &zero_marks,
-        TransferResult &result)
+void
+dzcField(std::uint64_t x, std::uint64_t field_mask, std::uint64_t &state,
+         std::uint64_t &zero_marks, TransferResult &result)
 {
     constexpr std::uint64_t lsb = swar::laneLsbMask(SB);
     constexpr std::uint64_t seg_ones = SB == 64
         ? ~std::uint64_t{0}
         : (std::uint64_t{1} << SB) - 1;
     const std::uint64_t nz = swar::nonzeroChunkMarkers<SB>(x);
-    const std::uint64_t zero = lsb & ~nz;
+    const std::uint64_t zero = lsb & field_mask & ~nz;
     // One indicator per segment: a flip whenever its level changes.
     result.control_flips += swar::popcount64(zero ^ zero_marks);
     zero_marks = zero;
@@ -98,35 +37,53 @@ dzcWord(std::uint64_t x, std::uint64_t &state, std::uint64_t &zero_marks,
     state = (state & ~drive) | (x & drive);
 }
 
-using DzcWordFn = void (*)(std::uint64_t, std::uint64_t &, std::uint64_t &,
-                           TransferResult &);
-
-constexpr DzcWordFn kDzcWord[7] = {dzcWord<1>,  dzcWord<2>,  dzcWord<4>,
-                                   dzcWord<8>,  dzcWord<16>, dzcWord<32>,
-                                   dzcWord<64>};
-
 } // namespace
 
-TransferResult
-DynamicZeroScheme::transferBatched(const BitVec &block)
+DynamicZeroScheme::DynamicZeroScheme(const SchemeConfig &cfg)
+    : _wires(cfg.bus_wires), _block_bits(cfg.block_bits),
+      _seg_bits(cfg.segment_bits), _state(cfg.bus_wires),
+      _zero_lines(cfg.bus_wires)
 {
+    DESC_ASSERT(_wires > 0, "bus needs at least one wire");
+    DESC_ASSERT(_seg_bits > 0 && _seg_bits <= 64,
+                "segment size must be 1..64 bits: ", _seg_bits);
+    DESC_ASSERT(_wires % _seg_bits == 0,
+                "bus width not divisible by segment size");
+    // Power-of-two segments tile every 64-wire field.
+    DESC_ASSERT(std::has_single_bit(_seg_bits),
+                "segment size must be a power of two: ", _seg_bits);
+    _beats = (_block_bits + _wires - 1) / _wires;
+    _num_segs = _wires / _seg_bits;
+    static constexpr FieldFn kFieldFns[7] = {
+        dzcField<1>,  dzcField<2>,  dzcField<4>, dzcField<8>,
+        dzcField<16>, dzcField<32>, dzcField<64>};
+    _field_fn = kFieldFns[std::countr_zero(_seg_bits)];
+}
+
+TransferResult
+DynamicZeroScheme::transfer(const BitVec &block)
+{
+    DESC_ASSERT(block.width() == _block_bits, "block width mismatch");
     TransferResult result;
     result.cycles = _beats + 1; // zero-detect pipeline stage
 
-    const unsigned fn = unsigned(std::countr_zero(_seg_bits));
-    const DzcWordFn word_fn = kDzcWord[fn];
-    const auto &words = block.words();
     auto &state = _state.mutableWords();
     auto &zero_marks = _zero_lines.mutableWords();
-    const unsigned wpb = _wires / 64; // words per beat
     for (unsigned beat = 0; beat < _beats; beat++) {
-        const std::size_t base = std::size_t(beat) * wpb;
-        for (unsigned j = 0; j < wpb; j++) {
-            // Beats can run past the block's storage when the bus is
-            // wider than the remainder; those segments read zero.
-            const std::size_t idx = base + j;
-            const std::uint64_t x = idx < words.size() ? words[idx] : 0;
-            word_fn(x, state[j], zero_marks[j], result);
+        // Each beat in 64-wire fields, as BinaryScheme walks it; a
+        // power-of-two segment never straddles two fields.
+        for (unsigned off = 0; off < _wires; off += 64) {
+            const unsigned len = std::min(64u, _wires - off);
+            const unsigned pos = beat * _wires + off;
+            std::uint64_t value = 0;
+            if (pos < _block_bits)
+                value = block.fieldUnchecked(pos,
+                                             std::min(len, _block_bits - pos));
+            const std::uint64_t field_mask = len == 64
+                ? ~std::uint64_t{0}
+                : (std::uint64_t{1} << len) - 1;
+            const unsigned f = off / 64;
+            _field_fn(value, field_mask, state[f], zero_marks[f], result);
         }
     }
     return result;

@@ -26,32 +26,42 @@ class DynamicZeroScheme : public TransferScheme
     const char *name() const override { return "Dynamic Zero Compression"; }
     void reset() override;
 
-    /** True when transfer() takes the word-at-a-time batched pass. */
-    bool usesBatchedPath() const { return _batched; }
+    /** Always true (every layout takes the word pass), for the
+     *  traced benchmark's batched share. */
+    bool usesBatchedPath() const { return true; }
 
     /** Line levels after the last transfer, for differential tests. */
     const BitVec &wireLevels() const { return _state; }
     const BitVec &zeroLevels() const { return _zero_lines; }
 
-  private:
-    TransferResult transferScalar(const BitVec &block);
-    TransferResult transferBatched(const BitVec &block);
-
+  protected:
+    // Shared with the scalar test oracle (tests/oracle), a subclass.
     unsigned _wires;
     unsigned _block_bits;
     unsigned _beats;
     unsigned _seg_bits;
     unsigned _num_segs;
-    bool _batched; //!< word pass (latched encoder mode + layout gate)
 
     /**
      * Data wire levels, and the zero-indicator levels with segment
      * s's indicator at bit s * segment_bits: the marker layout the
-     * SWAR fold produces, so a beat's indicator transitions in the
-     * word pass are one XOR + popcount per word of each vector.
+     * SWAR fold produces, so a field's indicator transitions are one
+     * XOR + popcount per word of each vector.
      */
     BitVec _state;
     BitVec _zero_lines;
+
+  private:
+    /**
+     * One field (up to 64 wires) of a beat, segment width fixed per
+     * instantiation: updates the field's wire and indicator words.
+     */
+    using FieldFn = void (*)(std::uint64_t value, std::uint64_t field_mask,
+                             std::uint64_t &wires,
+                             std::uint64_t &zero_marks,
+                             TransferResult &result);
+
+    FieldFn _field_fn;
 };
 
 } // namespace desc::encoding

@@ -4,24 +4,6 @@
 
 namespace desc::encoding {
 
-namespace {
-
-std::optional<EncoderMode> g_encoder_mode_override;
-
-} // namespace
-
-void
-setDefaultEncoderMode(std::optional<EncoderMode> mode)
-{
-    g_encoder_mode_override = mode;
-}
-
-EncoderMode
-defaultEncoderMode()
-{
-    return g_encoder_mode_override.value_or(EncoderMode::Auto);
-}
-
 const char *
 schemeName(SchemeKind kind)
 {

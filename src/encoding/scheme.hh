@@ -18,40 +18,12 @@
 #define DESC_ENCODING_SCHEME_HH
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "common/bitvec.hh"
 #include "common/types.hh"
 
 namespace desc::encoding {
-
-/**
- * How a TransferScheme walks a block: the chunk-at-a-time scalar
- * reference loops, or the word-at-a-time batched passes (SWAR chunk
- * and lane math). Both produce bit-identical TransferResults and wire
- * state — the differential suites enforce it — so Auto simply takes
- * the batched pass wherever the layout supports one and falls back to
- * scalar elsewhere (odd chunk widths, adaptive skip tracking,
- * unaligned waves).
- */
-enum class EncoderMode {
-    Auto,   //!< batched where the layout supports it (default)
-    Scalar, //!< force the chunk-at-a-time reference loops
-};
-
-/**
- * Process-wide default encoder mode: Auto unless overridden by
- * setDefaultEncoderMode(). Schemes latch it at construction.
- */
-EncoderMode defaultEncoderMode();
-
-/**
- * Override defaultEncoderMode() (nullopt restores Auto). The test and
- * benchmark seam for pinning the scalar references, including in
- * schemes built indirectly, e.g. through the cache hierarchy.
- */
-void setDefaultEncoderMode(std::optional<EncoderMode> mode);
 
 /** Every data-exchange technique evaluated in the paper (Figure 16). */
 enum class SchemeKind {

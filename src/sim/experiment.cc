@@ -129,7 +129,7 @@ shortSchemeName(SchemeKind kind)
       case SchemeKind::DescLastValueSkip:
         return "LVS-DESC";
     }
-    return "?";
+    DESC_PANIC("bad scheme enum");
 }
 
 } // namespace desc::sim

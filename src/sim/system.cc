@@ -96,7 +96,7 @@ prefillWalk(cache::MemHierarchy &mem, const SystemConfig &cfg)
 }
 
 SimResult
-runSystem(const SystemConfig &cfg)
+runSystem(const SystemConfig &cfg, core::SchemeFactory make_scheme)
 {
     EventQueue eq;
     workloads::ValueBackingStore backing(cfg.app, cfg.seed);
@@ -104,7 +104,7 @@ runSystem(const SystemConfig &cfg)
 
     unsigned num_cores = cfg.cpu == CpuKind::OutOfOrder ? 1 : cfg.cores;
     cache::MemHierarchy mem(eq, cfg.l2, backing, num_cores, cfg.l1,
-                            cfg.dram);
+                            cfg.dram, make_scheme);
 
     // Functional warmup: the timed region is a short sample of a much
     // longer execution, so the L2 must start with steady-state

@@ -55,8 +55,10 @@ struct SimResult
     }
 };
 
-/** Build, run to completion, and harvest one simulation. */
-SimResult runSystem(const SystemConfig &cfg);
+/** Build, run to completion, and harvest one simulation. The L2 bank
+ *  schemes come from @p make_scheme: a test seam, not configuration. */
+SimResult runSystem(const SystemConfig &cfg,
+                    core::SchemeFactory make_scheme = core::makeScheme);
 
 /**
  * The functional warmup runSystem() walks on a fresh hierarchy when

@@ -3,7 +3,8 @@
  * Shared pieces of the DESC equivalence suites: the (wires, chunk
  * bits, skip mode) parameter, the DescEquivalence fixture, a
  * traffic-like block generator, the lockstep check of the fast model
- * (DescScheme) against the ticked link, and the case-name printer.
+ * (DescScheme) and its scalar oracle against the ticked link, and the
+ * case-name printer.
  * Two test binaries instantiate the fixture over different config
  * sets: tests_core over all 80 configs (test_equivalence.cc) and
  * tests_core_adaptive over the 20 adaptive-skip ones
@@ -22,6 +23,7 @@
 #include "common/rng.hh"
 #include "core/descscheme.hh"
 #include "core/link.hh"
+#include "oracle/oracle.hh"
 
 /** (wires, chunk_bits, skip mode) */
 using EquivalenceParam = std::tuple<unsigned, unsigned, desc::core::SkipMode>;
@@ -65,24 +67,23 @@ biasedBlock(desc::Rng &rng, const desc::BitVec &prev, unsigned chunk_bits,
 
 /**
  * Move @p block over the ticked @p link and through each of
- * @p schemes, and require what the fast model and the reference engine
- * must share: identical TransferResults, the block recovered intact,
+ * @p schemes (DescScheme kernels and oracle::DescScalar walks), and
+ * require what every DESC model and the reference engine must share: identical TransferResults, the block recovered intact,
  * and the two link endpoints in step (last-value tables, adaptive
  * counters). Fatal failures return from here only; wrap calls in
  * ASSERT_NO_FATAL_FAILURE.
  */
 inline void
 expectSchemesMatchLink(
-    std::initializer_list<desc::core::DescScheme *> schemes,
+    std::initializer_list<desc::encoding::TransferScheme *> schemes,
     desc::core::DescLink &link, const desc::BitVec &block, int block_no)
 {
     desc::BitVec recv;
     const auto hw = link.transferBlock(block, &recv);
     ASSERT_EQ(recv, block) << "round-trip corruption at block " << block_no;
-    for (desc::core::DescScheme *scheme : schemes) {
+    for (desc::encoding::TransferScheme *scheme : schemes) {
         const auto model = scheme->transfer(block);
-        SCOPED_TRACE(scheme->usesBatchedPath() ? "batched walk"
-                                               : "scalar walk");
+        SCOPED_TRACE(scheme->name());
         ASSERT_EQ(model.cycles, hw.cycles) << "block " << block_no;
         ASSERT_EQ(model.data_flips, hw.data_flips) << "block " << block_no;
         ASSERT_EQ(model.control_flips, hw.control_flips)

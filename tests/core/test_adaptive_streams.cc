@@ -20,13 +20,15 @@ TEST_P(DescEquivalence, AdaptiveCountersSurviveLongStreams)
 {
     // The adaptive skip value is pure history: transmitter and
     // receiver counters must track each other — and the fast model
-    // must track the ticked link — across a long run of consecutive
-    // blocks, because one divergent count eventually flips a
-    // best-value decision and corrupts every later transfer.
+    // and its scalar oracle must track the ticked link — across a
+    // long run of consecutive blocks, because one divergent count
+    // eventually flips a best-value decision and corrupts every later
+    // transfer.
     DescConfig cfg = config();
 
     DescLink link(cfg);
     DescScheme scheme(cfg);
+    oracle::DescScalar ref(cfg);
     Rng rng(0xadab + cfg.bus_wires * 3 + cfg.chunk_bits);
 
     BitVec prev(kBlockBits);
@@ -39,7 +41,7 @@ TEST_P(DescEquivalence, AdaptiveCountersSurviveLongStreams)
                                    repeat_p);
         prev = block;
         ASSERT_NO_FATAL_FAILURE(
-            expectSchemesMatchLink({&scheme}, link, block, i));
+            expectSchemesMatchLink({&scheme, &ref}, link, block, i));
     }
 }
 

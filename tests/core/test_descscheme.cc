@@ -9,6 +9,7 @@
 #include "core/chunk.hh"
 #include "core/descscheme.hh"
 #include "core/factory.hh"
+#include "core/link.hh"
 
 using namespace desc;
 using namespace desc::core;
@@ -172,4 +173,21 @@ TEST(DescScheme, OneBitChunksWork)
     auto r = s.transfer(block);
     EXPECT_EQ(r.data_flips, block.popcount());
     EXPECT_EQ(r.skipped, 512u - block.popcount());
+}
+
+TEST(DescSchemeDeath, ZeroWidthsFailLoudly)
+{
+    // Every derived quantity divides by the chunk and wire counts, so
+    // a zero must trip the config check before any member sizes
+    // itself (it used to die of SIGFPE instead).
+    EXPECT_DEATH(DescScheme(makeCfg(128, 0, SkipMode::Zero)),
+                 "chunk size must be 1..8 bits");
+    EXPECT_DEATH(DescScheme(makeCfg(0, 4, SkipMode::Zero)),
+                 "at least one wire");
+    EXPECT_DEATH(DescLink(makeCfg(128, 0, SkipMode::LastValue)),
+                 "chunk size must be 1..8 bits");
+    EXPECT_DEATH(DescLink(makeCfg(0, 4, SkipMode::LastValue)),
+                 "at least one wire");
+    EXPECT_DEATH(DescReceiver(makeCfg(0, 4, SkipMode::None)),
+                 "at least one wire");
 }

@@ -4,12 +4,12 @@
  *
  * DescScheme is the closed form every simulated L2 transfer is charged
  * through; DescLink ticks the transmitter/receiver pair cycle by
- * cycle. Fed the same block stream, both DescScheme walks (the batched
- * pass and the scalar reference loop) must agree bit-exactly with the
- * link on every TransferResult field, while the link recovers every
- * block and keeps its endpoints' last-value tables and adaptive
- * counters in step — across a mid-stream reset() and on the ECC bus
- * layouts too. The LinkFastPathSelect cases pin what only the ticked
+ * cycle. Fed the same block stream, DescScheme and its scalar oracle
+ * (oracle::DescScalar) must agree bit-exactly with the link on every
+ * TransferResult field, while the link recovers every block and keeps
+ * its endpoints' last-value tables and adaptive counters in step —
+ * across a mid-stream reset(), on the ECC bus layouts and on odd chunk
+ * widths too. The LinkFastPathSelect cases pin what only the ticked
  * engine offers: per-cycle hooks, the link trace channel, and an
  * optional received block.
  */
@@ -29,16 +29,6 @@ using namespace desc::core;
 
 namespace {
 
-/** A DescScheme pinned to the given walk. */
-DescScheme
-pinnedScheme(const DescConfig &cfg, encoding::EncoderMode mode)
-{
-    encoding::setDefaultEncoderMode(mode);
-    DescScheme scheme(cfg);
-    encoding::setDefaultEncoderMode(std::nullopt);
-    return scheme;
-}
-
 void
 expectSameResult(const encoding::TransferResult &a,
                  const encoding::TransferResult &b, int block_no)
@@ -55,28 +45,32 @@ class LinkFastPath : public DescEquivalence
 {
   protected:
     LinkFastPath()
-        : link(config()),
-          batched(pinnedScheme(config(), encoding::EncoderMode::Auto)),
-          scalar(pinnedScheme(config(), encoding::EncoderMode::Scalar))
+        : link(config()), kernel(config()), ref(config())
     {
     }
 
-    /** One block through the link and both walks, in lockstep. */
+    /** One block through the link, the kernel and the oracle. */
     void
     step(const BitVec &block, int block_no)
     {
-        expectSchemesMatchLink({&batched, &scalar}, link, block, block_no);
+        expectSchemesMatchLink({&kernel, &ref}, link, block, block_no);
     }
 
     DescLink link;
-    DescScheme batched;
-    DescScheme scalar;
+    DescScheme kernel;
+    oracle::DescScalar ref;
 };
 
 TEST_P(LinkFastPath, BitIdenticalToTickedLoop)
 {
     const DescConfig cfg = config();
-    EXPECT_FALSE(scalar.usesBatchedPath());
+    // SWAR lanes on whole-word waves; the scalar lane for adaptive
+    // skip, multi-wave basic mode and waves of under 64 bits.
+    const bool whole_words = cfg.numWaves() == 1
+        || cfg.activeWires() * cfg.chunk_bits % 64 == 0;
+    EXPECT_EQ(kernel.usesBatchedPath(),
+              cfg.skip != SkipMode::Adaptive && whole_words
+                  && (cfg.skip != SkipMode::None || cfg.numWaves() == 1));
     Rng rng(0xfa57 + cfg.bus_wires * 131 + cfg.chunk_bits * 7
             + unsigned(cfg.skip));
 
@@ -113,7 +107,7 @@ TEST_P(LinkFastPath, ExtremeBlocks)
 
 TEST_P(LinkFastPath, InterleavedPathsMatchPureTicked)
 {
-    // reset() must return the link endpoints and both walks to the
+    // reset() must return the link endpoints and both models to the
     // state of a fresh instance: after a mid-stream reset they keep
     // agreeing with each other and with a scheme built at that point.
     const DescConfig cfg = config();
@@ -126,13 +120,13 @@ TEST_P(LinkFastPath, InterleavedPathsMatchPureTicked)
         prev = block;
         if (i == 30) {
             link.reset();
-            batched.reset();
-            scalar.reset();
+            kernel.reset();
+            ref.reset();
             fresh.emplace(cfg);
         }
         if (fresh) {
             ASSERT_NO_FATAL_FAILURE(expectSchemesMatchLink(
-                {&batched, &scalar, &*fresh}, link, block, i));
+                {&kernel, &ref, &*fresh}, link, block, i));
         } else {
             ASSERT_NO_FATAL_FAILURE(step(block, i));
         }
@@ -156,7 +150,7 @@ TEST(LinkFastPathEcc, EccLayoutsMatchTicked)
     // and block widths. Each layout is a single wave: 548 bits for
     // (137,128), ending in a partial 64-bit word, and 576 bits, exactly
     // nine words, for (72,64). Codec-encoded words stream through the
-    // batched pass, the scalar loop and the ticked link block by block.
+    // kernel's SWAR lane, the oracle and the ticked link block by block.
     for (unsigned seg_bits : {128u, 64u}) {
         for (SkipMode skip : {SkipMode::Zero, SkipMode::LastValue}) {
             ecc::BlockCodec codec(kBlockBits, seg_bits);
@@ -172,11 +166,9 @@ TEST(LinkFastPathEcc, EccLayoutsMatchTicked)
                          + skipModeName(skip));
 
             DescLink link(cfg);
-            DescScheme batched =
-                pinnedScheme(cfg, encoding::EncoderMode::Auto);
-            DescScheme scalar =
-                pinnedScheme(cfg, encoding::EncoderMode::Scalar);
-            ASSERT_TRUE(batched.usesBatchedPath());
+            DescScheme kernel(cfg);
+            oracle::DescScalar ref(cfg);
+            ASSERT_TRUE(kernel.usesBatchedPath());
             Rng rng(0xecc0 + seg_bits + unsigned(skip));
 
             BitVec prev(kBlockBits);
@@ -186,7 +178,47 @@ TEST(LinkFastPathEcc, EccLayoutsMatchTicked)
                 prev = payload;
                 codec.encodeInto(payload, bus);
                 ASSERT_NO_FATAL_FAILURE(expectSchemesMatchLink(
-                    {&batched, &scalar}, link, bus, i));
+                    {&kernel, &ref}, link, bus, i));
+            }
+        }
+    }
+}
+
+TEST(LinkFastPathOdd, OddChunkWidthsMatchTicked)
+{
+    // Chunk widths that do not pack a 64-bit word, on block widths
+    // they divide, in one- and multi-wave layouts: the kernel's scalar
+    // lane for every skip mode.
+    struct Layout
+    {
+        unsigned chunk_bits, block_bits, wires;
+    };
+    const Layout layouts[] = {{3, 576, 192}, {3, 576, 64}, {5, 560, 16},
+                              {6, 576, 32},  {7, 560, 80}};
+    for (const Layout &l : layouts) {
+        for (SkipMode skip : {SkipMode::None, SkipMode::Zero,
+                              SkipMode::LastValue, SkipMode::Adaptive}) {
+            DescConfig cfg;
+            cfg.chunk_bits = l.chunk_bits;
+            cfg.block_bits = l.block_bits;
+            cfg.bus_wires = l.wires;
+            cfg.skip = skip;
+            SCOPED_TRACE("c" + std::to_string(l.chunk_bits) + " w"
+                         + std::to_string(l.wires) + " "
+                         + skipModeName(skip));
+
+            DescLink link(cfg);
+            DescScheme kernel(cfg);
+            oracle::DescScalar ref(cfg);
+            ASSERT_FALSE(kernel.usesBatchedPath());
+            Rng rng(0x0dd0 + l.chunk_bits * 31 + l.wires + unsigned(skip));
+            BitVec prev(cfg.block_bits);
+            for (int i = 0; i < 30; i++) {
+                BitVec block =
+                    biasedBlock(rng, prev, cfg.chunk_bits, 0.4, 0.3);
+                prev = block;
+                ASSERT_NO_FATAL_FAILURE(expectSchemesMatchLink(
+                    {&kernel, &ref}, link, block, i));
             }
         }
     }

@@ -156,3 +156,13 @@ TEST(BusInvertDeath, RejectsIndivisibleSegments)
     EXPECT_DEATH(BusInvertScheme(cfg(64, 24), Mode::Plain),
                  "not divisible");
 }
+
+TEST(BusInvertDeath, RejectsSegmentsWithoutALanePass)
+{
+    EXPECT_DEATH(BusInvertScheme(cfg(0, 8), Mode::Plain),
+                 "at least one wire");
+    EXPECT_DEATH(BusInvertScheme(cfg(64, 2), Mode::ZeroSkipSparse),
+                 "segment size must be 4, 8, 16, 32 or 64");
+    EXPECT_DEATH(BusInvertScheme(cfg(48, 24), Mode::Plain),
+                 "segment size must be 4, 8, 16, 32 or 64");
+}

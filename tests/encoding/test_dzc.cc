@@ -105,3 +105,10 @@ TEST(Dzc, RandomStreamFlipsNeverExceedBinaryPlusIndicators)
         EXPECT_LE(r.totalFlips(), kBlockBits + 64 + 64);
     }
 }
+
+TEST(DzcDeath, RejectsLayoutsWithoutAWordPass)
+{
+    EXPECT_DEATH(DynamicZeroScheme(cfg(0, 8)), "at least one wire");
+    EXPECT_DEATH(DynamicZeroScheme(cfg(48, 12)), "power of two");
+    EXPECT_DEATH(DynamicZeroScheme(cfg(64, 24)), "not divisible");
+}

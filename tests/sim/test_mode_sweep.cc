@@ -1,13 +1,15 @@
 /**
  * @file
- * Full-system differential sweep over the encoder walks.
+ * Full-system differential sweep of the transfer kernels against
+ * their scalar oracles.
  *
- * The word-at-a-time batched encoders claim bit-identical results to
- * their scalar reference loops. This suite pins that claim end to end:
- * randomized system configurations run with the default (Auto) walk
+ * The word-parallel kernels claim bit-identical results to the scalar
+ * walks of oracle/oracle.hh. This suite pins that claim end to end:
+ * randomized system configurations run on the production schemes
  * must produce identical SimResults, byte-identical stats sidecars,
  * and byte-identical run-cache entries to the same configurations run
- * with every encoder forced Scalar. A link-level case additionally
+ * with every L2 bank scheme built by oracle::makeScheme. A link-level
+ * case additionally
  * streams enough blocks through an adaptive-skip DescScheme and the
  * ticked DescLink to expose any tracker drift between the fast model
  * and the reference engine.
@@ -17,7 +19,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <unistd.h>
 #include <vector>
@@ -25,7 +26,8 @@
 #include "common/rng.hh"
 #include "core/descscheme.hh"
 #include "core/link.hh"
-#include "encoding/scheme.hh"
+#include "oracle/oracle.hh"
+#include "sim/energy_account.hh"
 #include "sim/runcache.hh"
 #include "sim/statdump.hh"
 #include "sim/system.hh"
@@ -35,16 +37,16 @@ using namespace desc::sim;
 
 namespace {
 
-/** Pin every encoder to its scalar reference loop for the scope. */
-struct ScalarEncoders
+/** runScaledApp with the L2 bank schemes built by @p make_scheme. */
+AppRun
+runWith(const SystemConfig &cfg, core::SchemeFactory make_scheme)
 {
-    ScalarEncoders()
-    {
-        encoding::setDefaultEncoderMode(encoding::EncoderMode::Scalar);
-    }
-
-    ~ScalarEncoders() { encoding::setDefaultEncoderMode(std::nullopt); }
-};
+    AppRun run;
+    run.result = runSystem(cfg, make_scheme);
+    run.l2 = computeL2Energy(cfg, run.result);
+    run.processor = computeProcessorEnergy(cfg, run.result, run.l2);
+    return run;
+}
 
 /** A fresh private cache directory, removed on destruction. */
 struct TempCacheDir
@@ -69,9 +71,9 @@ struct TempCacheDir
 };
 
 /**
- * Randomized configurations: a handful of (app, scheme, seed,
- * budget) draws from a fixed-seed generator, so the sweep walks a
- * different-but-reproducible slice of the space than the
+ * Randomized configurations: every scheme with an oracle, each on an
+ * (app, seed, budget) draw from a fixed-seed generator, so the sweep
+ * walks a different-but-reproducible slice of the space than the
  * hand-written system tests.
  */
 std::vector<SystemConfig>
@@ -83,13 +85,17 @@ sweepConfigs()
         encoding::SchemeKind::DescZeroSkip,
         encoding::SchemeKind::DescLastValueSkip,
         encoding::SchemeKind::DescBasic,
+        encoding::SchemeKind::DynamicZeroCompression,
+        encoding::SchemeKind::BusInvert,
+        encoding::SchemeKind::ZeroSkipBusInvert,
+        encoding::SchemeKind::EncodedZeroSkipBusInvert,
     };
     std::vector<SystemConfig> cfgs;
-    for (int i = 0; i < 3; i++) {
+    for (encoding::SchemeKind kind : schemes) {
         auto cfg = baselineConfig(apps[rng.below(apps.size())]);
         cfg.insts_per_thread = 1000 + rng.below(1000);
         cfg.seed ^= rng.next();
-        applyScheme(cfg, schemes[rng.below(std::size(schemes))]);
+        applyScheme(cfg, kind);
         cfgs.push_back(cfg);
     }
     // One OoO point: a single core with overlapping misses drives the
@@ -136,21 +142,17 @@ cacheEntryBytes(const SystemConfig &cfg, const AppRun &run)
 TEST(ModeSweep, CrossProductMatchesReferenceByteExactly)
 {
     for (const auto &cfg : sweepConfigs()) {
-        std::optional<AppRun> ref;
-        {
-            ScalarEncoders pinned;
-            ref = runScaledApp(scaledConfig(cfg));
-        }
-        const std::string ref_json = sidecarJson(cfg, *ref);
-        const std::string ref_entry = cacheEntryBytes(cfg, *ref);
+        const AppRun ref = runWith(scaledConfig(cfg), oracle::makeScheme);
+        const std::string ref_json = sidecarJson(cfg, ref);
+        const std::string ref_entry = cacheEntryBytes(cfg, ref);
         ASSERT_FALSE(ref_json.empty());
         ASSERT_FALSE(ref_entry.empty());
 
-        // The default walk: batched wherever the layout allows.
+        // The production kernels, as every run builds them.
         const AppRun got = runScaledApp(scaledConfig(cfg));
         SCOPED_TRACE(cfg.app.name);
-        EXPECT_EQ(got.result.cycles, ref->result.cycles);
-        EXPECT_EQ(got.result.instructions, ref->result.instructions);
+        EXPECT_EQ(got.result.cycles, ref.result.cycles);
+        EXPECT_EQ(got.result.instructions, ref.result.instructions);
         // The sidecar registry serializes every harvested statistic
         // (perf, l1/l2, link flips, chunk histogram, dram, energy), so
         // byte-identical JSON pins them all at full precision in one

@@ -125,3 +125,9 @@ TEST(System, EverySchemeRunsEndToEnd)
             << shortSchemeName(core::allSchemeKinds()[s]);
     }
 }
+
+TEST(SystemDeath, ShortSchemeNameRejectsBadEnum)
+{
+    EXPECT_DEATH(shortSchemeName(encoding::SchemeKind(99)),
+                 "bad scheme enum");
+}
