@@ -1,12 +1,15 @@
 #include "sim/runcache.hh"
 
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/env.hh"
@@ -21,14 +24,22 @@ namespace {
 
 /** Bumped whenever the hash input or file layout changes; stale
  *  entries then key differently and are never loaded. */
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 
 constexpr std::uint64_t kMagic = 0x4445534352554e31ULL; // "DESCRUN1"
 
-// --- canonical byte stream ---------------------------------------
+/** Longest histogram or widest bus a well-formed entry holds. */
+constexpr std::uint64_t kMaxLength = 1u << 20;
 
-/** Append-only little-endian byte stream used for both hashing and
- *  serialization, so the two can never disagree on field order. */
+// --- canonical byte stream ---------------------------------------
+//
+// put() and get() code one field of a record's list (forEachField in
+// system.hh and experiment.hh) by its type: integers, bools and enums
+// as one little-endian word, doubles as their bits, C strings as a
+// length and the bytes, and the stat objects as their parts.
+
+/** Append-only byte stream used for both hashing and serialization,
+ *  so the two can never disagree on field order. */
 class Writer
 {
   public:
@@ -39,22 +50,50 @@ class Writer
             _buf.push_back(char((v >> (8 * i)) & 0xff));
     }
 
-    void u32(std::uint32_t v) { u64(v); }
+    template <typename T>
+    void
+    put(const T &v)
+    {
+        if constexpr (std::is_same_v<T, double>) {
+            u64(std::bit_cast<std::uint64_t>(v));
+        } else if constexpr (std::is_same_v<T, const char *>) {
+            std::size_t n = v ? std::strlen(v) : 0;
+            u64(n);
+            _buf.append(v, n);
+        } else {
+            u64(std::uint64_t(v));
+        }
+    }
+
+    void put(const Counter &c) { u64(c.value()); }
 
     void
-    f64(double v)
+    put(const Average &a)
     {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
+        put(a.sum());
+        put(a.min());
+        put(a.max());
+        u64(a.count());
     }
 
     void
-    str(const char *s)
+    put(const Histogram &h)
     {
-        std::size_t n = s ? std::strlen(s) : 0;
-        u64(n);
-        _buf.insert(_buf.end(), s, s + n);
+        u64(h.numBins());
+        for (unsigned i = 0; i < h.numBins(); i++)
+            u64(h.bin(i));
+        u64(h.total());
+        u64(h.overflow());
+    }
+
+    void
+    put(const core::ChunkStats &cs)
+    {
+        u64(cs.chunkBits());
+        u64(cs.wires());
+        put(cs.histogram());
+        u64(cs.matches());
+        u64(cs.matchCandidates());
     }
 
     const std::string &bytes() const { return _buf; }
@@ -63,6 +102,8 @@ class Writer
     std::string _buf;
 };
 
+/** Reads what Writer wrote. Any short read or malformed field fails
+ *  the stream; the fields after it then read as zero. */
 class Reader
 {
   public:
@@ -82,18 +123,69 @@ class Reader
         return v;
     }
 
-    std::uint32_t u32() { return std::uint32_t(u64()); }
-
-    double
-    f64()
+    template <typename T>
+    void
+    get(T &v)
     {
-        std::uint64_t bits = u64();
-        double v;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
+        if constexpr (std::is_same_v<T, double>)
+            v = std::bit_cast<double>(u64());
+        else
+            v = T(u64());
     }
 
-    bool ok() const { return _ok; }
+    void
+    get(Counter &c)
+    {
+        c.reset();
+        c.inc(u64());
+    }
+
+    void
+    get(Average &a)
+    {
+        double sum, min, max;
+        get(sum);
+        get(min);
+        get(max);
+        a.restore(sum, min, max, u64());
+    }
+
+    void
+    get(Histogram &h)
+    {
+        std::uint64_t n = u64();
+        if (n > kMaxLength) { // bail before allocating
+            _ok = false;
+            return;
+        }
+        std::vector<std::uint64_t> bins(n);
+        for (auto &b : bins)
+            b = u64();
+        std::uint64_t total = u64();
+        h = Histogram{unsigned(n)};
+        h.restore(std::move(bins), total, u64());
+    }
+
+    void
+    get(core::ChunkStats &cs)
+    {
+        std::uint64_t chunk_bits = u64();
+        std::uint64_t wires = u64();
+        Histogram hist;
+        get(hist);
+        std::uint64_t matches = u64();
+        std::uint64_t candidates = u64();
+        // ChunkStats takes 1, 2, 4 or 8-bit chunks, a bin per value.
+        if (chunk_bits > 8 || !std::has_single_bit(chunk_bits)
+            || hist.numBins() != (1u << chunk_bits) || wires < 1
+            || wires > kMaxLength)
+            _ok = false;
+        if (!_ok)
+            return;
+        cs = core::ChunkStats(unsigned(chunk_bits), unsigned(wires));
+        cs.restore(std::move(hist), matches, candidates);
+    }
+
     bool atEnd() const { return _ok && _pos == _buf.size(); }
 
   private:
@@ -102,259 +194,55 @@ class Reader
     bool _ok = true;
 };
 
-// --- configuration canonicalization ------------------------------
-
-void
-putConfig(Writer &w, const SystemConfig &cfg)
+/** @p key as 16 hex digits, as entry names and run labels show it. */
+std::string
+hex16(std::uint64_t key)
 {
-    w.u32(kFormatVersion);
-
-    w.u64(std::uint64_t(cfg.cpu));
-    w.u64(cfg.cores);
-    w.u64(cfg.threads_per_core);
-
-    const auto &org = cfg.l2.org;
-    w.u64(org.capacity_bytes);
-    w.u64(org.assoc);
-    w.u64(org.block_bytes);
-    w.u64(org.banks);
-    w.u64(org.bus_wires);
-    w.f64(org.clock_ghz);
-    w.u64(org.low_swing);
-    w.f64(org.swing_v);
-    w.u64(std::uint64_t(org.cell_dev));
-    w.u64(std::uint64_t(org.periph_dev));
-
-    w.u64(std::uint64_t(cfg.l2.scheme));
-    const auto &sc = cfg.l2.scheme_cfg;
-    w.u64(sc.bus_wires);
-    w.u64(sc.block_bits);
-    w.u64(sc.segment_bits);
-    w.u64(sc.chunk_bits);
-
-    w.u64(cfg.l2.snuca);
-    w.u64(cfg.l2.snuca_min_latency);
-    w.u64(cfg.l2.snuca_max_latency);
-    w.u64(cfg.l2.ctrl_latency);
-    w.u64(cfg.l2.desc_interface_delay);
-    w.u64(cfg.l2.recall_latency);
-    w.u64(cfg.l2.ecc);
-    w.u64(cfg.l2.ecc_segment_bits);
-    w.u64(cfg.l2.collect_chunk_stats);
-
-    w.u64(cfg.l1.capacity_bytes);
-    w.u64(cfg.l1.assoc_d);
-    w.u64(cfg.l1.assoc_i);
-    w.u64(cfg.l1.block_bytes);
-    w.u64(cfg.l1.hit_latency);
-
-    w.u64(cfg.dram.channels);
-    w.u64(cfg.dram.banks_per_channel);
-    w.f64(cfg.dram.mem_ghz);
-    w.f64(cfg.dram.core_ghz);
-    w.u64(cfg.dram.tCL);
-    w.u64(cfg.dram.tRCD);
-    w.u64(cfg.dram.tRP);
-    w.u64(cfg.dram.tBurst);
-    w.u64(cfg.dram.max_overlap);
-
-    w.u64(cfg.insts_per_thread);
-
-    const auto &app = cfg.app;
-    w.str(app.name);
-    w.f64(app.mem_per_inst);
-    w.f64(app.write_frac);
-    w.u64(app.ws_private);
-    w.u64(app.ws_shared);
-    w.f64(app.shared_frac);
-    w.f64(app.seq_frac);
-    w.u64(app.code_bytes);
-    w.f64(app.hot_frac);
-    w.u64(app.hot_bytes);
-    w.f64(app.zero_word);
-    w.f64(app.small_word);
-    w.f64(app.palette_word);
-    w.u64(app.palette_size);
-    w.f64(app.null_block);
-    w.u64(app.seed_salt);
-
-    w.u64(cfg.seed);
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx", (unsigned long long)key);
+    return buf;
 }
 
-// --- result serialization ----------------------------------------
-
-void
-putAverage(Writer &w, const Average &a)
+/** FNV-1a: the config hash, and each entry's trailing checksum. */
+std::uint64_t
+fnv1a(std::string_view bytes)
 {
-    w.f64(a.sum());
-    w.f64(a.min());
-    w.f64(a.max());
-    w.u64(a.count());
-}
-
-Average
-getAverage(Reader &r)
-{
-    Average a;
-    double sum = r.f64();
-    double min = r.f64();
-    double max = r.f64();
-    std::uint64_t count = r.u64();
-    a.restore(sum, min, max, count);
-    return a;
-}
-
-void
-putCounter(Writer &w, const Counter &c)
-{
-    w.u64(c.value());
-}
-
-Counter
-getCounter(Reader &r)
-{
-    Counter c;
-    c.inc(r.u64());
-    return c;
-}
-
-void
-putHistogram(Writer &w, const Histogram &h)
-{
-    w.u64(h.numBins());
-    for (unsigned i = 0; i < h.numBins(); i++)
-        w.u64(h.bin(i));
-    w.u64(h.total());
-    w.u64(h.overflow());
-}
-
-Histogram
-getHistogram(Reader &r)
-{
-    std::uint64_t n = r.u64();
-    if (n > (1u << 20)) { // malformed file; bail before allocating
-        Histogram empty;
-        return empty;
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (char c : bytes) {
+        h ^= std::uint8_t(c);
+        h *= 0x100000001b3ULL;
     }
-    std::vector<std::uint64_t> bins(n);
-    for (auto &b : bins)
-        b = r.u64();
-    std::uint64_t total = r.u64();
-    std::uint64_t overflow = r.u64();
-    Histogram h{unsigned(n)};
-    h.restore(std::move(bins), total, overflow);
     return h;
 }
 
-void
-putRun(Writer &w, const AppRun &run)
+/**
+ * Why an entry file's @p bytes do not hold the run stored under
+ * @p key, or nullptr when they do and @p run now holds it. An entry
+ * is the magic, the format version, the key, the run's fields and
+ * the FNV-1a checksum of all of those.
+ */
+const char *
+decodeEntry(std::string bytes, std::uint64_t key, AppRun &run)
 {
-    const SimResult &res = run.result;
-    w.u64(res.cycles);
-    w.u64(res.instructions);
-    w.f64(res.seconds);
-
-    const auto &hs = res.hierarchy;
-    putCounter(w, hs.l1i_accesses);
-    putCounter(w, hs.l1i_misses);
-    putCounter(w, hs.l1d_accesses);
-    putCounter(w, hs.l1d_misses);
-    putCounter(w, hs.upgrades);
-    putCounter(w, hs.l2_requests);
-    putCounter(w, hs.l2_hits);
-    putCounter(w, hs.l2_misses);
-    putCounter(w, hs.l2_writebacks_in);
-    putCounter(w, hs.l2_fills);
-    putCounter(w, hs.l2_evictions_out);
-    putCounter(w, hs.recalls);
-    putCounter(w, hs.read_transfers);
-    putCounter(w, hs.write_transfers);
-    w.f64(hs.data_flips);
-    w.f64(hs.ctrl_flips);
-    w.u64(hs.bank_busy_cycles);
-    putAverage(w, hs.hit_latency);
-    putAverage(w, hs.transfer_window);
-
-    const auto &cs = res.chunks;
-    w.u64(cs.chunkBits());
-    w.u64(cs.wires());
-    putHistogram(w, cs.histogram());
-    w.u64(cs.matches());
-    w.u64(cs.matchCandidates());
-
-    w.u64(res.dram_reads);
-    w.u64(res.dram_writes);
-
-    w.f64(run.l2.htree_dynamic);
-    w.f64(run.l2.array_dynamic);
-    w.f64(run.l2.aux_dynamic);
-    w.f64(run.l2.static_energy);
-
-    w.f64(run.processor.core_dynamic);
-    w.f64(run.processor.core_static);
-    w.f64(run.processor.l1);
-    w.f64(run.processor.uncore);
-    w.f64(run.processor.l2);
-}
-
-std::optional<AppRun>
-getRun(Reader &r)
-{
-    AppRun run;
-    SimResult &res = run.result;
-    res.cycles = r.u64();
-    res.instructions = r.u64();
-    res.seconds = r.f64();
-
-    auto &hs = res.hierarchy;
-    hs.l1i_accesses = getCounter(r);
-    hs.l1i_misses = getCounter(r);
-    hs.l1d_accesses = getCounter(r);
-    hs.l1d_misses = getCounter(r);
-    hs.upgrades = getCounter(r);
-    hs.l2_requests = getCounter(r);
-    hs.l2_hits = getCounter(r);
-    hs.l2_misses = getCounter(r);
-    hs.l2_writebacks_in = getCounter(r);
-    hs.l2_fills = getCounter(r);
-    hs.l2_evictions_out = getCounter(r);
-    hs.recalls = getCounter(r);
-    hs.read_transfers = getCounter(r);
-    hs.write_transfers = getCounter(r);
-    hs.data_flips = r.f64();
-    hs.ctrl_flips = r.f64();
-    hs.bank_busy_cycles = r.u64();
-    hs.hit_latency = getAverage(r);
-    hs.transfer_window = getAverage(r);
-
-    unsigned chunk_bits = unsigned(r.u64());
-    unsigned wires = unsigned(r.u64());
-    Histogram hist = getHistogram(r);
-    std::uint64_t matches = r.u64();
-    std::uint64_t candidates = r.u64();
-    if (!r.ok() || chunk_bits < 1 || chunk_bits > 8 || wires < 1)
-        return std::nullopt;
-    core::ChunkStats chunks(chunk_bits, wires);
-    chunks.restore(std::move(hist), matches, candidates);
-    res.chunks = std::move(chunks);
-
-    res.dram_reads = r.u64();
-    res.dram_writes = r.u64();
-
-    run.l2.htree_dynamic = r.f64();
-    run.l2.array_dynamic = r.f64();
-    run.l2.aux_dynamic = r.f64();
-    run.l2.static_energy = r.f64();
-
-    run.processor.core_dynamic = r.f64();
-    run.processor.core_static = r.f64();
-    run.processor.l1 = r.f64();
-    run.processor.uncore = r.f64();
-    run.processor.l2 = r.f64();
-
-    if (!r.atEnd())
-        return std::nullopt;
-    return run;
+    if (bytes.size() < 4 * 8)
+        return "truncated";
+    std::size_t body = bytes.size() - 8;
+    bool sum_ok = Reader(bytes.substr(body)).u64()
+        == fnv1a(std::string_view(bytes).substr(0, body));
+    bytes.resize(body);
+    Reader r(std::move(bytes));
+    if (r.u64() != kMagic)
+        return "not a run-cache entry";
+    if (r.u64() != kFormatVersion)
+        return "another format version";
+    if (r.u64() != key)
+        return "stored under another key";
+    if (!sum_ok)
+        return "checksum mismatch";
+    forEachField(run, [&r](const char *, const char *, auto &v) {
+        r.get(v);
+    });
+    return r.atEnd() ? nullptr : "malformed fields";
 }
 
 // --- process-wide state ------------------------------------------
@@ -371,17 +259,6 @@ mutableStats()
 {
     static RunStats stats;
     return stats;
-}
-
-/** Short display tag for trace/manifest lines: app/scheme#hash8. */
-std::string
-runTag(const SystemConfig &cfg, std::uint64_t key)
-{
-    char hash8[12];
-    std::snprintf(hash8, sizeof(hash8), "%08llx",
-                  (unsigned long long)(key >> 32));
-    return detail::concat(cfg.app.name, "/",
-                          shortSchemeName(cfg.l2.scheme), "#", hash8);
 }
 
 /**
@@ -409,9 +286,6 @@ emitManifestLine(const SystemConfig &cfg, const AppRun &run,
     if (!file)
         return;
 
-    char hash16[20];
-    std::snprintf(hash16, sizeof(hash16), "%016llx",
-                  (unsigned long long)key);
     const std::string &ctx = threadLogContext();
     std::fprintf(file,
                  "{\"app\": \"%s\", \"scheme\": \"%s\", "
@@ -422,7 +296,7 @@ emitManifestLine(const SystemConfig &cfg, const AppRun &run,
                  "\"cpu_uj\": %.6g}\n",
                  cfg.app.name,
                  shortSchemeName(cfg.l2.scheme).c_str(),
-                 (unsigned long long)cfg.seed, hash16,
+                 (unsigned long long)cfg.seed, hex16(key).c_str(),
                  cached ? "true" : "false", wall_seconds, ctx.c_str(),
                  (unsigned long long)run.result.cycles,
                  (unsigned long long)run.result.instructions,
@@ -435,15 +309,18 @@ emitManifestLine(const SystemConfig &cfg, const AppRun &run,
 std::uint64_t
 configHash(const SystemConfig &cfg)
 {
+    // The format version salts the key.
     Writer w;
-    putConfig(w, cfg);
-    // FNV-1a over the canonical byte stream.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : w.bytes()) {
-        h ^= std::uint8_t(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
+    w.u64(kFormatVersion);
+    forEachField(cfg, [&w](const char *, const auto &v) { w.put(v); });
+    return fnv1a(w.bytes());
+}
+
+std::string
+runLabel(const SystemConfig &cfg, std::uint64_t key)
+{
+    return detail::concat(cfg.app.name, "/",
+                          shortSchemeName(cfg.l2.scheme), "#", hex16(key));
 }
 
 RunCache::RunCache(std::string dir) : _dir(std::move(dir))
@@ -471,10 +348,7 @@ RunCache::fromEnv()
 std::string
 RunCache::path(std::uint64_t key) const
 {
-    char name[32];
-    std::snprintf(name, sizeof(name), "%016llx.run",
-                  (unsigned long long)key);
-    return _dir + "/" + name;
+    return _dir + "/" + hex16(key) + ".run";
 }
 
 std::optional<AppRun>
@@ -485,18 +359,21 @@ RunCache::load(std::uint64_t key) const
 
     std::ifstream in(path(key), std::ios::binary);
     if (!in)
-        return std::nullopt;
+        return std::nullopt; // absent: a plain miss
     std::string bytes((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof())
-        return std::nullopt;
-
-    Reader r(std::move(bytes));
-    if (r.u64() != kMagic || r.u32() != kFormatVersion)
-        return std::nullopt;
-    if (r.u64() != key)
-        return std::nullopt;
-    return getRun(r);
+    AppRun run;
+    const char *why = !in.good() && !in.eof()
+        ? "unreadable"
+        : decodeEntry(std::move(bytes), key, run);
+    if (!why)
+        return run;
+    // The caller simulates the point again and store() overwrites
+    // the entry.
+    warnOnce(path(key),
+             detail::concat("corrupt run-cache entry \"", path(key),
+                            "\" (", why, "): ignored, simulating again"));
+    return std::nullopt;
 }
 
 void
@@ -507,9 +384,12 @@ RunCache::store(std::uint64_t key, const AppRun &run) const
 
     Writer w;
     w.u64(kMagic);
-    w.u32(kFormatVersion);
+    w.u64(kFormatVersion);
     w.u64(key);
-    putRun(w, run);
+    forEachField(run, [&w](const char *, const char *, const auto &v) {
+        w.put(v);
+    });
+    w.u64(fnv1a(w.bytes()));
 
     // Write to a private temp file, then atomically rename into
     // place so concurrent workers (or processes) never observe a
@@ -601,13 +481,13 @@ runAppCached(const SystemConfig &scaled_cfg)
             mutableStats().cache_hits.inc();
             mutableStats().load_seconds.sample(seconds);
         }
-        DESC_TRACE_HOST(Runner, "cache hit: ", runTag(scaled_cfg, key));
+        DESC_TRACE_HOST(Runner, "cache hit: ", runLabel(scaled_cfg, key));
         recordRunStats(scaled_cfg, *cached, key);
         emitManifestLine(scaled_cfg, *cached, key, true, seconds);
         return *cached;
     }
 
-    DESC_TRACE_HOST(Runner, "cache miss: ", runTag(scaled_cfg, key),
+    DESC_TRACE_HOST(Runner, "cache miss: ", runLabel(scaled_cfg, key),
                     ", simulating");
     // Snapshot around the simulation so the delta isolates this run's
     // host cost even when the worker thread executes many jobs.
@@ -621,14 +501,7 @@ runAppCached(const SystemConfig &scaled_cfg)
     prof::Profile prof_delta;
     if (profiling) {
         prof_delta = prof::deltaSince(prof_base);
-        char hash16[20];
-        std::snprintf(hash16, sizeof(hash16), "%016llx",
-                      (unsigned long long)key);
-        prof::noteRunProfile(
-            detail::concat(scaled_cfg.app.name, "/",
-                           shortSchemeName(scaled_cfg.l2.scheme), "#",
-                           hash16),
-            prof_delta);
+        prof::noteRunProfile(runLabel(scaled_cfg, key), prof_delta);
     }
 
     cache.store(key, run);
@@ -640,7 +513,7 @@ runAppCached(const SystemConfig &scaled_cfg)
         if (cache.enabled())
             stats.cache_stores.inc();
     }
-    DESC_TRACE_HOST(Runner, "simulated ", runTag(scaled_cfg, key),
+    DESC_TRACE_HOST(Runner, "simulated ", runLabel(scaled_cfg, key),
                     " in ", seconds, "s");
     recordRunStats(scaled_cfg, run, key,
                    profiling ? &prof_delta : nullptr);

@@ -12,6 +12,11 @@
  * instruction budget, changes the key and naturally invalidates the
  * entry; stale entries are simply never referenced again.
  *
+ * The key and the entry are loops over the forEachField lists of
+ * SystemConfig (sim/system.hh) and AppRun (sim/experiment.hh). An
+ * entry ends in a checksum; one that fails to decode is reported once
+ * by name and treated as a miss, so the point is simulated again.
+ *
  * Environment:
  *  - DESC_SIM_CACHE=0 disables the cache entirely;
  *  - DESC_SIM_CACHE_DIR overrides the location (default
@@ -44,6 +49,11 @@ namespace desc::sim {
  */
 std::uint64_t configHash(const SystemConfig &cfg);
 
+/** app/scheme#<@p key as 16 hex digits>, @p key = configHash(cfg):
+ *  the run column of the CSV sidecar and the time series, and the
+ *  run tag of trace lines and the profiler. */
+std::string runLabel(const SystemConfig &cfg, std::uint64_t key);
+
 /** A directory of serialized AppRuns keyed by configHash(). */
 class RunCache
 {
@@ -57,8 +67,8 @@ class RunCache
     bool enabled() const { return !_dir.empty(); }
     const std::string &dir() const { return _dir; }
 
-    /** Load the entry for @p key; nullopt on miss or unreadable
-     *  (corrupt / stale-format) entry. */
+    /** Load the entry for @p key; nullopt when it is absent, or
+     *  (with a warning naming the file) corrupt. */
     std::optional<AppRun> load(std::uint64_t key) const;
 
     /** Persist @p run under @p key (atomic: write + rename). */

@@ -6,10 +6,12 @@
 #include <mutex>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "common/env.hh"
 #include "common/trace.hh"
+#include "sim/runcache.hh"
 
 namespace desc::sim {
 
@@ -267,65 +269,34 @@ buildRunRegistry(const SystemConfig &cfg, const AppRun &run,
     reg.addInt("run.insts_per_thread", cfg.insts_per_thread,
                "instructions retired per thread");
 
-    reg.addInt("perf.cycles", r.cycles, "simulated core cycles");
-    reg.addInt("perf.instructions", r.instructions,
-               "instructions retired across all threads");
+    forEachField(run, [&reg](const char *path, const char *doc,
+                             const auto &v) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, double>)
+            reg.addScalar(path, v, doc);
+        else if constexpr (std::is_same_v<T, std::uint64_t>)
+            reg.addInt(path, v, doc);
+        else if constexpr (std::is_same_v<T, core::ChunkStats>)
+            reg.add(path, v.histogram(), doc);
+        else
+            reg.add(path, v, doc);
+    });
+
     reg.addScalar("perf.ipc",
                   double(r.instructions) / double(r.cycles),
                   "instructions per core cycle");
-    reg.addScalar("perf.seconds", r.seconds,
-                  "simulated wall-clock seconds");
-
-    reg.add("l1.i.accesses", h.l1i_accesses, "L1I lookups");
-    reg.add("l1.i.misses", h.l1i_misses, "L1I misses");
+    auto rate = [](const Counter &n, std::uint64_t d) {
+        return double(n.value()) / double(std::max<std::uint64_t>(1, d));
+    };
     reg.addScalar("l1.i.miss_rate",
-                  double(h.l1i_misses.value())
-                      / double(std::max<std::uint64_t>(
-                          1, h.l1i_accesses.value())),
+                  rate(h.l1i_misses, h.l1i_accesses.value()),
                   "L1I misses per access");
-    reg.add("l1.d.accesses", h.l1d_accesses, "L1D lookups");
-    reg.add("l1.d.misses", h.l1d_misses, "L1D misses");
     reg.addScalar("l1.d.miss_rate",
-                  double(h.l1d_misses.value())
-                      / double(std::max<std::uint64_t>(
-                          1, h.l1d_accesses.value())),
+                  rate(h.l1d_misses, h.l1d_accesses.value()),
                   "L1D misses per access");
-    reg.add("l1.upgrades", h.upgrades,
-            "store hits on Shared lines (coherence upgrades)");
-
-    reg.add("l2.requests", h.l2_requests, "L2 requests from the L1s");
-    reg.add("l2.hits", h.l2_hits, "L2 hits");
-    reg.add("l2.misses", h.l2_misses, "L2 misses to DRAM");
     reg.addScalar("l2.hit_rate",
-                  double(h.l2_hits.value())
-                      / double(std::max<std::uint64_t>(
-                          1, h.l2_hits.value() + h.l2_misses.value())),
+                  rate(h.l2_hits, h.l2_hits.value() + h.l2_misses.value()),
                   "L2 hits per demand request");
-    reg.add("l2.writebacks_in", h.l2_writebacks_in,
-            "dirty L1 evictions written back into the L2");
-    reg.add("l2.fills", h.l2_fills, "DRAM fills into the L2");
-    reg.add("l2.evictions_out", h.l2_evictions_out,
-            "dirty L2 evictions written to DRAM");
-    reg.add("l2.recalls", h.recalls,
-            "coherence recalls of Modified L1 copies");
-    reg.add("l2.hit_latency", h.hit_latency,
-            "request arrival to data response, in cycles");
-    reg.add("l2.transfer_window", h.transfer_window,
-            "bank serialization cycles per block transfer");
-
-    reg.add("link.read_transfers", h.read_transfers,
-            "blocks moved over the H-tree toward the cores");
-    reg.add("link.write_transfers", h.write_transfers,
-            "blocks moved over the H-tree toward the banks");
-    reg.addScalar("link.data_flips", h.data_flips,
-                  "data-wire transitions, distance-weighted");
-    reg.addScalar("link.ctrl_flips", h.ctrl_flips,
-                  "control-wire transitions, distance-weighted");
-    reg.addInt("link.bank_busy_cycles", h.bank_busy_cycles,
-               "cycles any bank port spent transferring");
-
-    reg.add("chunks.histogram", r.chunks.histogram(),
-            "chunk value distribution (Figure 12)");
     reg.addInt("chunks.total", r.chunks.totalChunks(),
                "chunks observed on the wires");
     reg.addScalar("chunks.zero_fraction", r.chunks.zeroFraction(),
@@ -333,35 +304,10 @@ buildRunRegistry(const SystemConfig &cfg, const AppRun &run,
     reg.addScalar("chunks.last_value_match_fraction",
                   r.chunks.lastValueMatchFraction(),
                   "fraction matching the wire's previous chunk");
-
-    reg.addInt("dram.reads", r.dram_reads, "DRAM read bursts");
-    reg.addInt("dram.writes", r.dram_writes, "DRAM write bursts");
-
-    reg.addScalar("energy.l2.htree_dynamic", run.l2.htree_dynamic,
-                  "H-tree dynamic energy, joules");
-    reg.addScalar("energy.l2.array_dynamic", run.l2.array_dynamic,
-                  "array dynamic energy, joules");
-    reg.addScalar("energy.l2.aux_dynamic", run.l2.aux_dynamic,
-                  "auxiliary (decode/sense) dynamic energy, joules");
-    reg.addScalar("energy.l2.static", run.l2.static_energy,
-                  "L2 static energy, joules");
     reg.addScalar("energy.l2.dynamic", run.l2.dynamic(),
                   "total L2 dynamic energy, joules");
     reg.addScalar("energy.l2.total", run.l2.total(),
                   "total L2 energy, joules");
-
-    reg.addScalar("energy.processor.core_dynamic",
-                  run.processor.core_dynamic,
-                  "core dynamic energy, joules");
-    reg.addScalar("energy.processor.core_static",
-                  run.processor.core_static,
-                  "core static energy, joules");
-    reg.addScalar("energy.processor.l1", run.processor.l1,
-                  "L1 energy, joules");
-    reg.addScalar("energy.processor.uncore", run.processor.uncore,
-                  "uncore energy, joules");
-    reg.addScalar("energy.processor.l2", run.processor.l2,
-                  "L2 share of processor energy, joules");
     reg.addScalar("energy.processor.total", run.processor.total(),
                   "total processor energy, joules");
 
@@ -493,13 +439,8 @@ recordRunStats(const SystemConfig &cfg, const AppRun &run,
     writeRegistryJson(json, reg, 2);
     rec.json = json.str();
 
-    char hash_tag[24];
-    std::snprintf(hash_tag, sizeof(hash_tag), "%016llx",
-                  (unsigned long long)config_hash);
     std::ostringstream csv;
-    writeRegistryCsv(csv, reg,
-                     rec.app + "/" + shortSchemeName(cfg.l2.scheme) + "#"
-                         + hash_tag);
+    writeRegistryCsv(csv, reg, runLabel(cfg, config_hash));
     rec.csv = csv.str();
 
     Sidecar &s = sidecar();

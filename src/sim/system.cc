@@ -8,6 +8,7 @@
 #include "common/contract.hh"
 #include "cpu/inorder.hh"
 #include "cpu/ooo.hh"
+#include "sim/runcache.hh"
 #include "sim/timeseries.hh"
 #include "workloads/backing.hh"
 #include "workloads/stream.hh"
@@ -164,7 +165,7 @@ runSystem(const SystemConfig &cfg, core::SchemeFactory make_scheme)
         // the counters. No events are scheduled and time never
         // advances past natural quiescence, so the simulation result
         // is bit-identical to the single eq.run() above.
-        std::string label = timeseries::runLabel(cfg);
+        std::string label = runLabel(cfg, configHash(cfg));
         auto instructions = [&]() {
             std::uint64_t n = 0;
             if (cfg.cpu == CpuKind::NiagaraSMT) {

@@ -12,6 +12,9 @@
 #ifndef DESC_SIM_SYSTEM_HH
 #define DESC_SIM_SYSTEM_HH
 
+#include <concepts>
+#include <type_traits>
+
 #include "cache/hierarchy.hh"
 #include "workloads/app.hh"
 
@@ -35,6 +38,77 @@ struct SystemConfig
     workloads::AppParams app{};
     std::uint64_t seed = 1;
 };
+
+/**
+ * The one list of SystemConfig fields, nested structs flattened in
+ * declaration order: calls f(name, field) for each. configHash()
+ * (sim/runcache.hh) is a loop over it, so every field listed here
+ * reaches the run-cache key.
+ */
+template <typename C, typename F>
+    requires std::same_as<std::remove_const_t<C>, SystemConfig>
+void
+forEachField(C &c, F &&f)
+{
+    // A member added without listing it below fails here.
+    static_assert(sizeof(SystemConfig) == 368);
+    static_assert(sizeof(cache::L2Config) == 128);
+    static_assert(sizeof(energy::CacheOrg) == 56);
+    static_assert(sizeof(encoding::SchemeConfig) == 16);
+    static_assert(sizeof(cache::L1Config) == 32);
+    static_assert(sizeof(dram::DramConfig) == 48);
+
+    f("cpu", c.cpu);
+    f("cores", c.cores);
+    f("threads_per_core", c.threads_per_core);
+
+    f("l2.org.capacity_bytes", c.l2.org.capacity_bytes);
+    f("l2.org.assoc", c.l2.org.assoc);
+    f("l2.org.block_bytes", c.l2.org.block_bytes);
+    f("l2.org.banks", c.l2.org.banks);
+    f("l2.org.bus_wires", c.l2.org.bus_wires);
+    f("l2.org.clock_ghz", c.l2.org.clock_ghz);
+    f("l2.org.low_swing", c.l2.org.low_swing);
+    f("l2.org.swing_v", c.l2.org.swing_v);
+    f("l2.org.cell_dev", c.l2.org.cell_dev);
+    f("l2.org.periph_dev", c.l2.org.periph_dev);
+
+    f("l2.scheme", c.l2.scheme);
+    f("l2.scheme_cfg.bus_wires", c.l2.scheme_cfg.bus_wires);
+    f("l2.scheme_cfg.block_bits", c.l2.scheme_cfg.block_bits);
+    f("l2.scheme_cfg.segment_bits", c.l2.scheme_cfg.segment_bits);
+    f("l2.scheme_cfg.chunk_bits", c.l2.scheme_cfg.chunk_bits);
+
+    f("l2.snuca", c.l2.snuca);
+    f("l2.snuca_min_latency", c.l2.snuca_min_latency);
+    f("l2.snuca_max_latency", c.l2.snuca_max_latency);
+    f("l2.ctrl_latency", c.l2.ctrl_latency);
+    f("l2.desc_interface_delay", c.l2.desc_interface_delay);
+    f("l2.recall_latency", c.l2.recall_latency);
+    f("l2.ecc", c.l2.ecc);
+    f("l2.ecc_segment_bits", c.l2.ecc_segment_bits);
+    f("l2.collect_chunk_stats", c.l2.collect_chunk_stats);
+
+    f("l1.capacity_bytes", c.l1.capacity_bytes);
+    f("l1.assoc_d", c.l1.assoc_d);
+    f("l1.assoc_i", c.l1.assoc_i);
+    f("l1.block_bytes", c.l1.block_bytes);
+    f("l1.hit_latency", c.l1.hit_latency);
+
+    f("dram.channels", c.dram.channels);
+    f("dram.banks_per_channel", c.dram.banks_per_channel);
+    f("dram.mem_ghz", c.dram.mem_ghz);
+    f("dram.core_ghz", c.dram.core_ghz);
+    f("dram.tCL", c.dram.tCL);
+    f("dram.tRCD", c.dram.tRCD);
+    f("dram.tRP", c.dram.tRP);
+    f("dram.tBurst", c.dram.tBurst);
+    f("dram.max_overlap", c.dram.max_overlap);
+
+    f("insts_per_thread", c.insts_per_thread);
+    workloads::forEachField(c.app, f);
+    f("seed", c.seed);
+}
 
 struct SimResult
 {

@@ -9,8 +9,6 @@
 
 #include "common/env.hh"
 #include "common/log.hh"
-#include "sim/experiment.hh"
-#include "sim/runcache.hh"
 
 namespace desc::sim::timeseries {
 
@@ -112,16 +110,6 @@ everyCycles()
     static const std::uint64_t every =
         parseEverySpec(env::raw(env::Var::StatsEvery));
     return every;
-}
-
-std::string
-runLabel(const SystemConfig &cfg)
-{
-    char hash16[20];
-    std::snprintf(hash16, sizeof(hash16), "%016llx",
-                  (unsigned long long)configHash(cfg));
-    return cfg.app.name + std::string("/")
-        + shortSchemeName(cfg.l2.scheme) + "#" + hash16;
 }
 
 void

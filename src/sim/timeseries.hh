@@ -29,11 +29,7 @@
 
 #include "common/types.hh"
 
-namespace desc::sim {
-
-struct SystemConfig;
-
-namespace timeseries {
+namespace desc::sim::timeseries {
 
 /**
  * Parse a DESC_STATS_EVERY-style spec into a snapshot period in
@@ -48,10 +44,6 @@ constexpr std::uint64_t kMaxEvery = 1'000'000'000'000'000ULL;
 /** The live snapshot period: the test override if set, else the
  *  parsed DESC_STATS_EVERY. 0 disables snapshots. */
 std::uint64_t everyCycles();
-
-/** Label under which a run's rows are recorded: app/Scheme#hash16,
- *  matching the stats sidecar's CSV run label. */
-std::string runLabel(const SystemConfig &cfg);
 
 /** One snapshot row; all values are cumulative since run start. */
 struct Row
@@ -87,8 +79,6 @@ void flushForTest();
 /** Drop all buffered rows (tests). */
 void resetForTest();
 
-} // namespace timeseries
-
-} // namespace desc::sim
+} // namespace desc::sim::timeseries
 
 #endif // DESC_SIM_TIMESERIES_HH

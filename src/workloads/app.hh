@@ -16,7 +16,9 @@
 #ifndef DESC_WORKLOADS_APP_HH
 #define DESC_WORKLOADS_APP_HH
 
+#include <concepts>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hh"
@@ -66,6 +68,37 @@ struct AppParams
 
     std::uint64_t seed_salt;
 };
+
+/**
+ * The one list of AppParams fields, in declaration order: calls
+ * f(name, field) for each. The run-cache key (sim/runcache.cc) and
+ * the op-trace key (workloads/stream.cc) are loops over it, so a
+ * field listed here reaches both.
+ */
+template <typename P, typename F>
+    requires std::same_as<std::remove_const_t<P>, AppParams>
+void
+forEachField(P &p, F &&f)
+{
+    static_assert(sizeof(AppParams) == 128,
+                  "AppParams changed: list the new field here");
+    f("name", p.name);
+    f("mem_per_inst", p.mem_per_inst);
+    f("write_frac", p.write_frac);
+    f("ws_private", p.ws_private);
+    f("ws_shared", p.ws_shared);
+    f("shared_frac", p.shared_frac);
+    f("seq_frac", p.seq_frac);
+    f("code_bytes", p.code_bytes);
+    f("hot_frac", p.hot_frac);
+    f("hot_bytes", p.hot_bytes);
+    f("zero_word", p.zero_word);
+    f("small_word", p.small_word);
+    f("palette_word", p.palette_word);
+    f("palette_size", p.palette_size);
+    f("null_block", p.null_block);
+    f("seed_salt", p.seed_salt);
+}
 
 /** The sixteen parallel applications of Table 2 (Figure order). */
 const std::vector<AppParams> &parallelApps();

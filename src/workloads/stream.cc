@@ -1,13 +1,12 @@
 #include "workloads/stream.hh"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 namespace desc::workloads {
@@ -45,29 +44,26 @@ constexpr std::uintptr_t kPrefetchBytes = 256;
 /**
  * A trace is keyed on every AppParams field by value (the address
  * model and the value model that draws the store values), the seed
- * and the thread id. The core id only moves the code region, which
- * the consumer walks itself.
+ * and the thread id: the bytes of each, the name NUL-terminated. The
+ * core id only moves the code region, which the consumer walks itself.
  */
-using TraceKey = std::pair<std::string, std::array<std::uint64_t, 17>>;
-
-std::uint64_t
-bits(double x)
-{
-    return std::bit_cast<std::uint64_t>(x);
-}
+using TraceKey = std::string;
 
 TraceKey
 traceKey(const AppParams &p, std::uint64_t seed, unsigned thread_id)
 {
-    static_assert(sizeof(AppParams) == 128,
-                  "AppParams changed: key the new field in traceKey()");
-    return {p.name ? p.name : "",
-            {bits(p.mem_per_inst), bits(p.write_frac), p.ws_private,
-             p.ws_shared, bits(p.shared_frac), bits(p.seq_frac),
-             p.code_bytes, bits(p.hot_frac), p.hot_bytes,
-             bits(p.zero_word), bits(p.small_word), bits(p.palette_word),
-             p.palette_size, bits(p.null_block), p.seed_salt, seed,
-             thread_id}};
+    TraceKey key;
+    auto append = [&key](const auto &v) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
+                                     const char *>)
+            key.append(v ? v : "").push_back('\0');
+        else
+            key.append(reinterpret_cast<const char *>(&v), sizeof(v));
+    };
+    forEachField(p, [&](const char *, const auto &v) { append(v); });
+    append(seed);
+    append(thread_id);
+    return key;
 }
 
 std::size_t
