@@ -1,7 +1,7 @@
 /**
  * @file
  * Simulation-kernel microbenchmarks: event-queue throughput, link,
- * scheme and per-transfer codec block rates, the L2 warmup walk, and
+ * scheme and per-transfer codec block rates, the L2 warmup build, and
  * end-to-end simulated-cycle rate. Writes
  * BENCH_kernel.json (see README); the committed copy of that file is
  * the CI regression baseline.
@@ -316,10 +316,11 @@ benchRunSystem(std::uint64_t insts, unsigned reps, std::uint64_t *cycles)
 }
 
 /**
- * The functional-warmup walk runSystem() pays on a warmup-snapshot
- * miss: the benchmark app's prefill() sequence into a freshly built
- * baseline hierarchy (8 MB, 16-way L2). Only the walk is timed; each
- * rep constructs a new hierarchy so every walk starts cold.
+ * The functional warmup runSystem() pays on every point: the benchmark
+ * app's warmup runs built directly into a freshly constructed baseline
+ * hierarchy (8 MB, 16-way L2), in blocks installed per second. Only
+ * the build is timed; each rep constructs a new hierarchy so every
+ * build starts cold.
  */
 double
 benchL2Warmup(unsigned reps)
@@ -333,7 +334,11 @@ benchL2Warmup(unsigned reps)
         cache::MemHierarchy mem(eq, cfg.l2, backing, cfg.cores, cfg.l1,
                                 cfg.dram);
         auto t0 = Clock::now();
-        std::uint64_t blocks = sim::prefillWalk(mem, cfg);
+        const auto runs = sim::warmupRuns(cfg);
+        mem.prefillRuns(runs);
+        std::uint64_t blocks = 0;
+        for (const auto &run : runs)
+            blocks += run.blocks;
         double rate = double(blocks) / secondsSince(t0);
         if (rate > best)
             best = rate;

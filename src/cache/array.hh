@@ -17,7 +17,9 @@
 #ifndef DESC_CACHE_ARRAY_HH
 #define DESC_CACHE_ARRAY_HH
 
+#include <algorithm>
 #include <bit>
+#include <span>
 #include <vector>
 
 #include "common/contract.hh"
@@ -26,18 +28,11 @@
 
 namespace desc::cache {
 
-/**
- * Tag/recency image of a whole array: everything a freshly built
- * array needs to reproduce a functionally warmed-up state whose
- * lines still carry default-constructed metadata. The warmup
- * snapshot cache (sim/system.cc) keys these on the warmup inputs so
- * repeated runs of one configuration skip the prefill walk.
- */
-struct TagImage
+/** @p blocks consecutive blocks from the block-aligned @p base. */
+struct BlockRun
 {
-    std::vector<std::uint64_t> tagv;
-    std::vector<std::uint64_t> lru;
-    std::uint64_t clock = 0;
+    Addr base;
+    std::uint64_t blocks;
 };
 
 /**
@@ -178,38 +173,81 @@ class SetAssocArray
         _meta[way] = Meta{};
     }
 
-    /** Iterate all valid lines (for inclusive-eviction bookkeeping). */
-    template <typename Fn>
+    /**
+     * Install @p runs, in order, into this fresh array, every line
+     * with metadata @p meta: the same end state as a victim() + fill()
+     * of each block in turn, built set by set. The runs are distinct
+     * blocks entering an empty array and no line is touched between
+     * installs, so every set is a FIFO: the set's install q lands in
+     * way q mod assoc, each line's stamp is its global install index
+     * (from 1), and the clock ends at the number of installs.
+     *
+     * Pass 1 stages a (run, index) word for each install in the
+     * _lru slot it lands in (a later install of the set overwrites an
+     * evicted one) and counts the set's installs; pass 2 turns each
+     * set's surviving words into tag, stamp and metadata once.
+     */
     void
-    forEach(Fn &&fn)
+    fillRuns(std::span<const BlockRun> runs, const Meta &meta)
     {
-        for (Way way = 0; way < Way(_tagv.size()); way++) {
-            if (valid(way))
-                fn(way);
+        constexpr unsigned kIndexBits = 40;
+        constexpr std::uint64_t kIndexMask =
+            (std::uint64_t{1} << kIndexBits) - 1;
+        DESC_ASSERT(_clock == 0, "fillRuns needs a fresh array");
+        DESC_ASSERT(runs.size() >> (64 - kIndexBits) == 0,
+                    "too many runs to pack: ", runs.size());
+        std::vector<std::uint64_t> first_stamp(runs.size());
+        std::vector<BlockRun> by_base;
+        by_base.reserve(runs.size());
+        for (std::size_t i = 0; i < runs.size(); i++) {
+            const BlockRun &r = runs[i];
+            DESC_ASSERT(r.base % (Addr{1} << _block_shift) == 0,
+                        "run base not block-aligned: ", r.base);
+            DESC_ASSERT(r.blocks <= kIndexMask, "run too long to pack");
+            first_stamp[i] = _clock + 1;
+            _clock += r.blocks;
+            if (r.blocks > 0)
+                by_base.push_back(r);
+        }
+        std::ranges::sort(by_base, {}, &BlockRun::base);
+        for (std::size_t i = 1; i < by_base.size(); i++) {
+            const BlockRun &prev = by_base[i - 1];
+            const Addr gap = by_base[i].base - prev.base;
+            DESC_ASSERT(gap >> _block_shift >= prev.blocks,
+                        "overlapping runs at ", by_base[i].base);
+        }
+
+        // Per set: the next way, plus kWrapped once every way is filled.
+        constexpr std::uint32_t kWrapped = std::uint32_t{1} << 31;
+        std::vector<std::uint32_t> next(_sets, 0);
+        for (std::size_t r = 0; r < runs.size(); r++) {
+            const Addr first = runs[r].base >> _block_shift;
+            for (std::uint64_t i = 0; i < runs[r].blocks; i++) {
+                const unsigned set = unsigned((first + i) & (_sets - 1));
+                std::uint32_t &c = next[set];
+                const std::uint32_t w = c & ~kWrapped;
+                _lru[std::size_t(set) * _assoc + w] =
+                    (std::uint64_t(r) << kIndexBits) | i;
+                c = w + 1 == _assoc ? kWrapped : c + 1;
+            }
+        }
+        for (unsigned set = 0; set < _sets; set++) {
+            const Way base = Way(set) * _assoc;
+            const unsigned n = next[set] & kWrapped ? _assoc : next[set];
+            for (Way way = base; way < base + n; way++) {
+                const std::uint64_t r = _lru[way] >> kIndexBits;
+                const std::uint64_t i = _lru[way] & kIndexMask;
+                const Addr addr = runs[r].base + (i << _block_shift);
+                _tagv[way] = (std::uint64_t(tagOf(addr)) << 1) | 1;
+                _lru[way] = first_stamp[r] + i;
+                _meta[way] = meta;
+            }
         }
     }
 
-    /** Capture the tag/valid words, LRU stamps, and LRU clock. Line
-     *  metadata is not captured: a snapshot is only meaningful while
-     *  every valid line still has default-constructed Meta (as after
-     *  a pure prefill), which restoreTagImage() reestablishes being
-     *  applied to a freshly constructed array. */
-    TagImage
-    tagImage() const
-    {
-        return {_tagv, _lru, _clock};
-    }
-
-    /** Restore a tagImage() capture onto a same-geometry array. */
-    void
-    restoreTagImage(const TagImage &img)
-    {
-        DESC_ASSERT(img.tagv.size() == _tagv.size(),
-                    "tag image from a different geometry");
-        _tagv = img.tagv;
-        _lru = img.lru;
-        _clock = img.clock;
-    }
+    /** LRU stamp of a line and the array's LRU clock (for tests). */
+    std::uint64_t stamp(Way way) const { return _lru[way]; }
+    std::uint64_t lruClock() const { return _clock; }
 
   private:
     unsigned _assoc;

@@ -547,20 +547,10 @@ MemHierarchy::l2Data(L2Array::Way way)
     return _l2_data[way];
 }
 
-MemHierarchy::WarmupState
-MemHierarchy::warmupSnapshot() const
-{
-    return {_l2.tagImage()};
-}
-
 void
-MemHierarchy::restoreWarmup(const WarmupState &w)
+MemHierarchy::prefillRuns(std::span<const BlockRun> runs)
 {
-    _l2.restoreTagImage(w.l2);
-    // A pure prefill() sequence leaves every valid line as a clean,
-    // unshared, virgin install; the fresh array's default metadata
-    // covers everything but the virgin flag.
-    _l2.forEach([this](L2Array::Way way) { _l2.meta(way).virgin = true; });
+    _l2.fillRuns(runs, L2Meta{.virgin = true});
 }
 
 std::optional<Cycle>

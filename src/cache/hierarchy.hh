@@ -18,6 +18,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -181,22 +182,14 @@ class MemHierarchy
     void prefill(Addr addr);
 
     /**
-     * Capture of the post-prefill L2 state, cheap to reapply. Valid
-     * only for a hierarchy that has seen nothing but prefill() calls:
-     * every valid line is then a clean, unshared, virgin install, so
-     * tags + recency are the whole state.
+     * Functional warmup in one build: the same L2 state as prefill()
+     * of every block of @p runs in order, on a hierarchy that has
+     * seen nothing else (see SetAssocArray::fillRuns()).
      */
-    struct WarmupState
-    {
-        TagImage l2;
-    };
+    void prefillRuns(std::span<const BlockRun> runs);
 
-    WarmupState warmupSnapshot() const;
-
-    /** Reapply a snapshot to a freshly constructed hierarchy (same
-     *  geometry); equivalent to re-running the prefill() sequence the
-     *  snapshot was taken after. */
-    void restoreWarmup(const WarmupState &w);
+    /** Read-only view of the L2 tag array, for equivalence tests. */
+    const auto &l2Array() const { return _l2; }
 
   private:
     struct L1Meta

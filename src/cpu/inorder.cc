@@ -25,6 +25,7 @@ InOrderCore::InOrderCore(
         _thread_events.back().core = this;
         _thread_events.back().tid = unsigned(_thread_events.size() - 1);
     }
+    _ready.slots.resize(_threads.size());
 }
 
 void
@@ -88,8 +89,7 @@ InOrderCore::dispatch()
     if (_ready.empty())
         return; // all contexts blocked; a completion will wake us
 
-    unsigned tid = _ready.front();
-    _ready.pop_front();
+    const unsigned tid = _ready.pop_front();
     Thread &t = _threads[tid];
 
     // Instruction fetch: one I-cache access per fetched line.

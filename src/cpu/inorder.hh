@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
+#include "common/contract.hh"
 #include "common/stats.hh"
 #include "cpu/stream.hh"
 #include "sim/eventq.hh"
@@ -106,8 +107,36 @@ class InOrderCore
     unsigned _core_id;
     std::uint64_t _inst_budget;
 
+    /** FIFO of runnable thread ids. A thread is queued at most once,
+     *  so a ring of one slot per thread never grows. */
+    struct ReadyRing
+    {
+        std::vector<unsigned> slots;
+        unsigned head = 0;
+        unsigned size = 0;
+
+        bool empty() const { return size == 0; }
+
+        void
+        push_back(unsigned tid)
+        {
+            DESC_ASSERT(size < slots.size(), "thread ", tid, " queued twice");
+            const unsigned at = head + size++;
+            slots[at < slots.size() ? at : at - slots.size()] = tid;
+        }
+
+        unsigned
+        pop_front()
+        {
+            const unsigned tid = slots[head];
+            head = head + 1 == slots.size() ? 0 : head + 1;
+            size--;
+            return tid;
+        }
+    };
+
     std::vector<Thread> _threads;
-    std::deque<unsigned> _ready;
+    ReadyRing _ready;
     unsigned _done_threads = 0;
 
     DispatchEvent _dispatch_ev;

@@ -1,9 +1,7 @@
 #include "sim/system.hh"
 
-#include <array>
-#include <map>
+#include <algorithm>
 #include <memory>
-#include <mutex>
 
 #include "common/contract.hh"
 #include "cpu/inorder.hh"
@@ -16,84 +14,45 @@
 
 namespace desc::sim {
 
-namespace {
-
-/**
- * Warmup snapshot cache. The post-prefill L2 tag state is a pure
- * function of the cache geometry, the thread count, and the workload
- * region sizes — data values never enter it (installs are virgin),
- * so neither the scheme nor the seed belongs in the key. Sweeps such
- * as the figure runners simulate hundreds of points over a handful
- * of such tuples; replaying the ~100k-block prefill walk for each
- * one is pure overhead, so the first run of a tuple captures the
- * resulting tag image and later runs reapply it. Guarded by a mutex
- * for multi-threaded runners.
- */
-using WarmupKey = std::array<std::uint64_t, 7>;
-
-constexpr std::size_t kWarmupCacheCap = 16;
-
-std::mutex warmup_mutex;
-std::map<WarmupKey, std::shared_ptr<const cache::MemHierarchy::WarmupState>>
-    warmup_cache;
-
-std::shared_ptr<const cache::MemHierarchy::WarmupState>
-warmupCacheFind(const WarmupKey &key)
+std::vector<cache::BlockRun>
+warmupRuns(const SystemConfig &cfg)
 {
-    std::lock_guard<std::mutex> lock(warmup_mutex);
-    auto it = warmup_cache.find(key);
-    return it == warmup_cache.end() ? nullptr : it->second;
-}
-
-void
-warmupCacheInsert(const WarmupKey &key,
-                  cache::MemHierarchy::WarmupState &&state)
-{
-    auto shared = std::make_shared<const cache::MemHierarchy::WarmupState>(
-        std::move(state));
-    std::lock_guard<std::mutex> lock(warmup_mutex);
-    if (warmup_cache.size() < kWarmupCacheCap)
-        warmup_cache.emplace(key, std::move(shared));
-}
-
-unsigned
-warmupThreads(const SystemConfig &cfg)
-{
-    return cfg.cpu == CpuKind::OutOfOrder
+    const unsigned threads = cfg.cpu == CpuKind::OutOfOrder
         ? 1
         : cfg.cores * cfg.threads_per_core;
+    std::uint64_t budget =
+        cfg.l2.org.capacity_bytes / cfg.l2.org.block_bytes * 7 / 10;
+    std::vector<cache::BlockRun> runs;
+    runs.reserve(2 * threads + 1);
+    for (unsigned t = 0; t < threads && budget > 0; t++) {
+        const std::uint64_t hot =
+            std::min<std::uint64_t>((cfg.app.hot_bytes + 63) / 64, budget);
+        runs.push_back({workloads::AppStream::hotBase(t), hot});
+        budget -= hot;
+    }
+    const std::uint64_t shared =
+        std::min<std::uint64_t>(cfg.app.ws_shared / 64, budget / 2);
+    runs.push_back({workloads::AppStream::sharedBase(), shared});
+    budget -= shared;
+    // Every thread's private run gets an equal share of what hot and
+    // shared data left.
+    const std::uint64_t priv =
+        std::min<std::uint64_t>(cfg.app.ws_private / 64, budget / threads);
+    for (unsigned t = 0; t < threads; t++)
+        runs.push_back({workloads::AppStream::privateBase(t), priv});
+    return runs;
 }
-
-} // namespace
 
 std::uint64_t
 prefillWalk(cache::MemHierarchy &mem, const SystemConfig &cfg)
 {
-    const unsigned threads = warmupThreads(cfg);
-    std::uint64_t budget_blocks =
-        cfg.l2.org.capacity_bytes / cfg.l2.org.block_bytes * 7 / 10;
-    const std::uint64_t budget = budget_blocks;
-    for (unsigned t = 0; t < threads && budget_blocks > 0; t++) {
-        Addr base = workloads::AppStream::hotBase(t);
-        for (Addr a = 0; a < cfg.app.hot_bytes && budget_blocks > 0;
-             a += 64, budget_blocks--) {
-            mem.prefill(base + a);
-        }
+    std::uint64_t blocks = 0;
+    for (const cache::BlockRun &r : warmupRuns(cfg)) {
+        for (std::uint64_t i = 0; i < r.blocks; i++)
+            mem.prefill(r.base + i * 64);
+        blocks += r.blocks;
     }
-    std::uint64_t shared_blocks = std::min<std::uint64_t>(
-        cfg.app.ws_shared / 64, budget_blocks / 2);
-    for (Addr a = 0; a < shared_blocks; a++)
-        mem.prefill(workloads::AppStream::sharedBase() + a * 64);
-    budget_blocks -= shared_blocks;
-    std::uint64_t priv_blocks = std::min<std::uint64_t>(
-        cfg.app.ws_private / 64, budget_blocks / threads);
-    for (unsigned t = 0; t < threads; t++) {
-        Addr base = workloads::AppStream::privateBase(t);
-        for (Addr a = 0; a < priv_blocks; a++)
-            mem.prefill(base + a * 64);
-    }
-    // Hot and shared installs came out of the budget; private did not.
-    return budget - budget_blocks + priv_blocks * threads;
+    return blocks;
 }
 
 SimResult
@@ -110,21 +69,7 @@ runSystem(const SystemConfig &cfg, core::SchemeFactory make_scheme)
     // Functional warmup: the timed region is a short sample of a much
     // longer execution, so the L2 must start with steady-state
     // contents.
-    {
-        const WarmupKey key = {cfg.l2.org.capacity_bytes,
-                               cfg.l2.org.block_bytes,
-                               cfg.l2.org.assoc,
-                               warmupThreads(cfg),
-                               cfg.app.hot_bytes,
-                               cfg.app.ws_shared,
-                               cfg.app.ws_private};
-        if (auto snap = warmupCacheFind(key)) {
-            mem.restoreWarmup(*snap);
-        } else {
-            prefillWalk(mem, cfg);
-            warmupCacheInsert(key, mem.warmupSnapshot());
-        }
-    }
+    mem.prefillRuns(warmupRuns(cfg));
 
     std::vector<std::unique_ptr<cpu::InOrderCore>> smt_cores;
     std::unique_ptr<cpu::OooCore> ooo_core;

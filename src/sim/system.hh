@@ -135,11 +135,16 @@ SimResult runSystem(const SystemConfig &cfg,
                     core::SchemeFactory make_scheme = core::makeScheme);
 
 /**
- * The functional warmup runSystem() walks on a fresh hierarchy when
- * its warmup snapshot cache has no entry for @p cfg: prefill ~70% of
- * the L2 with the leading stripes of every region the threads touch
- * (hot sets first, then shared and private data). Returns the number
- * of prefill() calls.
+ * The functional warmup of every run: the block runs that fill ~70%
+ * of the L2 with the leading stripes of every region the threads
+ * touch (hot sets first, then shared and private data), in install
+ * order. runSystem() builds them with MemHierarchy::prefillRuns().
+ */
+std::vector<cache::BlockRun> warmupRuns(const SystemConfig &cfg);
+
+/**
+ * The reference walk of the same warmup: prefill() of every block of
+ * warmupRuns(@p cfg) in order. Returns the number of prefill() calls.
  */
 std::uint64_t prefillWalk(cache::MemHierarchy &mem, const SystemConfig &cfg);
 

@@ -64,7 +64,7 @@ class AppStream : public cpu::InstructionStream
     /** Ops of the published trace this stream started replaying. */
     std::size_t tracedOps() const;
 
-    /** Region bases (shared with the warmup logic in sim::runSystem). */
+    /** Region bases (shared with the warmup runs of sim::warmupRuns). */
     static Addr privateBase(unsigned thread_id);
     static Addr sharedBase();
     static Addr hotBase(unsigned thread_id);

@@ -159,56 +159,6 @@ TEST(Hierarchy, PrefillMakesAccessesHit)
     EXPECT_EQ(f.mem->stats().l2_misses.value(), 0u);
 }
 
-TEST(Hierarchy, RestoredWarmupMatchesPrefillWalk)
-{
-    // runSystem() replaces the prefill() walk with restoreWarmup() of
-    // a cached snapshot for every run after the first of a geometry,
-    // so a restored hierarchy must be indistinguishable from a walked
-    // one: same tag image, and the same behaviour afterwards.
-    L2Config cfg;
-    cfg.org.capacity_bytes = 64 * 1024; // tiny L2: 64 sets of 16
-    Fixture walked(cfg);
-    // 1200 blocks into 1024 lines: the walk evicts, so recency matters.
-    for (Addr b = 0; b < 1200; b++)
-        walked.mem->prefill(0x100000 + b * 3 * 64);
-    const MemHierarchy::WarmupState snap = walked.mem->warmupSnapshot();
-
-    Fixture restored(cfg);
-    restored.mem->restoreWarmup(snap);
-    const MemHierarchy::WarmupState again =
-        restored.mem->warmupSnapshot();
-    EXPECT_EQ(again.l2.tagv, snap.l2.tagv);
-    EXPECT_EQ(again.l2.lru, snap.l2.lru);
-    EXPECT_EQ(again.l2.clock, snap.l2.clock);
-
-    // Hits on warmed lines (their virgin payloads feed the transfer
-    // flips), misses that evict warmed lines, and stores.
-    for (Fixture *f : {&walked, &restored}) {
-        for (Addr i = 0; i < 48; i++) {
-            Addr a = 0x100000 + i * 37 * 64;
-            f->read(unsigned(i % 2), a);
-            if (i % 5 == 0)
-                f->write(unsigned(i % 2), a + 8, i);
-        }
-    }
-    const HierarchyStats &w = walked.mem->stats();
-    const HierarchyStats &r = restored.mem->stats();
-    EXPECT_GT(w.l2_hits.value(), 0u);
-    EXPECT_GT(w.l2_misses.value(), 0u);
-    EXPECT_EQ(r.l2_hits.value(), w.l2_hits.value());
-    EXPECT_EQ(r.l2_misses.value(), w.l2_misses.value());
-    EXPECT_EQ(r.l2_fills.value(), w.l2_fills.value());
-    EXPECT_EQ(r.l2_evictions_out.value(), w.l2_evictions_out.value());
-    EXPECT_EQ(r.read_transfers.value(), w.read_transfers.value());
-    EXPECT_EQ(r.write_transfers.value(), w.write_transfers.value());
-    EXPECT_EQ(r.data_flips, w.data_flips);
-    EXPECT_EQ(r.ctrl_flips, w.ctrl_flips);
-    EXPECT_EQ(r.bank_busy_cycles, w.bank_busy_cycles);
-    EXPECT_EQ(r.hit_latency.mean(), w.hit_latency.mean());
-    EXPECT_EQ(restored.eq.now(), walked.eq.now());
-    EXPECT_EQ(restored.backing.stores, walked.backing.stores);
-}
-
 TEST(Hierarchy, MshrMergesConcurrentMisses)
 {
     Fixture f;
