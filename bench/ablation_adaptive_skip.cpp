@@ -18,11 +18,12 @@
 #include "core/descscheme.hh"
 #include "workloads/valuemodel.hh"
 
-using namespace desc;
-using namespace desc::core;
+namespace desc::bench {
 
-int
-main()
+using namespace core;
+
+static void
+render(const Runs &)
 {
     const SkipMode modes[] = {SkipMode::None, SkipMode::Zero,
                               SkipMode::LastValue, SkipMode::Adaptive};
@@ -75,5 +76,9 @@ main()
                 "needs per-wire tracking tables at the cache\n"
                 "controller whose access energy consumes the residual "
                 "wire-transition advantage (Section 5.2).\n");
-    return 0;
 }
+
+const Figure ablation_adaptive_skip{"ablation_adaptive_skip", nullptr,
+                                    render};
+
+} // namespace desc::bench

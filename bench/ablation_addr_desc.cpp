@@ -18,11 +18,12 @@
 #include "encoding/binary.hh"
 #include "workloads/stream.hh"
 
-using namespace desc;
-using namespace desc::core;
+namespace desc::bench {
 
-int
-main()
+using namespace core;
+
+static void
+render(const Runs &)
 {
     const unsigned kOps = 4000;
 
@@ -87,5 +88,8 @@ main()
                 desc_flips * 1.0 < bin_flips
                     ? "marginal energy win, large latency loss"
                     : "no win at all");
-    return 0;
 }
+
+const Figure ablation_addr_desc{"ablation_addr_desc", nullptr, render};
+
+} // namespace desc::bench

@@ -6,59 +6,54 @@
  * "broadly applicable since they can be used on interconnects with
  * different characteristics (e.g., transmission lines or low-swing
  * wires)". This harness runs binary and zero-skipped DESC on both
- * full-swing and low-swing H-trees: low-swing cuts the per-transition
- * cost, and DESC still removes the same fraction of transitions on
- * top of it.
+ * full-swing and low-swing H-trees, summed over the eight sweep
+ * applications: low-swing cuts the per-transition cost, and DESC still
+ * removes the same fraction of transitions on top of it.
  */
 
 #include <cstdio>
 
 #include "benchutil.hh"
 
-using namespace desc;
-using encoding::SchemeKind;
+namespace desc::bench {
 
-int
-main()
+/** Binary and ZS-DESC on full-swing, then on low-swing wires. */
+static Points
+points()
 {
-    auto apps = bench::sweepApps();
+    Points pts;
+    for (bool low_swing : {false, true})
+        for (const auto &cfg :
+             binaryThenDesc(sweepApps(), kSweepBudget,
+                            [=](sim::SystemConfig &c) {
+                                c.l2.org.low_swing = low_swing;
+                            }))
+            pts.push_back(cfg);
+    return pts;
+}
 
-    auto evaluate = [&](SchemeKind kind, bool low_swing) {
-        double e = 0, t = 0;
-        for (const auto &app : apps) {
-            auto cfg = sim::baselineConfig(app);
-            cfg.insts_per_thread = bench::kSweepBudget;
-            sim::applyScheme(cfg, kind);
-            cfg.l2.org.low_swing = low_swing;
-            auto run = sim::runApp(cfg);
-            e += run.l2.total();
-            t += double(run.result.cycles);
-        }
-        return std::make_pair(e, t);
-    };
-
-    auto [bin_fs_e, bin_fs_t] = evaluate(SchemeKind::Binary, false);
-    auto [desc_fs_e, desc_fs_t] =
-        evaluate(SchemeKind::DescZeroSkip, false);
-    auto [bin_ls_e, bin_ls_t] = evaluate(SchemeKind::Binary, true);
-    auto [desc_ls_e, desc_ls_t] =
-        evaluate(SchemeKind::DescZeroSkip, true);
-
+static void
+render(const Runs &runs)
+{
+    auto energy = sliceSums(runs, sweepApps().size(), l2Energy);
+    auto time = sliceSums(runs, sweepApps().size(), cycles);
     Table t({"interconnect", "scheme", "L2 energy (norm)",
              "exec time (norm)"});
-    t.row().add("full-swing").add("Binary").add(1.0, 3).add(1.0, 3);
-    t.row().add("full-swing").add("ZS-DESC")
-        .add(desc_fs_e / bin_fs_e, 3).add(desc_fs_t / bin_fs_t, 3);
-    t.row().add("low-swing").add("Binary")
-        .add(bin_ls_e / bin_fs_e, 3).add(bin_ls_t / bin_fs_t, 3);
-    t.row().add("low-swing").add("ZS-DESC")
-        .add(desc_ls_e / bin_fs_e, 3).add(desc_ls_t / bin_fs_t, 3);
+    for (std::size_t i = 0; i < 4; i++)
+        t.row()
+            .add(i < 2 ? "full-swing" : "low-swing")
+            .add(i % 2 ? "ZS-DESC" : "Binary")
+            .add(energy[i] / energy[0], 3)
+            .add(time[i] / time[0], 3);
     t.print("Ablation: DESC on full-swing vs low-swing H-trees, "
             "normalized to full-swing binary");
 
     std::printf("DESC reduction on full-swing wires: %.2fx; on "
                 "low-swing wires: %.2fx (composes: %s)\n",
-                bin_fs_e / desc_fs_e, bin_ls_e / desc_ls_e,
-                bin_ls_e / desc_ls_e > 1.2 ? "yes" : "NO");
-    return 0;
+                energy[0] / energy[1], energy[2] / energy[3],
+                energy[2] / energy[3] > 1.2 ? "yes" : "NO");
 }
+
+const Figure ablation_low_swing{"ablation_low_swing", points, render};
+
+} // namespace desc::bench

@@ -15,11 +15,12 @@
 #include "core/descscheme.hh"
 #include "workloads/valuemodel.hh"
 
-using namespace desc;
-using namespace desc::core;
+namespace desc::bench {
 
-int
-main()
+using namespace core;
+
+static void
+render(const Runs &)
 {
     const unsigned kBlocks = 200;
 
@@ -67,5 +68,8 @@ main()
                 "cycles (%.0f%% narrower; Figure 10's effect)\n",
                 basic_cycles / blocks, zs_cycles / blocks,
                 100.0 * (1.0 - zs_cycles / basic_cycles));
-    return 0;
 }
+
+const Figure ablation_protocol{"ablation_protocol", nullptr, render};
+
+} // namespace desc::bench

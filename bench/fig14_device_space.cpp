@@ -2,74 +2,67 @@
  * @file
  * Figure 14: design-space exploration over ITRS device types for the
  * SRAM cells and the peripheral circuitry (all nine cell-periphery
- * combinations at 8 banks, 64-bit bus). Reports L2 energy, execution
- * time, and total processor energy, each normalized to the
- * LSTP-LSTP configuration. Paper: LSTP-LSTP minimizes both energies
- * at a ~2% execution-time cost over HP devices.
+ * combinations at 8 banks, 64-bit bus), summed over the eight sweep
+ * applications. Reports L2 energy, execution time, and total
+ * processor energy, each normalized to the LSTP-LSTP configuration.
+ * Paper: LSTP-LSTP minimizes both energies at a ~2% execution-time
+ * cost over HP devices.
  */
+
+#include <string>
 
 #include "benchutil.hh"
 
-using namespace desc;
+namespace desc::bench {
+
 using energy::Device;
 
-int
-main()
+const Device kDevices[3] = {Device::HP, Device::LOP, Device::LSTP};
+
+static Points
+points()
 {
-    const Device devices[3] = {Device::HP, Device::LOP, Device::LSTP};
-    auto apps = bench::sweepApps();
+    Points pts;
+    for (Device cell : kDevices)
+        for (Device periph : kDevices)
+            addAppPoints(pts, sweepApps(), kSweepBudget,
+                         [=](sim::SystemConfig &cfg) {
+                             cfg.l2.org.cell_dev = cell;
+                             cfg.l2.org.periph_dev = periph;
+                         });
+    return pts;
+}
 
-    struct Point
-    {
-        std::string name;
-        double l2_energy, exec_time, proc_energy;
-    };
-    std::vector<Point> points;
+static void
+render(const Runs &runs)
+{
+    const std::size_t n = sweepApps().size();
+    auto l2 = sliceSums(runs, n, l2Energy);
+    auto time = sliceSums(runs, n, cycles);
+    auto proc = sliceSums(runs, n, [](const sim::AppRun &run) {
+        return run.processor.total();
+    });
 
-    // One flat batch over all nine device combinations; the runner
-    // preserves submission order, so slice per combination below.
-    std::vector<sim::SystemConfig> cfgs;
-    for (Device cell : devices) {
-        for (Device periph : devices) {
-            for (const auto &app : apps) {
-                auto cfg = sim::baselineConfig(app);
-                cfg.insts_per_thread = bench::kSweepBudget;
-                cfg.l2.org.cell_dev = cell;
-                cfg.l2.org.periph_dev = periph;
-                cfgs.push_back(cfg);
-            }
-        }
-    }
-    auto runs = bench::runConfigs(cfgs);
-
-    std::size_t next = 0;
-    for (Device cell : devices) {
-        for (Device periph : devices) {
-            std::string name = std::string(energy::deviceName(cell))
-                + "-" + energy::deviceName(periph);
-            double l2 = 0, cyc = 0, proc = 0;
-            for (std::size_t i = 0; i < apps.size(); i++) {
-                const auto &run = runs[next++];
-                l2 += run.l2.total();
-                cyc += double(run.result.cycles);
-                proc += run.processor.total();
-            }
-            points.push_back(Point{name, l2, cyc, proc});
-        }
-    }
-
-    const Point &base = points.back(); // LSTP-LSTP is the last combo
+    const std::size_t base = l2.size() - 1; // LSTP-LSTP is the last combo
     Table t({"cells-periphery", "L2 energy (norm)", "exec time (norm)",
              "processor energy (norm)"});
-    for (const auto &p : points) {
-        t.row()
-            .add(p.name)
-            .add(p.l2_energy / base.l2_energy, 2)
-            .add(p.exec_time / base.exec_time, 3)
-            .add(p.proc_energy / base.proc_energy, 2);
+    std::size_t c = 0;
+    for (Device cell : kDevices) {
+        for (Device periph : kDevices) {
+            t.row()
+                .add(std::string(energy::deviceName(cell)) + "-"
+                     + energy::deviceName(periph))
+                .add(l2[c] / l2[base], 2)
+                .add(time[c] / time[base], 3)
+                .add(proc[c] / proc[base], 2);
+            c++;
+        }
     }
     t.print("Figure 14: device design space, normalized to 8 banks / "
             "64-bit bus / LSTP-LSTP (paper: HP-HP L2 energy ~300x, "
             "exec time ~0.98)");
-    return 0;
 }
+
+const Figure fig14_device_space{"fig14_device_space", points, render};
+
+} // namespace desc::bench

@@ -9,14 +9,15 @@
 
 #include <cstdio>
 
-#include "common/table.hh"
+#include "benchutil.hh"
 #include "energy/synthesis.hh"
 
-using namespace desc;
-using namespace desc::energy;
+namespace desc::bench {
 
-int
-main()
+using namespace energy;
+
+static void
+render(const Runs &)
 {
     DescSynthesisModel m22(128, 4, tech22());
     DescSynthesisModel m45(128, 4, tech45());
@@ -39,5 +40,8 @@ main()
                     + m22.receiver().peak_power_mw);
     std::printf("22nm round-trip logic delay: %.0f ps (paper 625 ps)\n",
                 m22.roundTripDelayNs() * 1e3);
-    return 0;
 }
+
+const Figure fig17_synthesis{"fig17_synthesis", nullptr, render};
+
+} // namespace desc::bench

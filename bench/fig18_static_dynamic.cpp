@@ -1,44 +1,39 @@
 /**
  * @file
  * Figure 18: contribution of static and dynamic energy to the overall
- * L2 energy for every data-transfer technique, averaged over the
- * sixteen parallel applications and normalized to binary encoding.
- * Paper: zero-skipped DESC halves dynamic energy while adding ~3%
- * static energy.
+ * L2 energy for every data-transfer technique, summed over the eight
+ * sweep applications at the sweep budget and normalized to the binary
+ * total. Paper: zero-skipped DESC halves dynamic energy while adding
+ * ~3% static energy.
  */
+
+#include <cstdio>
 
 #include "benchutil.hh"
 
-using namespace desc;
-using encoding::SchemeKind;
+namespace desc::bench {
 
-int
-main()
+static Points
+points()
 {
-    auto apps = bench::sweepApps();
-    const unsigned n = encoding::kNumSchemes;
+    return schemePoints(sweepApps(), kSweepBudget);
+}
 
-    double base_total = 0;
-    std::vector<double> stat(n, 0.0), dyn(n, 0.0);
-    for (unsigned s = 0; s < n; s++) {
-        SchemeKind kind = core::allSchemeKinds()[s];
-        std::fprintf(stderr, "scheme %s\n",
-                     sim::shortSchemeName(kind).c_str());
-        for (const auto &app : apps) {
-            auto cfg = sim::baselineConfig(app);
-            cfg.insts_per_thread = bench::kSweepBudget;
-            sim::applyScheme(cfg, kind);
-            auto run = sim::runApp(cfg);
-            stat[s] += run.l2.static_energy;
-            dyn[s] += run.l2.dynamic();
-        }
-        if (s == 0)
-            base_total = stat[0] + dyn[0];
-    }
+static void
+render(const Runs &runs)
+{
+    const std::size_t n = sweepApps().size();
+    auto stat = sliceSums(runs, n, [](const sim::AppRun &r) {
+        return r.l2.static_energy;
+    });
+    auto dyn = sliceSums(runs, n, [](const sim::AppRun &r) {
+        return r.l2.dynamic();
+    });
+    double base_total = stat[0] + dyn[0];
 
     Table t({"scheme", "static (norm)", "dynamic (norm)",
              "total (norm)"});
-    for (unsigned s = 0; s < n; s++) {
+    for (unsigned s = 0; s < encoding::kNumSchemes; s++) {
         t.row()
             .add(sim::shortSchemeName(core::allSchemeKinds()[s]))
             .add(stat[s] / base_total, 3)
@@ -51,5 +46,9 @@ main()
     std::printf("ZS-DESC dynamic reduction: %.2fx (paper ~2x); "
                 "static overhead: %+.1f%%\n",
                 dyn[0] / dyn[6], 100.0 * (stat[6] / stat[0] - 1.0));
-    return 0;
 }
+
+const Figure fig18_static_dynamic{"fig18_static_dynamic", points,
+                                  render};
+
+} // namespace desc::bench

@@ -1,31 +1,32 @@
 /**
  * @file
  * Figure 19: overall processor energy with zero-skipped DESC at the
- * L2, per application, normalized to binary encoding, split into the
- * L2 and the other hardware units. Paper: 7% processor energy saving.
+ * L2, for each of the sixteen parallel applications, normalized to
+ * binary encoding, split into the L2 and the other hardware units.
+ * Paper: 7% processor energy saving.
  */
+
+#include <cstdio>
 
 #include "benchutil.hh"
 
-using namespace desc;
+namespace desc::bench {
 
-int
-main()
+static Points
+points()
+{
+    return binaryThenDesc(workloads::parallelApps(), kAppBudget);
+}
+
+static void
+render(const Runs &runs)
 {
     const auto &apps = workloads::parallelApps();
     Table t({"app", "L2 share", "other units share", "total (norm)"});
     std::vector<double> totals;
-
-    for (const auto &app : apps) {
-        std::fprintf(stderr, "  running %s...\n", app.name);
-        auto base_cfg = sim::baselineConfig(app);
-        base_cfg.insts_per_thread = bench::kAppBudget;
-        auto base = sim::runApp(base_cfg);
-
-        auto desc_cfg = base_cfg;
-        sim::applyScheme(desc_cfg, encoding::SchemeKind::DescZeroSkip);
-        auto with_desc = sim::runApp(desc_cfg);
-
+    for (std::size_t a = 0; a < apps.size(); a++) {
+        const auto &base = runs[a];
+        const auto &with_desc = runs[apps.size() + a];
         double base_total = base.processor.total();
         double l2_share = with_desc.l2.total() / base_total;
         double other_share =
@@ -33,7 +34,7 @@ main()
             / base_total;
         totals.push_back(l2_share + other_share);
         t.row()
-            .add(app.name)
+            .add(apps[a].name)
             .add(l2_share, 3)
             .add(other_share, 3)
             .add(l2_share + other_share, 3);
@@ -44,5 +45,9 @@ main()
 
     std::printf("processor energy saving: %.1f%% (paper ~7%%)\n",
                 100.0 * (1.0 - geomean(totals)));
-    return 0;
 }
+
+const Figure fig19_processor_energy{"fig19_processor_energy", points,
+                                    render};
+
+} // namespace desc::bench

@@ -1,61 +1,54 @@
 /**
  * @file
  * Figure 21: average L2 hit delay (cycles) under conventional binary
- * encoding and zero-skipped DESC on 64- and 128-wire data buses, per
- * application. Paper: DESC adds 31.2 cycles at 64 wires and 8.45 at
- * 128 wires (10% / 2% slowdowns).
+ * encoding and zero-skipped DESC on 64- and 128-wire data buses, for
+ * each of the sixteen parallel applications. Paper: DESC adds 31.2
+ * cycles at 64 wires and 8.45 at 128 wires (10% / 2% slowdowns).
  */
 
 #include "benchutil.hh"
 
-using namespace desc;
+namespace desc::bench {
+
 using encoding::SchemeKind;
 
-int
-main()
+static Points
+points()
 {
-    struct Config
-    {
-        const char *name;
-        SchemeKind kind;
-        unsigned wires;
-    };
-    const Config configs[] = {
-        {"64-bit Binary", SchemeKind::Binary, 64},
-        {"128-bit Binary", SchemeKind::Binary, 128},
-        {"64-bit DESC", SchemeKind::DescZeroSkip, 64},
-        {"128-bit DESC", SchemeKind::DescZeroSkip, 128},
-    };
+    Points pts;
+    for (SchemeKind kind : {SchemeKind::Binary, SchemeKind::DescZeroSkip})
+        for (unsigned wires : {64u, 128u})
+            addAppPoints(pts, workloads::parallelApps(), kAppBudget,
+                         [=](sim::SystemConfig &cfg) {
+                             sim::applyScheme(cfg, kind);
+                             cfg.l2.org.bus_wires = wires;
+                             cfg.l2.scheme_cfg.bus_wires = wires;
+                         });
+    return pts;
+}
 
+static void
+render(const Runs &runs)
+{
     const auto &apps = workloads::parallelApps();
-    std::vector<std::vector<double>> delay(4);
-    for (unsigned c = 0; c < 4; c++) {
-        std::fprintf(stderr, "config %s\n", configs[c].name);
-        for (const auto &app : apps) {
-            auto cfg = sim::baselineConfig(app);
-            cfg.insts_per_thread = bench::kAppBudget;
-            sim::applyScheme(cfg, configs[c].kind);
-            cfg.l2.org.bus_wires = configs[c].wires;
-            cfg.l2.scheme_cfg.bus_wires = configs[c].wires;
-            delay[c].push_back(sim::runApp(cfg).result.avgHitDelay());
-        }
-    }
-
     Table t({"app", "64-bit Binary", "128-bit Binary", "64-bit DESC",
              "128-bit DESC"});
+    std::vector<double> sums(4, 0.0);
     for (std::size_t a = 0; a < apps.size(); a++) {
         t.row().add(apps[a].name);
-        for (unsigned c = 0; c < 4; c++)
-            t.add(delay[c][a], 2);
+        for (std::size_t b = 0; b < sums.size(); b++) {
+            double delay = runs[b * apps.size() + a].result.avgHitDelay();
+            sums[b] += delay;
+            t.add(delay, 2);
+        }
     }
     t.row().add("Average");
-    for (unsigned c = 0; c < 4; c++) {
-        double sum = 0;
-        for (double d : delay[c])
-            sum += d;
+    for (double sum : sums)
         t.add(sum / double(apps.size()), 2);
-    }
     t.print("Figure 21: average L2 hit delay in cycles (paper: DESC "
             "adds ~31.2 at 64 wires, ~8.45 at 128 wires)");
-    return 0;
 }
+
+const Figure fig21_hit_delay{"fig21_hit_delay", points, render};
+
+} // namespace desc::bench

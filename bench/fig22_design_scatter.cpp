@@ -1,88 +1,86 @@
 /**
  * @file
  * Figure 22: cache design-space possibilities under conventional
- * binary and value-skipped DESC — L2 energy vs execution time (both
- * normalized to the 8-bank / 64-bit / binary baseline) while varying
- * the data bus width, the number of banks, and (for DESC) the chunk
- * size. Paper: DESC opens new design points with much lower energy at
- * little extra delay.
+ * binary and value-skipped DESC — L2 energy vs execution time, summed
+ * over the eight sweep applications and normalized to the 8-bank /
+ * 64-bit / binary baseline, while varying the data bus width, the
+ * number of banks, and (for DESC) the chunk size. Paper: DESC opens
+ * new design points with much lower energy at little extra delay.
  */
 
 #include "benchutil.hh"
 
-using namespace desc;
+namespace desc::bench {
+
 using encoding::SchemeKind;
 
-int
-main()
+struct Design
 {
-    auto apps = bench::sweepApps();
+    SchemeKind kind;
+    unsigned banks, wires, chunk;
+};
 
-    // Gather every (scheme, banks, wires, chunk) point of the
-    // scatter, submit all of them as one batch, then aggregate each
-    // point's per-app slice in submission order.
-    struct Point
-    {
-        SchemeKind kind;
-        unsigned banks, wires, chunk;
-    };
-    std::vector<Point> pts;
-    pts.push_back(Point{SchemeKind::Binary, 8, 64, 4}); // baseline
+/** The baseline, then every binary and every ZS-DESC design. */
+static std::vector<Design>
+designs()
+{
+    std::vector<Design> ds = {{SchemeKind::Binary, 8, 64, 4}};
     const unsigned bank_opts[] = {4, 8, 16};
     const unsigned wire_opts[] = {32, 64, 128, 256};
     for (unsigned banks : bank_opts)
         for (unsigned wires : wire_opts)
-            pts.push_back(Point{SchemeKind::Binary, banks, wires, 4});
-    const unsigned chunk_opts[] = {2, 4};
+            ds.push_back(Design{SchemeKind::Binary, banks, wires, 4});
     for (unsigned banks : bank_opts)
         for (unsigned wires : wire_opts)
-            for (unsigned chunk : chunk_opts)
-                pts.push_back(
-                    Point{SchemeKind::DescZeroSkip, banks, wires, chunk});
+            for (unsigned chunk : {2u, 4u})
+                ds.push_back(
+                    Design{SchemeKind::DescZeroSkip, banks, wires, chunk});
+    return ds;
+}
 
-    std::vector<sim::SystemConfig> cfgs;
-    for (const auto &p : pts) {
-        for (const auto &app : apps) {
-            auto cfg = sim::baselineConfig(app);
-            cfg.insts_per_thread = bench::kSweepBudget;
-            sim::applyScheme(cfg, p.kind);
-            cfg.l2.org.banks = p.banks;
-            cfg.l2.org.bus_wires = p.wires;
-            cfg.l2.scheme_cfg.bus_wires = p.wires;
-            cfg.l2.scheme_cfg.chunk_bits = p.chunk;
-            cfgs.push_back(cfg);
-        }
-    }
-    auto runs = bench::runConfigs(cfgs);
+static Points
+points()
+{
+    Points pts;
+    for (const Design &d : designs())
+        addAppPoints(pts, sweepApps(), kSweepBudget,
+                     [&d](sim::SystemConfig &cfg) {
+                         sim::applyScheme(cfg, d.kind);
+                         cfg.l2.org.banks = d.banks;
+                         cfg.l2.org.bus_wires = d.wires;
+                         cfg.l2.scheme_cfg.bus_wires = d.wires;
+                         cfg.l2.scheme_cfg.chunk_bits = d.chunk;
+                     });
+    return pts;
+}
 
-    std::vector<double> energy(pts.size(), 0.0);
-    std::vector<double> time(pts.size(), 0.0);
-    for (std::size_t p = 0; p < pts.size(); p++) {
-        for (std::size_t i = 0; i < apps.size(); i++) {
-            const auto &run = runs[p * apps.size() + i];
-            energy[p] += run.l2.total();
-            time[p] += double(run.result.cycles);
-        }
-    }
-
-    double base_e = energy[0], base_t = time[0];
+static void
+render(const Runs &runs)
+{
+    const auto ds = designs();
+    auto energy = sliceSums(runs, sweepApps().size(), l2Energy);
+    auto time = sliceSums(runs, sweepApps().size(), cycles);
 
     Table t({"scheme", "banks", "wires", "chunk", "L2 energy (norm)",
              "exec time (norm)"});
-    for (std::size_t p = 1; p < pts.size(); p++) {
-        const auto &pt = pts[p];
+    for (std::size_t p = 1; p < ds.size(); p++) {
+        const auto &d = ds[p];
         t.row()
-            .add(pt.kind == SchemeKind::Binary ? "Binary" : "ZS-DESC")
-            .add(std::uint64_t{pt.banks})
-            .add(std::uint64_t{pt.wires});
-        if (pt.kind == SchemeKind::Binary)
+            .add(d.kind == SchemeKind::Binary ? "Binary" : "ZS-DESC")
+            .add(std::uint64_t{d.banks})
+            .add(std::uint64_t{d.wires});
+        if (d.kind == SchemeKind::Binary)
             t.add("-");
         else
-            t.add(std::uint64_t{pt.chunk});
-        t.add(energy[p] / base_e, 3).add(time[p] / base_t, 3);
+            t.add(std::uint64_t{d.chunk});
+        t.add(energy[p] / energy[0], 3).add(time[p] / time[0], 3);
     }
     t.print("Figure 22: design-space scatter, normalized to 8 banks / "
             "64-bit bus / binary (paper: DESC points cluster at lower "
             "energy, similar delay)");
-    return 0;
 }
+
+const Figure fig22_design_scatter{"fig22_design_scatter", points,
+                                  render};
+
+} // namespace desc::bench

@@ -1,50 +1,49 @@
 /**
  * @file
  * Figure 25: sensitivity of zero-skipped DESC to the number of L2
- * banks (1..64): execution time and L2 energy, averaged over the
- * applications, normalized to the 8-bank binary baseline. Paper: big
- * improvement from 1 to 2 banks, minimum around 8, worse beyond due
- * to per-bank overheads.
+ * banks (1..64): execution time and L2 energy, summed over the eight
+ * sweep applications and normalized to the 8-bank binary baseline.
+ * Paper: big improvement from 1 to 2 banks, minimum around 8, worse
+ * beyond due to per-bank overheads.
  */
 
 #include "benchutil.hh"
 
-using namespace desc;
+namespace desc::bench {
 
-int
-main()
+const unsigned kBanks[] = {1, 2, 4, 8, 16, 32, 64};
+
+/** The 8-bank binary baseline, then ZS-DESC at every bank count. */
+static Points
+points()
 {
-    auto apps = bench::sweepApps();
+    Points pts;
+    addAppPoints(pts, sweepApps(), kSweepBudget);
+    for (unsigned banks : kBanks)
+        addAppPoints(pts, sweepApps(), kSweepBudget,
+                     [=](sim::SystemConfig &cfg) {
+                         sim::applyScheme(
+                             cfg, encoding::SchemeKind::DescZeroSkip);
+                         cfg.l2.org.banks = banks;
+                     });
+    return pts;
+}
 
-    auto evaluate = [&](encoding::SchemeKind kind, unsigned banks,
-                        double *energy, double *time) {
-        double e = 0, c = 0;
-        for (const auto &app : apps) {
-            auto cfg = sim::baselineConfig(app);
-            cfg.insts_per_thread = bench::kSweepBudget;
-            sim::applyScheme(cfg, kind);
-            cfg.l2.org.banks = banks;
-            auto run = sim::runApp(cfg);
-            e += run.l2.total();
-            c += double(run.result.cycles);
-        }
-        *energy = e;
-        *time = c;
-    };
-
-    double base_e, base_t;
-    evaluate(encoding::SchemeKind::Binary, 8, &base_e, &base_t);
-
+static void
+render(const Runs &runs)
+{
+    auto energy = sliceSums(runs, sweepApps().size(), l2Energy);
+    auto time = sliceSums(runs, sweepApps().size(), cycles);
     Table t({"banks", "exec time (norm)", "L2 energy (norm)"});
-    for (unsigned banks : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
-        std::fprintf(stderr, "banks=%u\n", banks);
-        double e, c;
-        evaluate(encoding::SchemeKind::DescZeroSkip, banks, &e, &c);
-        t.row().add(std::uint64_t{banks}).add(c / base_t, 3)
-            .add(e / base_e, 3);
-    }
+    for (std::size_t b = 0; b < std::size(kBanks); b++)
+        t.row().add(std::uint64_t{kBanks[b]})
+            .add(time[b + 1] / time[0], 3)
+            .add(energy[b + 1] / energy[0], 3);
     t.print("Figure 25: zero-skipped DESC vs bank count, normalized "
             "to the 8-bank binary baseline (paper: best around 8 "
             "banks)");
-    return 0;
 }
+
+const Figure fig25_banks{"fig25_banks", points, render};
+
+} // namespace desc::bench

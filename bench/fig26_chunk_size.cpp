@@ -2,64 +2,55 @@
  * @file
  * Figure 26: sensitivity of zero-skipped DESC to the chunk size (1,
  * 2, 4, 8 bits) across data bus widths (32..256 wires): L2 energy and
- * execution time normalized to the binary baseline. Paper: 4-bit
- * chunks with 128 wires give the best energy-delay product.
+ * execution time, summed over the eight sweep applications and
+ * normalized to the binary baseline. Paper: 4-bit chunks with 128
+ * wires give the best energy-delay product.
  */
+
+#include <cstdio>
+#include <string>
 
 #include "benchutil.hh"
 
-using namespace desc;
+namespace desc::bench {
 
-int
-main()
+const unsigned kChunks[] = {1, 2, 4, 8};
+const unsigned kWires[] = {32, 64, 128, 256};
+
+/** The binary baseline, then every (chunk, wires, app) point. */
+static Points
+points()
 {
-    auto apps = bench::sweepApps();
+    Points pts;
+    addAppPoints(pts, sweepApps(), kSweepBudget);
+    for (unsigned chunk : kChunks)
+        for (unsigned wires : kWires)
+            addAppPoints(pts, sweepApps(), kSweepBudget,
+                         [=](sim::SystemConfig &cfg) {
+                             sim::applyScheme(
+                                 cfg, encoding::SchemeKind::DescZeroSkip);
+                             cfg.l2.org.bus_wires = wires;
+                             cfg.l2.scheme_cfg.bus_wires = wires;
+                             cfg.l2.scheme_cfg.chunk_bits = chunk;
+                         });
+    return pts;
+}
 
-    // One flat batch: the binary baseline first, then every
-    // (chunk, wires, app) point in sweep order.
-    std::vector<sim::SystemConfig> cfgs;
-    for (const auto &app : apps) {
-        auto cfg = sim::baselineConfig(app);
-        cfg.insts_per_thread = bench::kSweepBudget;
-        cfgs.push_back(cfg);
-    }
-    for (unsigned chunk : {1u, 2u, 4u, 8u}) {
-        for (unsigned wires : {32u, 64u, 128u, 256u}) {
-            for (const auto &app : apps) {
-                auto cfg = sim::baselineConfig(app);
-                cfg.insts_per_thread = bench::kSweepBudget;
-                sim::applyScheme(cfg,
-                                 encoding::SchemeKind::DescZeroSkip);
-                cfg.l2.org.bus_wires = wires;
-                cfg.l2.scheme_cfg.bus_wires = wires;
-                cfg.l2.scheme_cfg.chunk_bits = chunk;
-                cfgs.push_back(cfg);
-            }
-        }
-    }
-    auto runs = bench::runConfigs(cfgs);
-
-    std::size_t next = 0;
-    double base_e = 0, base_t = 0;
-    for (std::size_t i = 0; i < apps.size(); i++) {
-        const auto &run = runs[next++];
-        base_e += run.l2.total();
-        base_t += double(run.result.cycles);
-    }
+static void
+render(const Runs &runs)
+{
+    auto energy = sliceSums(runs, sweepApps().size(), l2Energy);
+    auto time = sliceSums(runs, sweepApps().size(), cycles);
 
     Table t({"chunk bits", "wires", "L2 energy (norm)",
              "exec time (norm)", "EDP (norm)"});
     double best_edp = 1e30;
     std::string best_cfg;
-    for (unsigned chunk : {1u, 2u, 4u, 8u}) {
-        for (unsigned wires : {32u, 64u, 128u, 256u}) {
-            double e = 0, c = 0;
-            for (std::size_t i = 0; i < apps.size(); i++) {
-                const auto &run = runs[next++];
-                e += run.l2.total();
-                c += double(run.result.cycles);
-            }
-            double en = e / base_e, tn = c / base_t;
+    std::size_t next = 1; // slice 0 is the binary baseline
+    for (unsigned chunk : kChunks) {
+        for (unsigned wires : kWires) {
+            double en = energy[next] / energy[0];
+            double tn = time[next++] / time[0];
             double edp = en * tn;
             if (edp < best_edp) {
                 best_edp = edp;
@@ -74,5 +65,8 @@ main()
             "normalized to binary (paper best: 4-bit chunks, 128 "
             "wires)");
     std::printf("best energy-delay product: %s\n", best_cfg.c_str());
-    return 0;
 }
+
+const Figure fig26_chunk_size{"fig26_chunk_size", points, render};
+
+} // namespace desc::bench

@@ -1,72 +1,56 @@
 /**
  * @file
  * Figure 27: impact of L2 capacity (512KB .. 64MB) on cache energy
- * for conventional binary and zero-skipped DESC, normalized to the
- * 8MB binary cache. Paper: DESC improves cache energy by 1.87x at
- * 512KB down to 1.75x at 64MB.
+ * for conventional binary and zero-skipped DESC, summed over the eight
+ * sweep applications and normalized to the 8MB binary cache. Paper:
+ * DESC improves cache energy by 1.87x at 512KB down to 1.75x at 64MB.
  */
+
+#include <string>
 
 #include "benchutil.hh"
 
-using namespace desc;
+namespace desc::bench {
 
-int
-main()
+constexpr std::uint64_t kMB = 1ull << 20;
+const std::uint64_t kSizes[] = {kMB / 2, kMB,     2 * kMB,  4 * kMB,
+                                8 * kMB, 16 * kMB, 32 * kMB, 64 * kMB};
+
+/** The 8MB binary reference, then per capacity a binary and a
+ *  ZS-DESC slice. */
+static Points
+points()
 {
-    auto apps = bench::sweepApps();
+    Points pts;
+    addAppPoints(pts, sweepApps(), kSweepBudget);
+    for (std::uint64_t size : kSizes)
+        for (const auto &cfg : binaryThenDesc(
+                 sweepApps(), kSweepBudget, [=](sim::SystemConfig &c) {
+                     c.l2.org.capacity_bytes = size;
+                 }))
+            pts.push_back(cfg);
+    return pts;
+}
 
-    const std::uint64_t mb = 1ull << 20;
-    const std::uint64_t sizes[] = {mb / 2, mb, 2 * mb, 4 * mb,
-                                   8 * mb, 16 * mb, 32 * mb, 64 * mb};
-
-    // One flat batch: the 8MB binary reference, then per capacity a
-    // binary and a ZS-DESC slice, each across the sweep apps.
-    struct Point
-    {
-        encoding::SchemeKind kind;
-        std::uint64_t capacity;
-    };
-    std::vector<Point> pts;
-    pts.push_back(Point{encoding::SchemeKind::Binary, 8 * mb});
-    for (std::uint64_t size : sizes) {
-        pts.push_back(Point{encoding::SchemeKind::Binary, size});
-        pts.push_back(Point{encoding::SchemeKind::DescZeroSkip, size});
-    }
-
-    std::vector<sim::SystemConfig> cfgs;
-    for (const auto &p : pts) {
-        for (const auto &app : apps) {
-            auto cfg = sim::baselineConfig(app);
-            cfg.insts_per_thread = bench::kSweepBudget;
-            sim::applyScheme(cfg, p.kind);
-            cfg.l2.org.capacity_bytes = p.capacity;
-            cfgs.push_back(cfg);
-        }
-    }
-    auto runs = bench::runConfigs(cfgs);
-
-    auto pointEnergy = [&](std::size_t p) {
-        double e = 0;
-        for (std::size_t i = 0; i < apps.size(); i++)
-            e += runs[p * apps.size() + i].l2.total();
-        return e;
-    };
-
-    double base = pointEnergy(0);
-
+static void
+render(const Runs &runs)
+{
+    auto energy = sliceSums(runs, sweepApps().size(), l2Energy);
     Table t({"capacity", "Binary (norm)", "ZS-DESC (norm)",
              "reduction"});
-    for (std::size_t s = 0; s < std::size(sizes); s++) {
-        std::uint64_t size = sizes[s];
-        double b = pointEnergy(1 + 2 * s);
-        double d = pointEnergy(2 + 2 * s);
-        std::string label = size >= mb
-            ? std::to_string(size / mb) + "MB"
+    for (std::size_t s = 0; s < std::size(kSizes); s++) {
+        std::uint64_t size = kSizes[s];
+        double b = energy[1 + 2 * s], d = energy[2 + 2 * s];
+        std::string label = size >= kMB
+            ? std::to_string(size / kMB) + "MB"
             : std::to_string(size >> 10) + "KB";
-        t.row().add(label).add(b / base, 3).add(d / base, 3)
+        t.row().add(label).add(b / energy[0], 3).add(d / energy[0], 3)
             .add(b / d, 2);
     }
     t.print("Figure 27: L2 energy vs capacity, normalized to the 8MB "
             "binary cache (paper: DESC reduction 1.87x..1.75x)");
-    return 0;
 }
+
+const Figure fig27_cache_size{"fig27_cache_size", points, render};
+
+} // namespace desc::bench

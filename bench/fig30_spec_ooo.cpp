@@ -1,42 +1,37 @@
 /**
  * @file
- * Figure 30: execution time of single-threaded SPEC CPU 2006
- * applications on the 4-issue out-of-order core with zero-skipped
- * DESC at the L2, normalized to binary encoding. Paper: +6% on
- * average — the latency-sensitive design tolerates DESC's longer
- * transfer windows far less than the multithreaded machine.
+ * Figure 30: execution time of the eight single-threaded SPEC CPU 2006
+ * applications on one 4-issue out-of-order core (four times the
+ * per-app budget) with zero-skipped DESC at the L2, normalized to
+ * binary encoding. Paper: +6% on average — the latency-sensitive
+ * design tolerates DESC's longer transfer windows far less than the
+ * multithreaded machine.
  */
 
 #include "benchutil.hh"
 
-using namespace desc;
+namespace desc::bench {
 
-int
-main()
+static Points
+points()
+{
+    return binaryThenDesc(workloads::specApps(), 4 * kAppBudget,
+                          [](sim::SystemConfig &cfg) {
+                              cfg.cpu = sim::CpuKind::OutOfOrder;
+                              cfg.threads_per_core = 1;
+                          });
+}
+
+static void
+render(const Runs &runs)
 {
     const auto &apps = workloads::specApps();
     Table t({"app", "exec time (norm)"});
-    std::vector<double> norms;
-
-    for (const auto &app : apps) {
-        std::fprintf(stderr, "  running %s...\n", app.name);
-        auto base_cfg = sim::baselineConfig(app);
-        base_cfg.cpu = sim::CpuKind::OutOfOrder;
-        base_cfg.threads_per_core = 1;
-        base_cfg.insts_per_thread = 4 * bench::kAppBudget;
-        auto base = sim::runApp(base_cfg);
-
-        auto desc_cfg = base_cfg;
-        sim::applyScheme(desc_cfg, encoding::SchemeKind::DescZeroSkip);
-        auto with_desc = sim::runApp(desc_cfg);
-
-        double norm = double(with_desc.result.cycles)
-            / double(base.result.cycles);
-        norms.push_back(norm);
-        t.row().add(app.name).add(norm, 3);
-    }
-    t.row().add("Geomean").add(geomean(norms), 3);
+    addAppRows(t, apps, {normalizedToFirst(runs, apps.size(), cycles)[1]});
     t.print("Figure 30: out-of-order execution time with zero-skipped "
             "DESC, normalized to binary (paper geomean ~1.06)");
-    return 0;
 }
+
+const Figure fig30_spec_ooo{"fig30_spec_ooo", points, render};
+
+} // namespace desc::bench

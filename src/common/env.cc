@@ -21,20 +21,6 @@ constexpr Info kInfos[kNumVars] = {
 
 std::atomic<std::uint64_t> g_lookups{0};
 
-/** "DESC_SIM_JOBS" -> "desc-sim-jobs": the warnOnce key stem. */
-std::string
-warnKey(Var v)
-{
-    std::string key(name(v));
-    for (char &c : key) {
-        if (c == '_')
-            c = '-';
-        else if (c >= 'A' && c <= 'Z')
-            c = char(c - 'A' + 'a');
-    }
-    return key;
-}
-
 } // namespace
 
 const Info &
@@ -71,7 +57,7 @@ enabledNotZero(Var v)
 }
 
 bool
-parseBool(Var v, const char *value, bool def, const char *off_suffix)
+parseBool(Var v, const char *value, bool def)
 {
     if (!value || !*value)
         return def;
@@ -79,15 +65,12 @@ parseBool(Var v, const char *value, bool def, const char *off_suffix)
         return false;
     if (std::strcmp(value, "1") == 0)
         return true;
-    warnOnce(detail::concat(warnKey(v), "-", value),
-             detail::concat("ignoring invalid ", name(v), "=\"", value,
-                            "\" (want 0 or 1)", off_suffix));
-    return def;
+    DESC_FATAL("invalid ", name(v), "=\"", value, "\" (want 0 or 1)");
 }
 
 std::uint64_t
 parseUint(Var v, const char *value, std::uint64_t def,
-          std::uint64_t lo, std::uint64_t hi, const char *suffix)
+          std::uint64_t lo, std::uint64_t hi)
 {
     if (!value)
         return def;
@@ -98,18 +81,14 @@ parseUint(Var v, const char *value, std::uint64_t def,
     bool negative = std::strchr(value, '-') != nullptr;
     if (end == value || *end != '\0' || errno != 0 || negative
         || parsed < lo || parsed > hi) {
-        warnOnce(detail::concat(warnKey(v), "-", value),
-                 detail::concat("ignoring invalid ", name(v), "=\"",
-                                value, "\" (want an integer in [", lo,
-                                ", ", hi, "])", suffix));
-        return def;
+        DESC_FATAL("invalid ", name(v), "=\"", value,
+                   "\" (want an integer in [", lo, ", ", hi, "])");
     }
     return parsed;
 }
 
 double
-parsePositiveFloat(Var v, const char *value, double def,
-                   const char *def_str)
+parsePositiveFloat(Var v, const char *value, double def)
 {
     if (!value || !*value)
         return def;
@@ -118,31 +97,28 @@ parsePositiveFloat(Var v, const char *value, double def,
     double parsed = std::strtod(value, &end);
     if (end == value || *end != '\0' || errno == ERANGE
         || !std::isfinite(parsed) || parsed <= 0.0) {
-        warn(detail::concat("ignoring invalid ", name(v), "=\"", value,
-                            "\" (want a finite value > 0); using ",
-                            def_str));
-        return def;
+        DESC_FATAL("invalid ", name(v), "=\"", value,
+                   "\" (want a finite value > 0)");
     }
     return parsed;
 }
 
 bool
-boolOr(Var v, bool def, const char *off_suffix)
+boolOr(Var v, bool def)
 {
-    return parseBool(v, raw(v), def, off_suffix);
+    return parseBool(v, raw(v), def);
 }
 
 std::uint64_t
-uintOr(Var v, std::uint64_t def, std::uint64_t lo, std::uint64_t hi,
-       const char *suffix)
+uintOr(Var v, std::uint64_t def, std::uint64_t lo, std::uint64_t hi)
 {
-    return parseUint(v, raw(v), def, lo, hi, suffix);
+    return parseUint(v, raw(v), def, lo, hi);
 }
 
 double
-positiveFloatOr(Var v, double def, const char *def_str)
+positiveFloatOr(Var v, double def)
 {
-    return parsePositiveFloat(v, raw(v), def, def_str);
+    return parsePositiveFloat(v, raw(v), def);
 }
 
 std::string

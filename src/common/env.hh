@@ -11,10 +11,11 @@
  * cannot be read at all, and `desc_analyze.py --list-env` can emit
  * the complete, always-current table for the docs.
  *
- * Parsing follows the strict warnOnce discipline: a set-but-invalid
- * value warns once per process (keyed per variable, or per
- * variable+value where the existing diagnostics did) and falls back
- * to the caller's default; an unset variable falls back silently.
+ * Parsing is strict: a set-but-invalid value is a fatal error that
+ * names the variable, the value and what is wanted, so a typo never
+ * half-works (DESC_SIM_SCALE=0,25 would otherwise run at the default
+ * scale); an unset variable falls back to the caller's default
+ * silently.
  * The getters are read-through — they consult the environment on
  * every call so tests can setenv/unsetenv around them — and callers
  * on simulation hot paths memoize the result behind a magic static
@@ -77,26 +78,22 @@ bool enabledNotZero(Var v);
 
 /**
  * Strict boolean: unset/empty returns @p def; "0"/"1" parse; anything
- * else warns once (keyed per variable+value, with @p off_suffix
- * appended to the diagnostic) and returns @p def.
+ * else is fatal.
  */
-bool boolOr(Var v, bool def, const char *off_suffix = "");
+bool boolOr(Var v, bool def);
 
 /**
- * Strict unsigned integer in [@p lo, @p hi]: unset/empty returns
- * @p def; out-of-range, signed, or non-numeric values warn once
- * (keyed per variable+value, @p suffix appended) and return @p def.
+ * Strict unsigned integer in [@p lo, @p hi]: unset returns @p def;
+ * empty, out-of-range, signed, or non-numeric values are fatal.
  */
 std::uint64_t uintOr(Var v, std::uint64_t def, std::uint64_t lo,
-                     std::uint64_t hi, const char *suffix = "");
+                     std::uint64_t hi);
 
 /**
  * Strict positive finite double: unset/empty returns @p def;
- * garbage, non-finite, or non-positive values warn (once per process
- * effectively — memoize at the call site) naming @p def_str as the
- * fallback and return @p def.
+ * garbage, non-finite, or non-positive values are fatal.
  */
-double positiveFloatOr(Var v, double def, const char *def_str);
+double positiveFloatOr(Var v, double def);
 
 /** String value, or @p def when unset or empty. */
 std::string stringOr(Var v, const char *def);
@@ -107,13 +104,10 @@ std::string stringOr(Var v, const char *def);
  * so tests can exercise boundary and garbage inputs without
  * touching process state.
  */
-bool parseBool(Var v, const char *value, bool def,
-               const char *off_suffix = "");
+bool parseBool(Var v, const char *value, bool def);
 std::uint64_t parseUint(Var v, const char *value, std::uint64_t def,
-                        std::uint64_t lo, std::uint64_t hi,
-                        const char *suffix = "");
-double parsePositiveFloat(Var v, const char *value, double def,
-                          const char *def_str);
+                        std::uint64_t lo, std::uint64_t hi);
+double parsePositiveFloat(Var v, const char *value, double def);
 
 /**
  * Total raw() lookups so far in this process. Environment reads are

@@ -361,8 +361,7 @@ setEnabled(bool on)
 bool
 parseProfSpec(const char *spec)
 {
-    return env::parseBool(env::Var::Prof, spec, false,
-                          "; profiling stays off");
+    return env::parseBool(env::Var::Prof, spec, false);
 }
 
 Profile

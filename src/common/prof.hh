@@ -115,7 +115,7 @@ void setEnabled(bool on);
 
 /**
  * Parse a DESC_PROF-style toggle: null/""/"0" is off, "1" is on.
- * Anything else warns (once per distinct value) and is off.
+ * Anything else is fatal.
  */
 bool parseProfSpec(const char *spec);
 

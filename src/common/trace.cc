@@ -105,10 +105,8 @@ parseSpec(const char *spec)
             }
         }
         if (!found) {
-            warnOnce("trace-channel-" + name,
-                     desc::detail::concat(
-                         "ignoring unknown trace channel \"", name,
-                         "\" (known: link, cache, dram, runner, all)"));
+            DESC_FATAL("unknown trace channel \"", name,
+                       "\" (known: link, cache, dram, runner, all)");
         }
     }
     return mask;

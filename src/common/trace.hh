@@ -47,7 +47,7 @@ const char *channelName(Channel c);
 
 /**
  * Parse a DESC_TRACE-style spec ("link,cache", "all", "") into a
- * channel bitmask. Unknown names warn (once) and are ignored.
+ * channel bitmask. An unknown name is fatal.
  */
 std::uint32_t parseSpec(const char *spec);
 

@@ -16,7 +16,7 @@ simScale()
     // cache hashes post-scale budgets), and the magic static makes
     // the parse race-free under the parallel runner.
     static const double scale =
-        env::positiveFloatOr(env::Var::SimScale, 1.0, "1.0");
+        env::positiveFloatOr(env::Var::SimScale, 1.0);
     return scale;
 }
 

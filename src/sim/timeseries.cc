@@ -94,22 +94,21 @@ parseEverySpec(const char *spec)
 {
     if (!spec || !*spec)
         return 0;
-    return env::parseUint(env::Var::StatsEvery, spec, 0, 1, kMaxEvery,
-                          "; snapshots disabled");
+    return env::parseUint(env::Var::StatsEvery, spec, 0, 1, kMaxEvery);
 }
+
+// Parsed once, at startup: runSystem asks at every run start, the
+// bench holds the steady state to zero environment reads (tests pin
+// the cadence through setEveryForTest, not setenv), and a malformed
+// value must fail before a pool worker starts a run.
+static const std::uint64_t g_every =
+    parseEverySpec(env::raw(env::Var::StatsEvery));
 
 std::uint64_t
 everyCycles()
 {
     std::uint64_t o = g_every_override.load(std::memory_order_relaxed);
-    if (o != kNoOverride)
-        return o;
-    // Parsed once: runSystem asks at every run start, and the bench
-    // holds the steady state to zero environment reads (tests pin
-    // the cadence through setEveryForTest, not setenv).
-    static const std::uint64_t every =
-        parseEverySpec(env::raw(env::Var::StatsEvery));
-    return every;
+    return o != kNoOverride ? o : g_every;
 }
 
 void

@@ -33,8 +33,8 @@ namespace desc::sim::timeseries {
 
 /**
  * Parse a DESC_STATS_EVERY-style spec into a snapshot period in
- * cycles; 0 means disabled. Zero, negative, garbage, or out-of-range
- * values (above kMaxEvery) warn once and disable the knob.
+ * cycles; null or "" means disabled (0). Zero, negative, garbage, or
+ * out-of-range values (above kMaxEvery) are fatal.
  */
 std::uint64_t parseEverySpec(const char *spec);
 

@@ -169,13 +169,15 @@ TEST(EnvParse, UintAcceptsRangeAndBoundaries)
 TEST(EnvParse, UintRejectsZeroNegativeAndGarbage)
 {
     // Ported from the per-site DESC_SIM_JOBS suite: every malformed
-    // value falls back, without crashing, wrapping a negative into a
-    // huge count, or accepting trailing junk.
+    // value is fatal, naming the variable and the value, rather than
+    // wrapping a negative into a huge count, accepting trailing junk,
+    // or falling back to the default.
     const auto v = env::Var::SimJobs;
     for (const char *bad :
          {"0", "-1", "-4096", "banana", "3banana", "", " ",
           "99999999999999999999", "4097", "0x10", "+ 3", "3 "}) {
-        EXPECT_EQ(env::parseUint(v, bad, 9, 1, 4096), 9u)
+        EXPECT_DEATH(env::parseUint(v, bad, 9, 1, 4096),
+                     "invalid DESC_SIM_JOBS=\"")
             << "value \"" << bad << '"';
     }
 }
@@ -194,10 +196,12 @@ TEST(EnvParse, BoolIsStrictZeroOne)
     EXPECT_FALSE(env::parseBool(v, nullptr, false));
     EXPECT_TRUE(env::parseBool(v, nullptr, true));
     EXPECT_FALSE(env::parseBool(v, "", false));
+    EXPECT_TRUE(env::parseBool(v, "", true));
     for (const char *bad : {"2", "yes", "true", "on", "01", "1 "}) {
-        EXPECT_FALSE(env::parseBool(v, bad, false))
+        EXPECT_DEATH(env::parseBool(v, bad, false),
+                     "invalid DESC_PROF=\".*\" \\(want 0 or 1\\)")
             << "value \"" << bad << '"';
-        EXPECT_TRUE(env::parseBool(v, bad, true))
+        EXPECT_DEATH(env::parseBool(v, bad, true), "invalid DESC_PROF=")
             << "value \"" << bad << '"';
     }
 }
@@ -206,22 +210,23 @@ TEST(EnvParse, FloatAcceptsPositiveFinite)
 {
     // Ported from the DESC_SIM_SCALE suite.
     const auto v = env::Var::SimScale;
-    EXPECT_DOUBLE_EQ(env::parsePositiveFloat(v, "2.5", 1.0, "1.0"), 2.5);
-    EXPECT_DOUBLE_EQ(env::parsePositiveFloat(v, "0.05", 1.0, "1.0"),
-                     0.05);
-    EXPECT_DOUBLE_EQ(env::parsePositiveFloat(v, "1e-3", 1.0, "1.0"),
-                     1e-3);
+    EXPECT_DOUBLE_EQ(env::parsePositiveFloat(v, "2.5", 1.0), 2.5);
+    EXPECT_DOUBLE_EQ(env::parsePositiveFloat(v, "0.05", 1.0), 0.05);
+    EXPECT_DOUBLE_EQ(env::parsePositiveFloat(v, "1e-3", 1.0), 1e-3);
 }
 
 TEST(EnvParse, FloatRejectsNonPositiveAndGarbage)
 {
+    // "0,25" once ran silently at the default scale of 1.0.
     const auto v = env::Var::SimScale;
     for (const char *bad :
-         {"0", "-1", "-0.5", "nan", "inf", "-inf", "abc", "1.5x", ""}) {
-        EXPECT_DOUBLE_EQ(env::parsePositiveFloat(v, bad, 1.0, "1.0"),
-                         1.0)
+         {"0", "-1", "-0.5", "nan", "inf", "-inf", "abc", "1.5x", "0,25"}) {
+        EXPECT_DEATH(env::parsePositiveFloat(v, bad, 1.0),
+                     "invalid DESC_SIM_SCALE=\".*\" \\(want a finite "
+                     "value > 0\\)")
             << "value \"" << bad << '"';
     }
-    EXPECT_DOUBLE_EQ(env::parsePositiveFloat(v, nullptr, 0.25, "0.25"),
-                     0.25);
+    // Unset and empty stay the silent default.
+    EXPECT_DOUBLE_EQ(env::parsePositiveFloat(v, "", 1.0), 1.0);
+    EXPECT_DOUBLE_EQ(env::parsePositiveFloat(v, nullptr, 0.25), 0.25);
 }

@@ -76,13 +76,10 @@ TEST(ProfSpec, OnlyZeroAndOneAreAccepted)
     EXPECT_FALSE(parseProfSpec(""));
     EXPECT_FALSE(parseProfSpec("0"));
     EXPECT_TRUE(parseProfSpec("1"));
-    // Garbage and near-misses warn (once) and stay off.
-    EXPECT_FALSE(parseProfSpec("2"));
-    EXPECT_FALSE(parseProfSpec("yes"));
-    EXPECT_FALSE(parseProfSpec("01"));
-    EXPECT_FALSE(parseProfSpec("true"));
-    EXPECT_FALSE(parseProfSpec(" 1"));
-    EXPECT_FALSE(parseProfSpec("-1"));
+    // Garbage and near-misses are fatal.
+    for (const char *bad : {"2", "yes", "01", "true", " 1", "-1"})
+        EXPECT_DEATH(parseProfSpec(bad), "invalid DESC_PROF=")
+            << "value \"" << bad << '"';
 }
 
 TEST(ProfScopes, DisabledScopesAccumulateNothing)

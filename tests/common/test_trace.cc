@@ -83,10 +83,13 @@ TEST(TraceSpec, AllSelectsEveryChannel)
     EXPECT_EQ(parseSpec("all"), (1u << kNumChannels) - 1);
 }
 
-TEST(TraceSpec, UnknownNamesAreIgnored)
+TEST(TraceSpec, UnknownNamesAreFatal)
 {
-    EXPECT_EQ(parseSpec("link,nonsense-xyz"),
-              1u << unsigned(Channel::Link));
+    // DESC_TRACE=lnk once traced nothing without failing.
+    EXPECT_DEATH(parseSpec("link,nonsense-xyz"),
+                 "unknown trace channel \"nonsense-xyz\"");
+    EXPECT_DEATH(parseSpec("lnk"), "unknown trace channel \"lnk\"");
+    // Empty list items are not names.
     EXPECT_EQ(parseSpec(",,link,"), 1u << unsigned(Channel::Link));
 }
 

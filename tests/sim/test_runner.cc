@@ -140,19 +140,16 @@ TEST(Runner, JobsEnvValidValueIsHonored)
 
 TEST(Runner, JobsEnvRejectsZeroNegativeAndGarbage)
 {
-    // Every malformed value falls back to the hardware default; the
-    // parser must not crash, wrap a negative into a huge count, or
-    // accept trailing junk.
-    unsigned fallback;
-    {
-        JobsEnvGuard env(nullptr);
-        fallback = Runner::defaultJobs();
-    }
+    // Every malformed value is fatal: the parser must not wrap a
+    // negative into a huge count, accept trailing junk, or quietly
+    // run on the hardware default.
+    // Other tests of this binary may have left pool threads running.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     for (const char *bad :
          {"0", "-1", "-4096", "banana", "3banana", "", " ",
-          "99999999999999999999", "4097", "0x10"}) {
+          "99999999999999999999", "4097", "0x10", "four"}) {
         JobsEnvGuard env(bad);
-        EXPECT_EQ(Runner::defaultJobs(), fallback)
+        EXPECT_DEATH(Runner::defaultJobs(), "invalid DESC_SIM_JOBS=\"")
             << "DESC_SIM_JOBS=\"" << bad << '"';
     }
 }
