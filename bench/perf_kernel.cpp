@@ -399,12 +399,12 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--out") == 0)
             out = argv[i + 1];
     }
-    bool quick = desc::env::isSet(desc::env::Var::BenchQuick);
+    bool quick = desc::env::boolOr(desc::env::Var::BenchQuick, false);
 
     // One throwaway run touches every lazily-memoized knob (sim
-    // scale, trace mask, profiler spec, snapshot cadence)
-    // so the measured regions below can hold the registry's
-    // steady-state contract: zero environment reads.
+    // scale, trace mask, snapshot cadence) so the measured regions
+    // below can hold the registry's steady-state contract: zero
+    // environment reads.
     {
         auto cfg = benchSystemConfig(200);
         (void)sim::runSystem(cfg);

@@ -50,13 +50,6 @@ isSet(Var v)
 }
 
 bool
-enabledNotZero(Var v)
-{
-    const char *value = raw(v);
-    return !(value && std::strcmp(value, "0") == 0);
-}
-
-bool
 parseBool(Var v, const char *value, bool def)
 {
     if (!value || !*value)
@@ -101,6 +94,20 @@ parsePositiveFloat(Var v, const char *value, double def)
                    "\" (want a finite value > 0)");
     }
     return parsed;
+}
+
+std::FILE *
+openPath(Var v, const char *path, const char *mode)
+{
+    if (!path || !*path)
+        return nullptr;
+    std::FILE *f = std::fopen(path, mode);
+    if (!f) {
+        const int err = errno;
+        DESC_FATAL("cannot open ", name(v), "=\"", path, "\": ",
+                   std::strerror(err));
+    }
+    return f;
 }
 
 bool

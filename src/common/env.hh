@@ -28,6 +28,7 @@
 #define DESC_COMMON_ENV_HH
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 
 namespace desc::env {
@@ -70,13 +71,6 @@ const char *raw(Var v);
 bool isSet(Var v);
 
 /**
- * Default-on toggle: false only when the variable is set to exactly
- * "0" (DESC_SIM_CACHE semantics; other values, including garbage,
- * leave the feature on without a diagnostic).
- */
-bool enabledNotZero(Var v);
-
-/**
  * Strict boolean: unset/empty returns @p def; "0"/"1" parse; anything
  * else is fatal.
  */
@@ -108,6 +102,13 @@ bool parseBool(Var v, const char *value, bool def);
 std::uint64_t parseUint(Var v, const char *value, std::uint64_t def,
                         std::uint64_t lo, std::uint64_t hi);
 double parsePositiveFloat(Var v, const char *value, double def);
+
+/**
+ * Open the output file @p path names for knob @p v with fopen @p mode:
+ * nullptr when @p path is unset or empty; a path that cannot be
+ * opened is fatal, naming the variable, the path and the reason.
+ */
+std::FILE *openPath(Var v, const char *path, const char *mode);
 
 /**
  * Total raw() lookups so far in this process. Environment reads are

@@ -1,31 +1,25 @@
 /**
  * @file
- * Sampling-free, scope-based self-profiler.
+ * Scope-based host-time accounting, read by perfbench.
  *
  * DESC_PROF_SCOPE(component) marks a region of host work as belonging
- * to one simulator component; the profiler accumulates wall time,
- * entry counts, and (via DESC_PROF_CYCLES) simulated-cycle spans into
- * a hierarchical per-thread profile. Time inside a nested scope is
- * subtracted from the enclosing scope's self time, so the per
- * component self_ns totals partition the instrumented wall clock and
- * answer "where do the host cycles of a run actually go".
+ * to one simulator component; while enabled, the accounting sums wall
+ * time, entry counts, and (via DESC_PROF_CYCLES) simulated-cycle spans
+ * into per-thread, per-component totals. Time inside a nested scope
+ * is subtracted from the enclosing scope's self time, so the
+ * per-component self_ns totals partition the instrumented wall clock.
+ *
+ * Accounting starts off, and only code turns it on (setEnabled):
+ * perfbench's traced pass reads mergedProfile() for
+ * prof.overhead_pct and prof.share_gap_pct, and bench/perf_kernel
+ * times a run with it on and off. No knob, sidecar or report reads
+ * it.
  *
  * Cost contract (same one-branch pattern as src/common/trace): a
  * disabled scope is one relaxed atomic load and a predictable branch
  * in the constructor plus one branch in the destructor — cheap enough
  * to stay compiled into the hot simulation paths. bench/perf_kernel
  * measures this as runsystem_prof_overhead_pct and CI gates it.
- *
- * Environment:
- *   DESC_PROF=1        enable profiling (hot-spot table, stat merge)
- *   DESC_PROF_OUT=f    write a Chrome/Perfetto trace-event JSON to f
- *                      at process exit (implies DESC_PROF=1); one
- *                      track per component per thread
- *
- * The per-run profile deltas are threaded through the runner into the
- * StatRegistry (prof.* entries in the DESC_STATS_OUT sidecar) and the
- * run report's hot-spot table; tools/prof/desc_prof.py renders the
- * JSON into a per-component breakdown.
  */
 
 #ifndef DESC_COMMON_PROF_HH
@@ -33,8 +27,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 
 namespace desc::prof {
 
@@ -81,9 +73,6 @@ struct Profile
     /** Total scope entries across all components. */
     std::uint64_t scopes() const;
 
-    /** Total self nanoseconds across all components. */
-    std::uint64_t selfNs() const;
-
     void add(const Profile &other);
 
     /** Componentwise this - base (counters are monotonic). */
@@ -92,9 +81,8 @@ struct Profile
 
 namespace detail {
 
-/** Live flag; initialized from DESC_PROF / DESC_PROF_OUT before
- *  main(). Atomic for the same reason as the trace mask: tests and
- *  benches flip it while sweep workers poll it. */
+/** Live flag; starts false. Atomic for the same reason as the trace
+ *  mask: tests and benches flip it while sweep workers poll it. */
 extern std::atomic<bool> live;
 
 void enterScope(unsigned comp);
@@ -112,12 +100,6 @@ enabled()
 
 /** Enable/disable profiling at runtime (tests, benches). */
 void setEnabled(bool on);
-
-/**
- * Parse a DESC_PROF-style toggle: null/""/"0" is off, "1" is on.
- * Anything else is fatal.
- */
-bool parseProfSpec(const char *spec);
 
 /** RAII scope marker; see DESC_PROF_SCOPE. */
 class Scope
@@ -155,35 +137,7 @@ Profile deltaSince(const Profile &base);
  */
 Profile mergedProfile();
 
-/**
- * Record one finished run's profile delta under @p run_label
- * (app/Scheme#hash16). The runs appear in the DESC_PROF_OUT JSON and
- * the most recent one feeds the run report's hot-spot table.
- */
-void noteRunProfile(const std::string &run_label, const Profile &p);
-
-/** Most recently noted run profile; false when none was noted. */
-bool lastRunProfile(Profile *out, std::string *label);
-
-/** True when DESC_PROF_OUT requests a trace-event JSON. */
-bool outputEnabled();
-
-/** The DESC_PROF_OUT path ("" when unset). */
-const std::string &outputPath();
-
-/**
- * Write the Chrome/Perfetto trace-event JSON: a top-level object with
- * "traceEvents" (B/E pairs, ts in microseconds, one tid per component
- * per thread) plus a "profile" aggregate (merged + per-thread + per
- * run component totals). Called at process exit for DESC_PROF_OUT;
- * exposed for tests.
- */
-void writeTraceJson(std::ostream &os);
-
-/** Toggle trace-event capture (normally implied by DESC_PROF_OUT). */
-void setCaptureForTest(bool on);
-
-/** Clear all accumulated profiles, events, and run records. */
+/** Clear every thread's accumulated totals. */
 void resetForTest();
 
 } // namespace desc::prof

@@ -57,7 +57,7 @@ Table::print(const std::string &title) const
         std::printf("== %s ==\n", title.c_str());
 
     // Machine-readable mirror for downstream tooling.
-    if (env::isSet(env::Var::TableCsv)) {
+    if (env::boolOr(env::Var::TableCsv, false)) {
         std::fputs(toCsv().c_str(), stdout);
         std::printf("\n");
         return;

@@ -16,39 +16,23 @@ constexpr const char *kNames[kNumChannels] = {
  *  Atomic: a test may redirect while sweep workers are emitting. */
 std::atomic<std::FILE *> g_override{nullptr};
 
-/** Stream selected by DESC_TRACE_FILE (opened lazily, never closed —
- *  trace points may fire from static destructors). */
-std::FILE *
-defaultStream()
-{
-    static std::FILE *f = [] {
-        const char *path = env::raw(env::Var::TraceFile);
-        if (!path || !*path)
-            return stderr;
-        std::FILE *out = std::fopen(path, "w");
-        if (!out) {
-            warn(desc::detail::concat("cannot open DESC_TRACE_FILE \"",
-                                      path, "\"; tracing to stderr"));
-            return stderr;
-        }
-        return out;
-    }();
-    return f;
-}
+/** Stream selected by DESC_TRACE_FILE, opened at startup so a bad
+ *  path fails before any pool worker traces; never closed, since
+ *  trace points may fire from static destructors. */
+std::FILE *const g_file =
+    env::openPath(env::Var::TraceFile, env::raw(env::Var::TraceFile), "w");
 
 std::FILE *
 stream()
 {
     std::FILE *o = g_override.load(std::memory_order_acquire);
-    return o ? o : defaultStream();
+    return o ? o : g_file ? g_file : stderr;
 }
 
 void
 write(Channel c, const char *cycle_field, const std::string &msg)
 {
     const std::string &ctx = threadLogContext();
-    // Resolve the stream before locking: the first resolution may
-    // warn() about a bad DESC_TRACE_FILE, which takes logMutex too.
     std::FILE *out = stream();
     std::lock_guard<std::mutex> lock(logMutex());
     if (ctx.empty()) {

@@ -1,9 +1,7 @@
 #include "sim/report.hh"
 
-#include <algorithm>
 #include <cstdio>
 
-#include "common/prof.hh"
 #include "common/table.hh"
 #include "sim/runcache.hh"
 #include "sim/statdump.hh"
@@ -54,37 +52,6 @@ printRunReport(const SystemConfig &cfg, const AppRun &run)
     energy.row().add("processor total").add(cpu * 1e6, 3)
         .add(total / cpu, 3);
     energy.print("energy (last column: share of L2 / L2 share of CPU)");
-
-    // Hot-spot table: where the host cycles of the most recent
-    // simulated run went (only when profiling is live and at least
-    // one run executed uncached).
-    prof::Profile p;
-    std::string label;
-    if (prof::enabled() && prof::lastRunProfile(&p, &label)) {
-        std::vector<unsigned> order;
-        for (unsigned i = 0; i < prof::kNumComponents; i++) {
-            if (p.comp[i].count > 0)
-                order.push_back(i);
-        }
-        std::sort(order.begin(), order.end(), [&](unsigned a, unsigned b) {
-            return p.comp[a].self_ns > p.comp[b].self_ns;
-        });
-        const double self_total = double(p.selfNs());
-        Table hot({"component", "scopes", "self ms", "self %", "cycles"});
-        for (unsigned i : order) {
-            const auto &c = p.comp[i];
-            hot.row()
-                .add(prof::componentName(prof::Component(i)))
-                .add(c.count)
-                .add(double(c.self_ns) * 1e-6, 3)
-                .add(self_total > 0.0
-                         ? 100.0 * double(c.self_ns) / self_total
-                         : 0.0,
-                     1)
-                .add(c.cycles);
-        }
-        hot.print("profiler hot spots (" + label + ")");
-    }
 }
 
 std::string

@@ -14,7 +14,6 @@
 
 #include "common/env.hh"
 #include "common/log.hh"
-#include "common/prof.hh"
 #include "common/trace.hh"
 #include "sim/statdump.hh"
 
@@ -261,6 +260,13 @@ mutableStats()
     return stats;
 }
 
+// The knobs are resolved at startup, like DESC_STATS_EVERY: a
+// malformed value or an unopenable journal must fail before a pool
+// worker starts a run.
+const bool g_cache_on = env::boolOr(env::Var::SimCache, true);
+std::FILE *const g_manifest =
+    env::openPath(env::Var::RunManifest, env::raw(env::Var::RunManifest), "a");
+
 /**
  * Append one JSON line describing an executed run to the
  * DESC_RUN_MANIFEST journal. Lines are written whole under a lock,
@@ -270,24 +276,13 @@ void
 emitManifestLine(const SystemConfig &cfg, const AppRun &run,
                  std::uint64_t key, bool cached, double wall_seconds)
 {
+    if (!g_manifest)
+        return;
     static std::mutex manifest_mutex;
     std::lock_guard<std::mutex> lock(manifest_mutex);
 
-    static std::FILE *file = []() -> std::FILE * {
-        const char *p = env::raw(env::Var::RunManifest);
-        if (!p || !*p)
-            return nullptr;
-        std::FILE *f = std::fopen(p, "a");
-        if (!f)
-            warn(detail::concat("DESC_RUN_MANIFEST: cannot open \"", p,
-                                "\""));
-        return f;
-    }();
-    if (!file)
-        return;
-
     const std::string &ctx = threadLogContext();
-    std::fprintf(file,
+    std::fprintf(g_manifest,
                  "{\"app\": \"%s\", \"scheme\": \"%s\", "
                  "\"seed\": %llu, \"config_hash\": \"%s\", "
                  "\"cached\": %s, \"wall_seconds\": %.6g, "
@@ -301,7 +296,7 @@ emitManifestLine(const SystemConfig &cfg, const AppRun &run,
                  (unsigned long long)run.result.cycles,
                  (unsigned long long)run.result.instructions,
                  run.l2.total() * 1e6, run.processor.total() * 1e6);
-    std::fflush(file);
+    std::fflush(g_manifest);
 }
 
 } // namespace
@@ -339,7 +334,7 @@ RunCache::RunCache(std::string dir) : _dir(std::move(dir))
 RunCache
 RunCache::fromEnv()
 {
-    if (!env::enabledNotZero(env::Var::SimCache))
+    if (!g_cache_on)
         return RunCache("");
     return RunCache(
         env::stringOr(env::Var::SimCacheDir, ".desc-runcache"));
@@ -489,20 +484,8 @@ runAppCached(const SystemConfig &scaled_cfg)
 
     DESC_TRACE_HOST(Runner, "cache miss: ", runLabel(scaled_cfg, key),
                     ", simulating");
-    // Snapshot around the simulation so the delta isolates this run's
-    // host cost even when the worker thread executes many jobs.
-    const bool profiling = prof::enabled();
-    prof::Profile prof_base;
-    if (profiling)
-        prof_base = prof::threadProfile();
     AppRun run = runScaledApp(scaled_cfg);
     double seconds = elapsed();
-
-    prof::Profile prof_delta;
-    if (profiling) {
-        prof_delta = prof::deltaSince(prof_base);
-        prof::noteRunProfile(runLabel(scaled_cfg, key), prof_delta);
-    }
 
     cache.store(key, run);
     {
@@ -515,8 +498,7 @@ runAppCached(const SystemConfig &scaled_cfg)
     }
     DESC_TRACE_HOST(Runner, "simulated ", runLabel(scaled_cfg, key),
                     " in ", seconds, "s");
-    recordRunStats(scaled_cfg, run, key,
-                   profiling ? &prof_delta : nullptr);
+    recordRunStats(scaled_cfg, run, key);
     emitManifestLine(scaled_cfg, run, key, false, seconds);
     return run;
 }

@@ -17,8 +17,10 @@
  * entry ends in a checksum; one that fails to decode is reported once
  * by name and treated as a miss, so the point is simulated again.
  *
- * Environment:
- *  - DESC_SIM_CACHE=0 disables the cache entirely;
+ * Environment (DESC_SIM_CACHE and DESC_RUN_MANIFEST are resolved at
+ * startup, so a bad value or an unopenable journal is fatal before
+ * any run):
+ *  - DESC_SIM_CACHE=0 disables the cache entirely (strict 0/1);
  *  - DESC_SIM_CACHE_DIR overrides the location (default
  *    ".desc-runcache" under the current directory);
  *  - DESC_RUN_MANIFEST=<path> appends one JSON line per executed run
@@ -51,7 +53,7 @@ std::uint64_t configHash(const SystemConfig &cfg);
 
 /** app/scheme#<@p key as 16 hex digits>, @p key = configHash(cfg):
  *  the run column of the CSV sidecar and the time series, and the
- *  run tag of trace lines and the profiler. */
+ *  run tag of trace lines. */
 std::string runLabel(const SystemConfig &cfg, std::uint64_t key);
 
 /** A directory of serialized AppRuns keyed by configHash(). */

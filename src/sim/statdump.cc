@@ -249,8 +249,7 @@ writeRegistryCsv(std::ostream &os, const StatRegistry &reg,
 
 StatRegistry
 buildRunRegistry(const SystemConfig &cfg, const AppRun &run,
-                 std::uint64_t config_hash,
-                 const prof::Profile *profile)
+                 std::uint64_t config_hash)
 {
     const auto &r = run.result;
     const auto &h = r.hierarchy;
@@ -310,28 +309,6 @@ buildRunRegistry(const SystemConfig &cfg, const AppRun &run,
                   "total L2 energy, joules");
     reg.addScalar("energy.processor.total", run.processor.total(),
                   "total processor energy, joules");
-
-    if (profile) {
-        for (unsigned i = 0; i < prof::kNumComponents; i++) {
-            const auto &c = profile->comp[i];
-            if (c.count == 0 && c.cycles == 0)
-                continue;
-            std::string base = std::string("prof.")
-                + prof::componentName(prof::Component(i));
-            reg.addInt(base + ".scopes", c.count,
-                       "profiled scope entries during this run");
-            reg.addScalar(base + ".self_seconds",
-                          double(c.self_ns) * 1e-9,
-                          "host seconds in this component, excluding "
-                          "nested profiled scopes");
-            reg.addScalar(base + ".total_seconds",
-                          double(c.total_ns) * 1e-9,
-                          "host seconds in this component, including "
-                          "nested profiled scopes");
-            reg.addInt(base + ".cycles", c.cycles,
-                       "simulated cycles attributed to this component");
-        }
-    }
 
     return reg;
 }
@@ -424,12 +401,12 @@ statsSidecarEnabled()
 
 void
 recordRunStats(const SystemConfig &cfg, const AppRun &run,
-               std::uint64_t config_hash, const prof::Profile *profile)
+               std::uint64_t config_hash)
 {
     if (!statsSidecarEnabled())
         return;
 
-    StatRegistry reg = buildRunRegistry(cfg, run, config_hash, profile);
+    StatRegistry reg = buildRunRegistry(cfg, run, config_hash);
 
     SidecarRecord rec;
     rec.app = cfg.app.name;

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <iosfwd>
 
-#include "common/prof.hh"
 #include "common/stats.hh"
 #include "sim/experiment.hh"
 
@@ -29,13 +28,10 @@ namespace desc::sim {
  * Register every statistic of one finished run under dotted paths
  * (run.*, perf.*, l1.*, l2.*, link.*, chunks.*, dram.*, energy.*).
  * The registry references stat objects inside @p run, which must
- * outlive it. When @p profile is non-null (the run executed with
- * DESC_PROF=1), per-component host-time totals join the tree under
- * prof.*.
+ * outlive it.
  */
 StatRegistry buildRunRegistry(const SystemConfig &cfg, const AppRun &run,
-                              std::uint64_t config_hash,
-                              const prof::Profile *profile = nullptr);
+                              std::uint64_t config_hash);
 
 /**
  * Serialize @p reg as a nested JSON object (dotted path segments
@@ -62,8 +58,7 @@ bool statsSidecarEnabled();
  * produce deterministic sidecars.
  */
 void recordRunStats(const SystemConfig &cfg, const AppRun &run,
-                    std::uint64_t config_hash,
-                    const prof::Profile *profile = nullptr);
+                    std::uint64_t config_hash);
 
 } // namespace desc::sim
 

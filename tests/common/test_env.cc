@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -117,24 +118,33 @@ TEST(EnvRegistry, LookupCountAdvancesPerRawRead)
 
 // --- typed getters (read-through) ---------------------------------
 
-TEST(EnvRegistry, EnabledNotZeroSemantics)
+TEST(EnvRegistry, BoolOrReadsTheEnvironmentStrictly)
 {
+    // DESC_SIM_CACHE is default-on: unset and empty keep it on
+    // silently, and only "0" turns it off.
+    const auto v = env::Var::SimCache;
     {
         EnvGuard guard("DESC_SIM_CACHE", nullptr);
-        EXPECT_TRUE(env::enabledNotZero(env::Var::SimCache));
+        EXPECT_TRUE(env::boolOr(v, true));
+    }
+    {
+        EnvGuard guard("DESC_SIM_CACHE", "");
+        EXPECT_TRUE(env::boolOr(v, true));
     }
     {
         EnvGuard guard("DESC_SIM_CACHE", "0");
-        EXPECT_FALSE(env::enabledNotZero(env::Var::SimCache));
+        EXPECT_FALSE(env::boolOr(v, true));
     }
     {
         EnvGuard guard("DESC_SIM_CACHE", "1");
-        EXPECT_TRUE(env::enabledNotZero(env::Var::SimCache));
+        EXPECT_TRUE(env::boolOr(v, true));
     }
-    {
-        // Garbage leaves a default-on toggle on, silently.
-        EnvGuard guard("DESC_SIM_CACHE", "maybe");
-        EXPECT_TRUE(env::enabledNotZero(env::Var::SimCache));
+    // "off" once left the cache on and wrote entries.
+    for (const char *bad : {"off", "yes", "2"}) {
+        EnvGuard guard("DESC_SIM_CACHE", bad);
+        EXPECT_DEATH(env::boolOr(v, true),
+                     "invalid DESC_SIM_CACHE=\".*\" \\(want 0 or 1\\)")
+            << "value \"" << bad << '"';
     }
 }
 
@@ -190,7 +200,7 @@ TEST(EnvParse, UintUnsetIsSilentDefault)
 
 TEST(EnvParse, BoolIsStrictZeroOne)
 {
-    const auto v = env::Var::Prof;
+    const auto v = env::Var::SimCache;
     EXPECT_FALSE(env::parseBool(v, "0", true));
     EXPECT_TRUE(env::parseBool(v, "1", false));
     EXPECT_FALSE(env::parseBool(v, nullptr, false));
@@ -199,9 +209,10 @@ TEST(EnvParse, BoolIsStrictZeroOne)
     EXPECT_TRUE(env::parseBool(v, "", true));
     for (const char *bad : {"2", "yes", "true", "on", "01", "1 "}) {
         EXPECT_DEATH(env::parseBool(v, bad, false),
-                     "invalid DESC_PROF=\".*\" \\(want 0 or 1\\)")
+                     "invalid DESC_SIM_CACHE=\".*\" \\(want 0 or 1\\)")
             << "value \"" << bad << '"';
-        EXPECT_DEATH(env::parseBool(v, bad, true), "invalid DESC_PROF=")
+        EXPECT_DEATH(env::parseBool(v, bad, true),
+                     "invalid DESC_SIM_CACHE=")
             << "value \"" << bad << '"';
     }
 }
@@ -229,4 +240,22 @@ TEST(EnvParse, FloatRejectsNonPositiveAndGarbage)
     // Unset and empty stay the silent default.
     EXPECT_DOUBLE_EQ(env::parsePositiveFloat(v, "", 1.0), 1.0);
     EXPECT_DOUBLE_EQ(env::parsePositiveFloat(v, nullptr, 0.25), 0.25);
+}
+
+TEST(EnvParse, OpenPathIsFatalWhenThePathCannotBeOpened)
+{
+    const auto v = env::Var::RunManifest;
+    EXPECT_EQ(env::openPath(v, nullptr, "a"), nullptr);
+    EXPECT_EQ(env::openPath(v, "", "a"), nullptr);
+
+    std::string ok = testing::TempDir() + "desc-openpath.jsonl";
+    std::FILE *f = env::openPath(v, ok.c_str(), "a");
+    ASSERT_NE(f, nullptr);
+    std::fclose(f);
+    std::remove(ok.c_str());
+
+    std::string bad = testing::TempDir() + "desc-no-such-dir/runs.jsonl";
+    EXPECT_DEATH(env::openPath(v, bad.c_str(), "a"),
+                 "cannot open DESC_RUN_MANIFEST=\".*desc-no-such-dir/"
+                 "runs.jsonl\": No such file or directory");
 }

@@ -60,3 +60,23 @@ TEST(Table, CsvEnvironmentSwitch)
     EXPECT_NE(out.find("a,b"), std::string::npos);
     EXPECT_NE(out.find("x,1"), std::string::npos);
 }
+
+TEST(Table, CsvZeroPrintsAlignedText)
+{
+    // DESC_TABLE_CSV is a strict 0/1 bool: "0" prints the same
+    // aligned text as leaving it unset.
+    Table t({"a", "b"});
+    t.row().add("x").add(std::uint64_t{1});
+    auto render = [&t] {
+        testing::internal::CaptureStdout();
+        t.print("text mode");
+        return testing::internal::GetCapturedStdout();
+    };
+    unsetenv("DESC_TABLE_CSV");
+    const std::string text = render();
+    setenv("DESC_TABLE_CSV", "0", 1);
+    const std::string zero = render();
+    unsetenv("DESC_TABLE_CSV");
+    EXPECT_EQ(zero, text);
+    EXPECT_EQ(text.find("a,b"), std::string::npos) << text;
+}

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,6 +92,20 @@ TEST(TraceSpec, UnknownNamesAreFatal)
     EXPECT_DEATH(parseSpec("lnk"), "unknown trace channel \"lnk\"");
     // Empty list items are not names.
     EXPECT_EQ(parseSpec(",,link,"), 1u << unsigned(Channel::Link));
+}
+
+TEST(TraceFile, UnopenablePathIsFatalAtStartup)
+{
+    // DESC_TRACE_FILE is opened during static initialization, so the
+    // death test re-executes this binary with the variable set: the
+    // child must die before main() reaches the empty statement.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string path =
+        testing::TempDir() + "desc-no-such-dir/trace.log";
+    setenv("DESC_TRACE_FILE", path.c_str(), 1);
+    EXPECT_DEATH({}, "cannot open DESC_TRACE_FILE=\".*desc-no-such-dir/"
+                     "trace.log\": No such file or directory");
+    unsetenv("DESC_TRACE_FILE");
 }
 
 TEST(TraceMask, SetAndQuery)

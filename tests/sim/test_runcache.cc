@@ -496,6 +496,26 @@ TEST(RunCache, CorruptEntryIsSimulatedAgainAndOverwritten)
     setGlobalRunCacheDir("");
 }
 
+TEST(RunCacheKnobs, BadValuesAreFatalAtStartup)
+{
+    // DESC_RUN_MANIFEST and DESC_SIM_CACHE are resolved during static
+    // initialization, so each death test re-executes this binary with
+    // the variable set: the child must die before main() reaches the
+    // empty statement, and so before any pool worker could run.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string path =
+        testing::TempDir() + "desc-no-such-dir/runs.jsonl";
+    setenv("DESC_RUN_MANIFEST", path.c_str(), 1);
+    EXPECT_DEATH({}, "cannot open DESC_RUN_MANIFEST=\".*desc-no-such-dir/"
+                     "runs.jsonl\": No such file or directory");
+    unsetenv("DESC_RUN_MANIFEST");
+
+    // "off" once left the cache on and wrote entries.
+    setenv("DESC_SIM_CACHE", "off", 1);
+    EXPECT_DEATH({}, "invalid DESC_SIM_CACHE=\"off\" \\(want 0 or 1\\)");
+    unsetenv("DESC_SIM_CACHE");
+}
+
 TEST(RunCache, StoreLoadRoundTrips)
 {
     TempCacheDir tmp;

@@ -225,8 +225,7 @@ def registry_sanity(root):
             print(f"{REGISTRY_DEF}: {e['name']} has no usable doc "
                   f"string")
             ok = False
-        if e["type"] not in ("int", "float", "bool", "flag", "toggle",
-                             "path", "spec"):
+        if e["type"] not in ("int", "float", "bool", "path", "spec"):
             print(f"{REGISTRY_DEF}: {e['name']} has unknown type "
                   f"\"{e['type']}\"")
             ok = False
