@@ -283,32 +283,6 @@ MemHierarchy::fillL1(const MshrEntry::Waiter &w, Addr addr,
     }
 }
 
-MemHierarchy::AccessEvent &
-MemHierarchy::acquireAccess()
-{
-    if (_access_free.empty()) {
-        _access_events.emplace_back();
-        _access_events.back().mh = this;
-        return _access_events.back();
-    }
-    AccessEvent *ev = _access_free.back();
-    _access_free.pop_back();
-    return *ev;
-}
-
-MemHierarchy::ResponseEvent &
-MemHierarchy::acquireResponse()
-{
-    if (_response_free.empty()) {
-        _response_events.emplace_back();
-        _response_events.back().mh = this;
-        return _response_events.back();
-    }
-    ResponseEvent *ev = _response_free.back();
-    _response_free.pop_back();
-    return *ev;
-}
-
 void
 MemHierarchy::accessEvent(AccessEvent &ev)
 {
@@ -317,7 +291,7 @@ MemHierarchy::accessEvent(AccessEvent &ev)
     const Cycle t0 = ev.t0;
     MshrEntry::Waiter w = ev.w;
     ev.w.done = DoneCb{};
-    _access_free.push_back(&ev);
+    _access_events.release(ev);
     l2Request(ba, t0, w);
 }
 
@@ -326,7 +300,7 @@ MemHierarchy::tagProbe(TagProbeEvent &ev)
 {
     DESC_PROF_SCOPE(CacheMiss);
     const Addr addr = ev.addr;
-    _tag_free.push_back(&ev);
+    _tag_events.release(ev);
     _dram.access(addr, false, [this, addr]() { finishMiss(addr); });
 }
 
@@ -354,7 +328,7 @@ MemHierarchy::respond(ResponseEvent &ev)
             w.done();
     }
     ev.waiters.clear(); // keeps the capacity
-    _response_free.push_back(&ev);
+    _response_events.release(ev);
 }
 
 void
@@ -362,7 +336,7 @@ MemHierarchy::deliver(DeliverEvent &ev)
 {
     DoneCb cb = ev.cb;
     ev.cb = DoneCb{};
-    _deliver_free.push_back(&ev);
+    _deliver_events.release(ev);
     if (cb)
         cb();
 }
@@ -372,10 +346,9 @@ MemHierarchy::l2Request(Addr addr, Cycle t0, MshrEntry::Waiter w)
 {
     _stats.l2_requests.inc();
 
-    auto mshr = findMshr(addr);
-    if (mshr != kNoMshr) {
-        _mshr_pool[mshr].waiters.push_back(w);
-        _mshr_pool[mshr].exclusive_needed |= w.exclusive;
+    if (MshrEntry *mshr = findMshr(addr)) {
+        mshr->waiters.push_back(w);
+        mshr->exclusive_needed |= w.exclusive;
         return;
     }
 
@@ -406,7 +379,7 @@ MemHierarchy::l2Request(Addr addr, Cycle t0, MshrEntry::Waiter w)
 
     Cycle complete = transfer(bank, l2Data(way), false, ready);
 
-    ResponseEvent &ev = acquireResponse();
+    ResponseEvent &ev = _response_events.acquire(this);
     ev.waiters.push_back(std::move(w));
     ev.addr = addr;
     ev.t0 = t0;
@@ -424,34 +397,18 @@ MemHierarchy::startMiss(Addr addr, Cycle t0, MshrEntry::Waiter w)
                      addr, std::dec, ", to DRAM");
     // MSHR occupancy contract: one entry per block address (merges go
     // through l2Request), and entries only die in finishMiss.
-    DESC_DCHECK(findMshr(addr) == kNoMshr,
+    DESC_DCHECK(!findMshr(addr),
                 "duplicate MSHR allocation for addr 0x", std::hex, addr,
                 std::dec);
-    std::uint32_t idx;
-    if (_mshr_free.empty()) {
-        idx = std::uint32_t(_mshr_pool.size());
-        _mshr_pool.emplace_back();
-    } else {
-        idx = _mshr_free.back();
-        _mshr_free.pop_back();
-    }
-    MshrEntry &entry = _mshr_pool[idx];
+    MshrEntry &entry = _mshrs.acquire();
     entry.exclusive_needed = w.exclusive;
     entry.waiters.push_back(std::move(w));
-    _mshr_active.emplace_back(addr, idx);
+    _mshr_active.emplace_back(addr, &entry);
 
     // Tag probe detects the miss, then the request goes to memory.
-    TagProbeEvent *tev;
-    if (_tag_free.empty()) {
-        _tag_events.emplace_back();
-        _tag_events.back().mh = this;
-        tev = &_tag_events.back();
-    } else {
-        tev = _tag_free.back();
-        _tag_free.pop_back();
-    }
-    tev->addr = addr;
-    _eq.schedule(*tev, t0 + _cfg.ctrl_latency + _flight + 2);
+    TagProbeEvent &tev = _tag_events.acquire(this);
+    tev.addr = addr;
+    _eq.schedule(tev, t0 + _cfg.ctrl_latency + _flight + 2);
 }
 
 void
@@ -496,17 +453,16 @@ MemHierarchy::finishMiss(Addr addr)
     transfer(bank, mem, true, _eq.now() + _cfg.ctrl_latency);
 
     Cycle resp = _eq.now() + _cfg.ctrl_latency;
-    auto idx = findMshr(addr);
-    DESC_ASSERT(idx != kNoMshr, "miss completion without MSHR");
+    MshrEntry *entry = findMshr(addr);
+    DESC_ASSERT(entry, "miss completion without MSHR");
 
-    MshrEntry &entry = _mshr_pool[idx];
-    ResponseEvent &ev = acquireResponse();
+    ResponseEvent &ev = _response_events.acquire(this);
     ev.addr = addr;
     ev.t0 = 0;
     ev.sample_hit = false;
-    for (auto &w : entry.waiters)
+    for (auto &w : entry->waiters)
         ev.waiters.push_back(w);
-    entry.waiters.clear(); // keeps the capacity for the next miss
+    entry->waiters.clear(); // keeps the capacity for the next miss
     for (auto &slot : _mshr_active) {
         if (slot.first == addr) {
             slot = _mshr_active.back();
@@ -514,7 +470,7 @@ MemHierarchy::finishMiss(Addr addr)
             break;
         }
     }
-    _mshr_free.push_back(idx);
+    _mshrs.release(*entry);
 
     _eq.schedule(ev, resp);
 }
@@ -595,17 +551,9 @@ MemHierarchy::access(unsigned core, Addr addr, bool is_write,
         lm.data[word] = store_value;
         l1.touch(way);
         Cycle lat = 2 * (_cfg.ctrl_latency + _flight);
-        DeliverEvent *dev;
-        if (_deliver_free.empty()) {
-            _deliver_events.emplace_back();
-            _deliver_events.back().mh = this;
-            dev = &_deliver_events.back();
-        } else {
-            dev = _deliver_free.back();
-            _deliver_free.pop_back();
-        }
-        dev->cb = done;
-        _eq.scheduleIn(*dev, lat);
+        DeliverEvent &dev = _deliver_events.acquire(this);
+        dev.cb = done;
+        _eq.scheduleIn(dev, lat);
         return std::nullopt;
     }
 
@@ -613,7 +561,7 @@ MemHierarchy::access(unsigned core, Addr addr, bool is_write,
 
     Addr ba = blockAddr(addr);
     Cycle t0 = _eq.now() + 2; // L1 probe detects the miss
-    AccessEvent &ev = acquireAccess();
+    AccessEvent &ev = _access_events.acquire(this);
     ev.ba = ba;
     ev.t0 = t0;
     ev.w = {core, is_write, ifetch, is_write, addr, store_value, done};

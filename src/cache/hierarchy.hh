@@ -15,7 +15,6 @@
 #ifndef DESC_CACHE_HIERARCHY_HH
 #define DESC_CACHE_HIERARCHY_HH
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <span>
@@ -254,8 +253,9 @@ class MemHierarchy
     /** L1-miss probe done; forward the request to the L2. */
     struct AccessEvent final : sim::Event
     {
+        explicit AccessEvent(MemHierarchy *m) : mh(m) {}
         void process() override { mh->accessEvent(*this); }
-        MemHierarchy *mh = nullptr;
+        MemHierarchy *const mh;
         Addr ba = 0;
         Cycle t0 = 0;
         MshrEntry::Waiter w{};
@@ -264,8 +264,9 @@ class MemHierarchy
     /** L2 tag probe confirmed a miss; issue the DRAM read. */
     struct TagProbeEvent final : sim::Event
     {
+        explicit TagProbeEvent(MemHierarchy *m) : mh(m) {}
         void process() override { mh->tagProbe(*this); }
-        MemHierarchy *mh = nullptr;
+        MemHierarchy *const mh;
         Addr addr = 0;
     };
 
@@ -276,8 +277,9 @@ class MemHierarchy
      */
     struct ResponseEvent final : sim::Event
     {
+        explicit ResponseEvent(MemHierarchy *m) : mh(m) {}
         void process() override { mh->respond(*this); }
-        MemHierarchy *mh = nullptr;
+        MemHierarchy *const mh;
         Addr addr = 0;
         Cycle t0 = 0;
         bool sample_hit = false;
@@ -287,25 +289,24 @@ class MemHierarchy
     /** Plain delayed completion (store-upgrade acknowledgement). */
     struct DeliverEvent final : sim::Event
     {
+        explicit DeliverEvent(MemHierarchy *m) : mh(m) {}
         void process() override { mh->deliver(*this); }
-        MemHierarchy *mh = nullptr;
+        MemHierarchy *const mh;
         DoneCb cb{};
     };
-
-    static constexpr std::uint32_t kNoMshr = ~std::uint32_t{0};
 
     unsigned bankOf(Addr addr) const;
     Addr blockAddr(Addr addr) const { return addr & ~Addr{63}; }
 
-    /** Index into _mshr_pool of the entry for @p addr, or kNoMshr. */
-    std::uint32_t
+    /** The in-flight miss entry for @p addr, or nullptr. */
+    MshrEntry *
     findMshr(Addr addr) const
     {
-        for (const auto &[a, idx] : _mshr_active) {
+        for (const auto &[a, entry] : _mshr_active) {
             if (a == addr)
-                return idx;
+                return entry;
         }
-        return kNoMshr;
+        return nullptr;
     }
 
     /**
@@ -336,8 +337,6 @@ class MemHierarchy
     void tagProbe(TagProbeEvent &ev);
     void respond(ResponseEvent &ev);
     void deliver(DeliverEvent &ev);
-    AccessEvent &acquireAccess();
-    ResponseEvent &acquireResponse();
 
     void l2Request(Addr addr, Cycle t0, MshrEntry::Waiter w);
     void startMiss(Addr addr, Cycle t0, MshrEntry::Waiter w);
@@ -370,22 +369,19 @@ class MemHierarchy
     std::vector<Bank> _banks;
 
     /**
-     * MSHRs as an index-stable pool plus a small active list. The
-     * handful of misses in flight make a linear scan cheaper than
-     * hashing, and recycled entries keep their waiters capacity.
+     * MSHRs as a pool plus a small active list. The handful of misses
+     * in flight make a linear scan cheaper than hashing, and recycled
+     * entries keep their waiters capacity.
      */
-    std::vector<MshrEntry> _mshr_pool;
-    std::vector<std::uint32_t> _mshr_free;
-    std::vector<std::pair<Addr, std::uint32_t>> _mshr_active;
+    sim::Pool<MshrEntry> _mshrs;
+    std::vector<std::pair<Addr, MshrEntry *>> _mshr_active;
 
-    std::deque<AccessEvent> _access_events; //!< pinned storage
-    std::vector<AccessEvent *> _access_free;
-    std::deque<TagProbeEvent> _tag_events;
-    std::vector<TagProbeEvent *> _tag_free;
-    std::deque<ResponseEvent> _response_events;
-    std::vector<ResponseEvent *> _response_free;
-    std::deque<DeliverEvent> _deliver_events;
-    std::vector<DeliverEvent *> _deliver_free;
+    /** One pool per transaction step; each event is released at the
+     *  top of its own process(). */
+    sim::Pool<AccessEvent> _access_events;
+    sim::Pool<TagProbeEvent> _tag_events;
+    sim::Pool<ResponseEvent> _response_events;
+    sim::Pool<DeliverEvent> _deliver_events;
 
     std::unique_ptr<ecc::BlockCodec> _codec;
     BitVec _scratch;     //!< reusable transfer word

@@ -31,26 +31,13 @@ OooCore::scheduleDispatch(Cycle when)
     _eq.schedule(_dispatch_ev, when);
 }
 
-OooCore::ExecEvent &
-OooCore::acquireExec()
-{
-    if (_exec_free.empty()) {
-        _exec_events.emplace_back();
-        _exec_events.back().core = this;
-        return _exec_events.back();
-    }
-    ExecEvent *ev = _exec_free.back();
-    _exec_free.pop_back();
-    return *ev;
-}
-
 void
 OooCore::execEvent(ExecEvent &ev)
 {
     DESC_PROF_SCOPE(CpuOoo);
     const MemOp op = ev.op;
     const std::uint64_t inst_no = ev.inst_no;
-    _exec_free.push_back(&ev);
+    _exec_events.release(ev);
 
     if (op.is_write) {
         // Stores drain through the store buffer off the critical
@@ -146,7 +133,7 @@ OooCore::dispatch()
         return;
     }
 
-    ExecEvent &ev = acquireExec();
+    ExecEvent &ev = _exec_events.acquire(this);
     ev.op = op;
     ev.inst_no = _retired;
     _eq.schedule(ev, end);

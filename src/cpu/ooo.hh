@@ -46,13 +46,13 @@ class OooCore
     /**
      * End of an execution burst whose last instruction is a memory
      * op. Several can be in flight at once (the window keeps sliding
-     * past outstanding loads), so they come from a small per-core
-     * free list that grows to the high-water mark and is then reused.
+     * past outstanding loads), so they come from a per-core pool.
      */
     struct ExecEvent final : sim::Event
     {
+        explicit ExecEvent(OooCore *c) : core(c) {}
         void process() override { core->execEvent(*this); }
-        OooCore *core = nullptr;
+        OooCore *const core;
         MemOp op{};
         std::uint64_t inst_no = 0;
     };
@@ -61,7 +61,6 @@ class OooCore
     void scheduleDispatch(Cycle when);
     void execEvent(ExecEvent &ev);
     void onLoadDone();
-    ExecEvent &acquireExec();
 
     sim::EventQueue &_eq;
     cache::MemHierarchy &_mem;
@@ -76,8 +75,7 @@ class OooCore
     Rng _rng;
 
     DispatchEvent _dispatch_ev;
-    std::deque<ExecEvent> _exec_events; //!< pinned storage
-    std::vector<ExecEvent *> _exec_free;
+    sim::Pool<ExecEvent> _exec_events;
 
     static constexpr unsigned kIssueWidth = 4;
     static constexpr unsigned kRob = 128;

@@ -164,7 +164,7 @@ DramSystem::trySchedule(unsigned ch_idx)
                      std::hex, req.addr, std::dec, ", complete @",
                      complete);
 
-    CompletionEvent &ev = acquireCompletion();
+    CompletionEvent &ev = _completions.acquire(this);
     ev.ch = ch_idx;
     ev.issued = req.issued;
     ev.done = std::move(req.done);
@@ -172,19 +172,6 @@ DramSystem::trySchedule(unsigned ch_idx)
 
     // Keep dispatching while overlap slots remain.
     trySchedule(ch_idx);
-}
-
-DramSystem::CompletionEvent &
-DramSystem::acquireCompletion()
-{
-    if (_completion_free.empty()) {
-        _completions.emplace_back();
-        _completions.back().sys = this;
-        return _completions.back();
-    }
-    CompletionEvent *ev = _completion_free.back();
-    _completion_free.pop_back();
-    return *ev;
 }
 
 void
@@ -200,7 +187,7 @@ DramSystem::complete(CompletionEvent &ev)
     _channels[ch_idx].in_flight--;
     DoneFn done = std::move(ev.done);
     ev.done = nullptr;
-    _completion_free.push_back(&ev);
+    _completions.release(ev);
     if (done)
         done();
     trySchedule(ch_idx);

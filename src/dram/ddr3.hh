@@ -76,13 +76,13 @@ class DramSystem
 
     /**
      * Completion of an in-flight request; up to channels *
-     * max_overlap can be pending, drawn from a free list whose
-     * storage is pinned in a deque.
+     * max_overlap can be pending, drawn from _completions.
      */
     struct CompletionEvent final : sim::Event
     {
+        explicit CompletionEvent(DramSystem *s) : sys(s) {}
         void process() override { sys->complete(*this); }
-        DramSystem *sys = nullptr;
+        DramSystem *const sys;
         unsigned ch = 0;
         Cycle issued = 0;
         DoneFn done;
@@ -116,15 +116,13 @@ class DramSystem
     Cycle toCore(unsigned mem_cycles) const;
     void trySchedule(unsigned ch);
     void complete(CompletionEvent &ev);
-    CompletionEvent &acquireCompletion();
 
     sim::EventQueue &_eq;
     DramConfig _cfg;
     std::vector<Channel> _channels;
     DramStats _stats;
 
-    std::deque<CompletionEvent> _completions; //!< pinned storage
-    std::vector<CompletionEvent *> _completion_free;
+    sim::Pool<CompletionEvent> _completions;
 };
 
 } // namespace desc::dram

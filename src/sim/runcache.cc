@@ -324,20 +324,9 @@ RunCache::RunCache(std::string dir) : _dir(std::move(dir))
         return;
     std::error_code ec;
     std::filesystem::create_directories(_dir, ec);
-    if (ec) {
-        warn(detail::concat("run cache disabled: cannot create \"",
-                            _dir, "\": ", ec.message()));
-        _dir.clear();
-    }
-}
-
-RunCache
-RunCache::fromEnv()
-{
-    if (!g_cache_on)
-        return RunCache("");
-    return RunCache(
-        env::stringOr(env::Var::SimCacheDir, ".desc-runcache"));
+    if (ec)
+        DESC_FATAL("cannot create ", env::name(env::Var::SimCacheDir),
+                   "=\"", _dir, "\": ", ec.message());
 }
 
 std::string
@@ -407,18 +396,36 @@ RunCache::store(std::uint64_t key, const AppRun &run) const
         std::filesystem::remove(tmp, ec);
 }
 
-RunCache &
+namespace {
+
+/** The global cache slot, guarded by stateMutex(); empty until the
+ *  first run or setGlobalRunCacheDir(). */
+std::optional<RunCache> &
+cacheSlot()
+{
+    static std::optional<RunCache> slot;
+    return slot;
+}
+
+} // namespace
+
+RunCache
 globalRunCache()
 {
-    static RunCache cache = RunCache::fromEnv();
-    return cache;
+    std::lock_guard<std::mutex> lock(stateMutex());
+    std::optional<RunCache> &slot = cacheSlot();
+    if (!slot)
+        slot = RunCache(g_cache_on ? env::stringOr(env::Var::SimCacheDir,
+                                                   ".desc-runcache")
+                                   : "");
+    return *slot;
 }
 
 void
 setGlobalRunCacheDir(const std::string &dir)
 {
     std::lock_guard<std::mutex> lock(stateMutex());
-    globalRunCache() = RunCache(dir);
+    cacheSlot() = RunCache(dir);
 }
 
 RunStats
@@ -454,13 +461,12 @@ runAppCached(const SystemConfig &scaled_cfg)
 {
     std::uint64_t key = configHash(scaled_cfg);
 
-    // The key and the cache handle are snapshotted under the lock;
-    // the file I/O and the simulation itself run unlocked.
-    RunCache cache("");
+    // The cache handle is a snapshot; the file I/O and the
+    // simulation itself run unlocked.
+    const RunCache cache = globalRunCache();
     {
         std::lock_guard<std::mutex> lock(stateMutex());
         mutableStats().jobs.inc();
-        cache = globalRunCache();
     }
 
     auto start = std::chrono::steady_clock::now();

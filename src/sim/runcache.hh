@@ -22,7 +22,10 @@
  * any run):
  *  - DESC_SIM_CACHE=0 disables the cache entirely (strict 0/1);
  *  - DESC_SIM_CACHE_DIR overrides the location (default
- *    ".desc-runcache" under the current directory);
+ *    ".desc-runcache" under the current directory). The directory is
+ *    created when the first point is submitted, on the submitting
+ *    thread, and one that cannot be created is fatal; a process that
+ *    runs no point creates none;
  *  - DESC_RUN_MANIFEST=<path> appends one JSON line per executed run
  *    (config hash, app, seed, wall time, cached flag, headline
  *    stats) — a machine-readable profile of what a harness did.
@@ -60,11 +63,9 @@ std::string runLabel(const SystemConfig &cfg, std::uint64_t key);
 class RunCache
 {
   public:
-    /** Cache rooted at @p dir; an empty dir disables the cache. */
+    /** Cache rooted at @p dir, created if missing (fatal when it
+     *  cannot be); an empty dir disables the cache. */
     explicit RunCache(std::string dir);
-
-    /** Cache configured from the environment (see file comment). */
-    static RunCache fromEnv();
 
     bool enabled() const { return !_dir.empty(); }
     const std::string &dir() const { return _dir; }
@@ -82,8 +83,9 @@ class RunCache
     std::string _dir;
 };
 
-/** The process-wide cache every cached run goes through. */
-RunCache &globalRunCache();
+/** The process-wide cache every cached run goes through, resolved
+ *  from the environment on the first call (see file comment). */
+RunCache globalRunCache();
 
 /** Repoint (or disable, with "") the global cache; for tests. */
 void setGlobalRunCacheDir(const std::string &dir);

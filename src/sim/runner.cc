@@ -106,6 +106,11 @@ Runner::run(const std::vector<SystemConfig> &cfgs)
     if (scaled.empty())
         return results;
 
+    // Resolve the run cache on this thread, before any worker runs a
+    // job: creating its directory may be fatal, and a fatal exit from
+    // a worker hangs the process while the other workers block.
+    globalRunCache();
+
     {
         std::unique_lock<std::mutex> lock(_mutex);
         DESC_ASSERT(!_running, "Runner::run is not reentrant");

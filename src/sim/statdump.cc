@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
+#include <cstdio>
 #include <mutex>
 #include <ostream>
 #include <sstream>
@@ -339,19 +339,18 @@ sidecar()
     return *s;
 }
 
-const std::string &
-sidecarPath()
-{
-    static const std::string path =
-        env::stringOr(env::Var::StatsOut, "");
-    return path;
-}
+// DESC_STATS_OUT is opened at startup, so a path that cannot be
+// written fails before the first run is simulated, not at exit after
+// the last one. The file stays empty until the exit-time flush.
+const std::string g_path = env::stringOr(env::Var::StatsOut, "");
+std::FILE *const g_file =
+    env::openPath(env::Var::StatsOut, g_path.c_str(), "w");
 
 bool
 sidecarWantsCsv()
 {
-    const std::string &p = sidecarPath();
-    return p.size() >= 4 && p.compare(p.size() - 4, 4, ".csv") == 0;
+    return g_path.size() >= 4
+        && g_path.compare(g_path.size() - 4, 4, ".csv") == 0;
 }
 
 void
@@ -370,12 +369,7 @@ flushSidecar()
                   return a.seq < b.seq;
               });
 
-    std::ofstream out(sidecarPath(), std::ios::trunc);
-    if (!out) {
-        warn(detail::concat("DESC_STATS_OUT: cannot write \"",
-                            sidecarPath(), "\""));
-        return;
-    }
+    std::ostringstream out;
     if (sidecarWantsCsv()) {
         out << "run,path,value\n";
         for (const auto &rec : s.records)
@@ -389,6 +383,9 @@ flushSidecar()
         }
         out << (s.records.empty() ? "]\n}\n" : "\n  ]\n}\n");
     }
+    const std::string bytes = out.str();
+    std::fwrite(bytes.data(), 1, bytes.size(), g_file);
+    std::fflush(g_file);
 }
 
 } // namespace
@@ -396,7 +393,7 @@ flushSidecar()
 bool
 statsSidecarEnabled()
 {
-    return !sidecarPath().empty();
+    return g_file != nullptr;
 }
 
 void

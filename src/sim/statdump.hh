@@ -11,6 +11,8 @@
  * Set DESC_STATS_OUT=<path> to make every harness write a sidecar
  * file of all runs it executed (including run-cache hits): JSON by
  * default, or a flat run,path,value CSV when the path ends in ".csv".
+ * The file is opened at startup (a path that cannot be opened is
+ * fatal before any run) and written at process exit.
  */
 
 #ifndef DESC_SIM_STATDUMP_HH

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
-#include <fstream>
+#include <cstring>
 #include <mutex>
+#include <sstream>
 #include <vector>
 
 #include "common/env.hh"
@@ -43,7 +45,7 @@ buffer()
 }
 
 void
-writeCsv(Buffer &b)
+writeCsv(Buffer &b, std::FILE *file)
 {
     // Deterministic order regardless of worker scheduling: identical
     // configs produce identical rows, so (label, cycle, seq) yields a
@@ -57,13 +59,7 @@ writeCsv(Buffer &b)
                   return a.seq < c.seq;
               });
 
-    std::string path = csvPath();
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-        warn(detail::concat("DESC_STATS_EVERY: cannot write \"", path,
-                            "\""));
-        return;
-    }
+    std::ostringstream out;
     out << "run,cycle,instructions,l2_hits,l2_misses,read_transfers,"
            "write_transfers,data_flips,ctrl_flips,dram_reads,"
            "dram_writes\n";
@@ -77,14 +73,21 @@ writeCsv(Buffer &b)
             << r.row.write_transfers << ',' << flips << ','
             << r.row.dram_reads << ',' << r.row.dram_writes << '\n';
     }
+    const std::string bytes = out.str();
+    std::fwrite(bytes.data(), 1, bytes.size(), file);
+    std::fflush(file);
 }
 
-void
-flushAtExit()
+std::FILE *
+openCsv(const std::string &path)
 {
-    Buffer &b = buffer();
-    std::lock_guard<std::mutex> lock(b.mutex);
-    writeCsv(b);
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f) {
+        const int err = errno;
+        DESC_FATAL("cannot open the ", env::name(env::Var::StatsEvery),
+                   " time series \"", path, "\": ", std::strerror(err));
+    }
+    return f;
 }
 
 } // namespace
@@ -103,6 +106,24 @@ parseEverySpec(const char *spec)
 // value must fail before a pool worker starts a run.
 static const std::uint64_t g_every =
     parseEverySpec(env::raw(env::Var::StatsEvery));
+
+// Opened at startup for the same reason: a path that cannot be
+// written must fail before the first run, not at exit after the
+// last. The file stays empty until the exit-time flush.
+static std::FILE *const g_csv = g_every ? openCsv(csvPath()) : nullptr;
+
+namespace {
+
+void
+flushAtExit()
+{
+    Buffer &b = buffer();
+    std::lock_guard<std::mutex> lock(b.mutex);
+    if (g_csv)
+        writeCsv(b, g_csv);
+}
+
+} // namespace
 
 std::uint64_t
 everyCycles()
@@ -160,7 +181,9 @@ flushForTest()
 {
     Buffer &b = buffer();
     std::lock_guard<std::mutex> lock(b.mutex);
-    writeCsv(b);
+    std::FILE *f = openCsv(csvPath());
+    writeCsv(b, f);
+    std::fclose(f);
 }
 
 void

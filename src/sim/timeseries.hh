@@ -18,7 +18,9 @@
  * (run label, cycle, sequence), so parallel sweeps produce a
  * deterministic CSV. The file lands next to the DESC_STATS_OUT
  * sidecar (its extension replaced with ".timeseries.csv"), or at
- * ./desc-timeseries.csv when DESC_STATS_OUT is unset.
+ * ./desc-timeseries.csv when DESC_STATS_OUT is unset. It is opened
+ * at startup when DESC_STATS_EVERY is set, and a path that cannot be
+ * opened is fatal before any run.
  */
 
 #ifndef DESC_SIM_TIMESERIES_HH
@@ -70,7 +72,9 @@ std::string csvPath();
  *  wins over DESC_STATS_EVERY until the process exits. */
 void setEveryForTest(std::uint64_t every);
 
-/** Redirect the CSV ("" restores the default path derivation). */
+/** Redirect flushForTest()'s CSV ("" restores the default path
+ *  derivation); the exit-time flush writes the file opened at
+ *  startup. */
 void setPathForTest(const std::string &path);
 
 /** Write the buffered rows to csvPath() now (tests). */

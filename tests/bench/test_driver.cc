@@ -140,23 +140,24 @@ TEST(FigureDriver, WritesEachCacheEntryOnce)
 
 TEST(FigureDriver, SidecarHoldsOneRecordPerDeclaredPoint)
 {
-    // The sidecar path is read once per process and written at exit,
-    // so each side runs in a fresh child.
+    // The sidecar is opened at startup and written at exit, so each
+    // side runs in a fresh child: the threadsafe style re-executes
+    // this binary, which inherits the DESC_STATS_OUT set here.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     for (const char *ext : {".json", ".csv"}) {
         std::string driven = scratchPath(std::string("driven") + ext);
         std::string looped = scratchPath(std::string("looped") + ext);
+        setenv("DESC_STATS_OUT", driven.c_str(), 1);
         EXPECT_EXIT(
             {
-                setenv("DESC_STATS_OUT", driven.c_str(), 1);
                 sim::setGlobalRunCacheDir("");
                 runFigures({&kFigA, &kFigB});
                 std::exit(0);
             },
             ::testing::ExitedWithCode(0), "");
+        setenv("DESC_STATS_OUT", looped.c_str(), 1);
         EXPECT_EXIT(
             {
-                setenv("DESC_STATS_OUT", looped.c_str(), 1);
                 sim::setGlobalRunCacheDir("");
                 for (const auto &pts : {pointsA(), pointsB()})
                     for (const auto &cfg : pts)
@@ -164,6 +165,7 @@ TEST(FigureDriver, SidecarHoldsOneRecordPerDeclaredPoint)
                 std::exit(0);
             },
             ::testing::ExitedWithCode(0), "");
+        unsetenv("DESC_STATS_OUT");
 
         std::string got = slurp(driven);
         EXPECT_EQ(got, slurp(looped)) << ext;

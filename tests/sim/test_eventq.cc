@@ -17,86 +17,126 @@ using namespace desc::sim;
 
 namespace {
 
-/** Intrusive test event: appends (id, now) to a shared log. */
+using Log = std::vector<std::pair<int, Cycle>>;
+
+/**
+ * Intrusive test event: appends (id, now) to a shared log, schedules
+ * each of its spawns at their absolute cycles, then re-schedules
+ * itself after its next hop (if any hops remain).
+ */
 struct LogEvent final : Event
 {
     void
     process() override
     {
         log->push_back({id, eq->now()});
+        for (auto &[ev, when] : spawns)
+            eq->schedule(*ev, when);
+        if (next_hop < hops.size())
+            eq->scheduleIn(*this, hops[next_hop++]);
     }
 
     EventQueue *eq = nullptr;
-    std::vector<std::pair<int, Cycle>> *log = nullptr;
+    Log *log = nullptr;
     int id = 0;
+    std::vector<std::pair<Event *, Cycle>> spawns;
+    std::vector<Cycle> hops;
+    std::size_t next_hop = 0;
 };
+
+/** @p n LogEvents with ids 0..n-1 on @p eq, logging into @p log. */
+std::vector<LogEvent>
+logEvents(EventQueue &eq, Log &log, int n)
+{
+    std::vector<LogEvent> evs(n);
+    for (int i = 0; i < n; i++) {
+        evs[i].eq = &eq;
+        evs[i].log = &log;
+        evs[i].id = i;
+    }
+    return evs;
+}
+
+/** The ids of @p log in firing order. */
+std::vector<int>
+ids(const Log &log)
+{
+    std::vector<int> out;
+    for (const auto &[id, when] : log)
+        out.push_back(id);
+    return out;
+}
 
 } // namespace
 
 TEST(EventQueue, RunsInTimeOrder)
 {
     EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(30, [&]() { order.push_back(3); });
-    eq.schedule(10, [&]() { order.push_back(1); });
-    eq.schedule(20, [&]() { order.push_back(2); });
+    Log log;
+    auto evs = logEvents(eq, log, 3);
+    eq.schedule(evs[2], 30);
+    eq.schedule(evs[0], 10);
+    eq.schedule(evs[1], 20);
     eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(ids(log), (std::vector<int>{0, 1, 2}));
     EXPECT_EQ(eq.now(), 30u);
 }
 
 TEST(EventQueue, SameCycleIsFifo)
 {
     EventQueue eq;
-    std::vector<int> order;
-    for (int i = 0; i < 5; i++)
-        eq.schedule(7, [&, i]() { order.push_back(i); });
+    Log log;
+    auto evs = logEvents(eq, log, 5);
+    for (auto &ev : evs)
+        eq.schedule(ev, 7);
     eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(ids(log), (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueue, EventsMayScheduleMoreEvents)
 {
     EventQueue eq;
-    int fired = 0;
-    std::function<void()> chain = [&]() {
-        fired++;
-        if (fired < 10)
-            eq.scheduleIn(5, chain);
-    };
-    eq.schedule(0, chain);
+    Log log;
+    auto evs = logEvents(eq, log, 1);
+    evs[0].hops.assign(9, 5);
+    eq.schedule(evs[0], 0);
     eq.run();
-    EXPECT_EQ(fired, 10);
+    EXPECT_EQ(log.size(), 10u);
     EXPECT_EQ(eq.now(), 45u);
 }
 
 TEST(EventQueue, SameCycleSelfScheduleRuns)
 {
     EventQueue eq;
-    bool inner = false;
-    eq.schedule(5, [&]() { eq.schedule(5, [&]() { inner = true; }); });
+    Log log;
+    auto evs = logEvents(eq, log, 2);
+    evs[0].spawns = {{&evs[1], 5}};
+    eq.schedule(evs[0], 5);
     eq.run();
-    EXPECT_TRUE(inner);
+    EXPECT_EQ(log, (Log{{0, 5}, {1, 5}}));
 }
 
 TEST(EventQueue, RunLimitStopsEarly)
 {
     EventQueue eq;
-    int fired = 0;
-    eq.schedule(10, [&]() { fired++; });
-    eq.schedule(100, [&]() { fired++; });
+    Log log;
+    auto evs = logEvents(eq, log, 2);
+    eq.schedule(evs[0], 10);
+    eq.schedule(evs[1], 100);
     eq.run(50);
-    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(log.size(), 1u);
     EXPECT_FALSE(eq.empty());
     eq.run();
-    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(log.size(), 2u);
 }
 
 TEST(EventQueue, ReturnsExecutedCount)
 {
     EventQueue eq;
+    Log log;
+    auto evs = logEvents(eq, log, 7);
     for (int i = 0; i < 7; i++)
-        eq.schedule(Cycle(i), []() {});
+        eq.schedule(evs[i], Cycle(i));
     EXPECT_EQ(eq.run(), 7u);
 }
 
@@ -107,40 +147,40 @@ TEST(EventQueue, ReturnsExecutedCount)
 TEST(EventQueue, CallbackAtCurrentCycleRunsAfterOlderSameCycleEvents)
 {
     EventQueue eq;
-    std::vector<int> order;
+    Log log;
+    auto evs = logEvents(eq, log, 4);
     // The first cycle-5 event schedules another cycle-5 event; FIFO
     // order puts it after the pre-existing cycle-5 events but before
     // anything later.
-    eq.schedule(5, [&]() {
-        order.push_back(0);
-        eq.schedule(5, [&]() { order.push_back(2); });
-    });
-    eq.schedule(5, [&]() { order.push_back(1); });
-    eq.schedule(6, [&]() { order.push_back(3); });
+    evs[0].spawns = {{&evs[2], 5}};
+    eq.schedule(evs[0], 5);
+    eq.schedule(evs[1], 5);
+    eq.schedule(evs[3], 6);
     eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(ids(log), (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(EventQueue, SelfScheduleAtCurrentCycleKeepsNow)
 {
     EventQueue eq;
-    Cycle seen = ~Cycle{0};
-    eq.schedule(9, [&]() {
-        eq.scheduleIn(0, [&]() { seen = eq.now(); });
-    });
+    Log log;
+    auto evs = logEvents(eq, log, 1);
+    evs[0].hops = {0};
+    eq.schedule(evs[0], 9);
     eq.run();
-    EXPECT_EQ(seen, 9u);
+    EXPECT_EQ(log, (Log{{0, 9}, {0, 9}}));
     EXPECT_EQ(eq.now(), 9u);
 }
 
 TEST(EventQueue, RunLimitIsInclusive)
 {
     EventQueue eq;
-    int fired = 0;
-    eq.schedule(50, [&]() { fired++; });
-    eq.schedule(51, [&]() { fired++; });
+    Log log;
+    auto evs = logEvents(eq, log, 2);
+    eq.schedule(evs[0], 50);
+    eq.schedule(evs[1], 51);
     EXPECT_EQ(eq.run(50), 1u);
-    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(log.size(), 1u);
     EXPECT_EQ(eq.now(), 50u);
     EXPECT_EQ(eq.pending(), 1u);
 }
@@ -148,8 +188,10 @@ TEST(EventQueue, RunLimitIsInclusive)
 TEST(EventQueue, NowDoesNotAdvancePastLimit)
 {
     EventQueue eq;
-    eq.schedule(10, []() {});
-    eq.schedule(100, []() {});
+    Log log;
+    auto evs = logEvents(eq, log, 2);
+    eq.schedule(evs[0], 10);
+    eq.schedule(evs[1], 100);
     eq.run(40);
     // Time stands at the last executed event, not at the limit or
     // the next pending event.
@@ -161,19 +203,17 @@ TEST(EventQueue, NowDoesNotAdvancePastLimit)
 TEST(EventQueue, EventsAtLimitMaySpawnSameCycleWork)
 {
     EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(20, [&]() {
-        order.push_back(0);
-        eq.schedule(20, [&]() { order.push_back(1); });
-        eq.schedule(21, [&]() { order.push_back(2); });
-    });
+    Log log;
+    auto evs = logEvents(eq, log, 3);
+    evs[0].spawns = {{&evs[1], 20}, {&evs[2], 21}};
+    eq.schedule(evs[0], 20);
     // Both cycle-20 events run under run(20); the cycle-21 spawn
     // stays pending.
     EXPECT_EQ(eq.run(20), 2u);
-    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+    EXPECT_EQ(ids(log), (std::vector<int>{0, 1}));
     EXPECT_EQ(eq.pending(), 1u);
     eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(ids(log), (std::vector<int>{0, 1, 2}));
 }
 
 // Scheduling contracts are DESC_DCHECKs: they trap with context in
@@ -183,9 +223,11 @@ TEST(EventQueue, EventsAtLimitMaySpawnSameCycleWork)
 TEST(EventQueueDeath, PastSchedulingPanics)
 {
     EventQueue eq;
-    eq.schedule(10, []() {});
+    Log log;
+    auto evs = logEvents(eq, log, 2);
+    eq.schedule(evs[0], 10);
     eq.run();
-    EXPECT_DEATH(eq.schedule(5, []() {}), "into the past");
+    EXPECT_DEATH(eq.schedule(evs[1], 5), "into the past");
 }
 
 TEST(EventQueueDeath, DoubleSchedulePanics)
@@ -196,72 +238,10 @@ TEST(EventQueueDeath, DoubleSchedulePanics)
     EXPECT_DEATH(eq.schedule(a, 20), "double-schedule of a live event");
 }
 
-TEST(EventQueueDeath, DoubleScheduleOfPooledCallbackPanics)
-{
-    // The same contract protects the pooled one-shot wrapper: a
-    // component that re-schedules a live intrusive event by accident
-    // must trap before the queue's FIFO/sequence bookkeeping corrupts.
-    EventQueue eq;
-    LogEvent a;
-    eq.schedule(a, 3);
-    eq.deschedule(a);
-    eq.schedule(a, 4); // deschedule + schedule is legal...
-    EXPECT_DEATH(eq.schedule(a, 4), "double-schedule"); // ...twice is not
-}
-
 #endif // !NDEBUG
 
-// Intrusive-event coverage: the steady-state component pattern, plus
-// the schedule/deschedule/reschedule interleavings the ported models
-// rely on.
-
-TEST(EventQueueIntrusive, ScheduleDescheduleReschedule)
-{
-    EventQueue eq;
-    std::vector<std::pair<int, Cycle>> log;
-    LogEvent a;
-    a.eq = &eq;
-    a.log = &log;
-    a.id = 1;
-
-    eq.schedule(a, 10);
-    EXPECT_TRUE(a.scheduled());
-    EXPECT_EQ(a.when(), 10u);
-    eq.deschedule(a);
-    EXPECT_FALSE(a.scheduled());
-    EXPECT_EQ(eq.run(), 0u);
-    EXPECT_TRUE(log.empty());
-    // Draining stale records must not advance simulated time.
-    EXPECT_EQ(eq.now(), 0u);
-
-    eq.schedule(a, 20);
-    eq.reschedule(a, 35);
-    EXPECT_EQ(a.when(), 35u);
-    EXPECT_EQ(eq.run(), 1u);
-    ASSERT_EQ(log.size(), 1u);
-    EXPECT_EQ(log[0], std::make_pair(1, Cycle{35}));
-    EXPECT_FALSE(a.scheduled());
-}
-
-TEST(EventQueueIntrusive, RescheduleMovesToBackOfSameCycle)
-{
-    EventQueue eq;
-    std::vector<std::pair<int, Cycle>> log;
-    std::vector<LogEvent> evs(3);
-    for (int i = 0; i < 3; i++) {
-        evs[i].eq = &eq;
-        evs[i].log = &log;
-        evs[i].id = i;
-        eq.schedule(evs[i], 40);
-    }
-    // Rescheduling to the same cycle re-enters FIFO order at the back.
-    eq.reschedule(evs[0], 40);
-    eq.run();
-    ASSERT_EQ(log.size(), 3u);
-    EXPECT_EQ(log[0].first, 1);
-    EXPECT_EQ(log[1].first, 2);
-    EXPECT_EQ(log[2].first, 0);
-}
+// Intrusive-event coverage: the steady-state component pattern and
+// the scheduling distances and run limits the models rely on.
 
 TEST(EventQueueIntrusive, SameCycleFifoAcrossNearAndFarScheduling)
 {
@@ -328,113 +308,109 @@ TEST(EventQueueIntrusive, LimitedRunDoesNotFireFarWorkEarly)
 {
     // A limited run can scan (and internally reorganize) the timeline
     // well past where simulated time ends up. Far work touched by that
-    // scan must still fire at exactly its own cycle in a later run.
+    // scan must still fire at exactly its own cycle in a later run,
+    // which starts scanning again from now().
     EventQueue eq;
-    std::vector<std::pair<int, Cycle>> log;
+    Log log;
+    auto evs = logEvents(eq, log, 3);
+    LogEvent &planter = evs[0], &marker = evs[1], &far = evs[2];
 
-    LogEvent far, dummy;
-    far.eq = dummy.eq = &eq;
-    far.log = dummy.log = &log;
-    far.id = 2;
-    dummy.id = -1;
-
-    // Runs at 1700 and leaves a canceled marker at 1750 behind, which
-    // keeps the limited run scanning forward past 1700 instead of
-    // jumping straight to the far event.
-    struct Planter final : Event
-    {
-        void
-        process() override
-        {
-            eq->schedule(*dummy, 1750);
-            eq->deschedule(*dummy);
-        }
-        EventQueue *eq = nullptr;
-        LogEvent *dummy = nullptr;
-    };
-    Planter planter;
-    planter.eq = &eq;
-    planter.dummy = &dummy;
-
+    // The planter's live marker at 1900 keeps the limited run
+    // scanning cycle by cycle past 1700 (instead of jumping straight
+    // to the far event), so the far event migrates into the wheel
+    // while simulated time stays at 1700.
+    planter.spawns = {{&marker, 1900}};
     eq.schedule(planter, 1700);
     eq.schedule(far, 2000);
 
-    EXPECT_EQ(eq.run(1960), 1u);
+    EXPECT_EQ(eq.run(1850), 1u);
     EXPECT_EQ(eq.now(), 1700u);
-    EXPECT_TRUE(log.empty());
+    EXPECT_EQ(log, (Log{{0, 1700}}));
+    EXPECT_TRUE(marker.scheduled());
     EXPECT_TRUE(far.scheduled());
 
-    EXPECT_EQ(eq.run(), 1u);
-    ASSERT_EQ(log.size(), 1u);
-    EXPECT_EQ(log[0], std::make_pair(2, Cycle{2000}));
+    EXPECT_EQ(eq.run(), 2u);
+    EXPECT_EQ(log, (Log{{0, 1700}, {1, 1900}, {2, 2000}}));
     EXPECT_EQ(eq.now(), 2000u);
 }
 
 TEST(EventQueueIntrusive, RandomizedOpsMatchOracle)
 {
-    // Random schedule/deschedule/reschedule interleavings over a pool
-    // of events, checked against a sort-based oracle: live events must
-    // fire exactly once, at their cycle, ordered by (when, seq).
+    // Random schedules, re-scheduling from inside process() (hops of
+    // 0 to 599 cycles, so both the wheel and the heap), fresh work
+    // scheduled between runs, and the timeline split into random
+    // limited runs, checked against a sort-based oracle: every
+    // scheduled event fires exactly once per schedule, at its cycle,
+    // ordered by (when, schedule order).
     Rng rng(0x5eed);
     for (int trial = 0; trial < 8; trial++) {
         EventQueue eq;
-        std::vector<std::pair<int, Cycle>> log;
-        std::vector<LogEvent> evs(16);
-        std::vector<std::pair<Cycle, unsigned>> oracle(16);
-        std::vector<bool> live(16, false);
-        unsigned stamp = 0;
-
-        for (int i = 0; i < 16; i++) {
-            evs[i].eq = &eq;
-            evs[i].log = &log;
-            evs[i].id = i;
-        }
-        for (int op = 0; op < 300; op++) {
-            unsigned i = unsigned(rng.below(evs.size()));
-            Cycle when = 1 + rng.below(800);
-            if (!live[i]) {
-                eq.schedule(evs[i], when);
-                live[i] = true;
-                oracle[i] = {when, stamp++};
-            } else if (rng.uniform() < 0.5) {
-                eq.deschedule(evs[i]);
-                live[i] = false;
-            } else {
-                eq.reschedule(evs[i], when);
-                oracle[i] = {when, stamp++};
-            }
+        Log log;
+        auto evs = logEvents(eq, log, 24);
+        for (auto &ev : evs) {
+            const auto hops = rng.below(4);
+            for (std::uint64_t h = 0; h < hops; h++)
+                ev.hops.push_back(rng.below(600));
         }
 
-        struct Expect
+        struct Pending
         {
             Cycle when;
             unsigned stamp;
             int id;
         };
-        std::vector<Expect> expect;
-        for (int i = 0; i < 16; i++) {
-            if (live[i])
-                expect.push_back({oracle[i].first, oracle[i].second, i});
-        }
-        std::sort(expect.begin(), expect.end(),
-                  [](const Expect &a, const Expect &b) {
-                      return a.when != b.when ? a.when < b.when
-                                              : a.stamp < b.stamp;
-                  });
+        std::vector<Pending> pending;
+        std::vector<std::size_t> oracle_hop(evs.size(), 0);
+        unsigned stamp = 0;
+        Log expect;
 
-        EXPECT_EQ(eq.pending(), expect.size());
-        EXPECT_EQ(eq.run(), expect.size());
-        ASSERT_EQ(log.size(), expect.size()) << "trial " << trial;
-        for (std::size_t k = 0; k < expect.size(); k++) {
-            EXPECT_EQ(log[k].first, expect[k].id) << "trial " << trial;
-            EXPECT_EQ(log[k].second, expect[k].when) << "trial " << trial;
+        auto schedule = [&](int i, Cycle when) {
+            eq.schedule(evs[i], when);
+            pending.push_back({when, stamp++, i});
+        };
+        // Fire the pending records up to @p limit in (when, stamp)
+        // order; an event with hops left re-enters the pending set.
+        auto oracleRun = [&](Cycle limit) {
+            for (;;) {
+                std::sort(pending.begin(), pending.end(),
+                          [](const Pending &a, const Pending &b) {
+                              return a.when != b.when ? a.when < b.when
+                                                      : a.stamp < b.stamp;
+                          });
+                if (pending.empty() || pending.front().when > limit)
+                    return;
+                const Pending p = pending.front();
+                pending.erase(pending.begin());
+                expect.push_back({p.id, p.when});
+                const auto &hops = evs[p.id].hops;
+                if (oracle_hop[p.id] < hops.size())
+                    pending.push_back(
+                        {p.when + hops[oracle_hop[p.id]++], stamp++, p.id});
+            }
+        };
+
+        // Half the events start scheduled; the rest are scheduled
+        // from outside between limited runs, at or after now().
+        int fresh = 0;
+        for (; fresh < 12; fresh++)
+            schedule(fresh, 1 + rng.below(800));
+        Cycle limit = 0;
+        while (!eq.empty() || fresh < int(evs.size())) {
+            if (fresh < int(evs.size()) && rng.uniform() < 0.5)
+                schedule(fresh++, eq.now() + rng.below(600));
+            limit += rng.below(400);
+            eq.run(limit);
+            oracleRun(limit);
+            ASSERT_EQ(eq.pending(), pending.size()) << "trial " << trial;
         }
-        EXPECT_TRUE(eq.empty());
+
+        EXPECT_EQ(log, expect) << "trial " << trial;
+        EXPECT_GT(log.size(), 24u) << "trial " << trial;
     }
 }
 
-// Allocation-freedom: after warm-up, neither the one-shot pool nor
-// the queue's record storage may grow, no matter how many events run.
+// Allocation-freedom: after warm-up, neither the queue's record
+// storage nor an event pool may grow, no matter how many events run.
 
 TEST(EventQueue, RecurringEventsRunAllocationFree)
 {
@@ -462,32 +438,104 @@ TEST(EventQueue, RecurringEventsRunAllocationFree)
     }
 
     eq.run(eq.now() + 10'000); // reach the capacity high-water mark
-    const std::uint64_t allocs = eq.poolAllocations();
     const std::size_t cap = eq.recordCapacity();
     const std::uint64_t executed = eq.run(eq.now() + 200'000);
     EXPECT_GT(executed, 1'000'000u);
-    EXPECT_EQ(eq.poolAllocations(), allocs);
     EXPECT_EQ(eq.recordCapacity(), cap);
 
     running = false;
     eq.run();
 }
 
-TEST(EventQueue, OneShotPoolStopsGrowingAtHighWaterMark)
+namespace {
+
+/** A pooled object that remembers the argument it was built with. */
+struct Item
+{
+    explicit Item(int *o) : owner(o) {}
+    int *const owner;
+    int value = 0;
+};
+
+/** The component pattern: acquired, scheduled, and released at the
+ *  top of its own process(). */
+struct PooledEvent final : Event
+{
+    explicit PooledEvent(Pool<PooledEvent> *p) : pool(p) {}
+
+    void
+    process() override
+    {
+        pool->release(*this);
+        (*fired)++;
+    }
+
+    Pool<PooledEvent> *const pool;
+    int *fired = nullptr;
+};
+
+} // namespace
+
+TEST(Pool, AddressesStayPinnedAcrossGrowth)
+{
+    int owner = 0;
+    Pool<Item> pool;
+    std::vector<Item *> held;
+    for (int i = 0; i < 5000; i++) {
+        Item &it = pool.acquire(&owner);
+        it.value = i;
+        held.push_back(&it);
+    }
+    EXPECT_EQ(pool.size(), 5000u);
+    for (int i = 0; i < 5000; i++) {
+        ASSERT_EQ(held[i]->value, i);
+        ASSERT_EQ(held[i]->owner, &owner);
+    }
+}
+
+TEST(Pool, ReuseIsLifo)
+{
+    int first = 0, second = 0;
+    Pool<Item> pool;
+    Item &a = pool.acquire(&first);
+    pool.acquire(&first);
+    Item &c = pool.acquire(&first);
+    c.value = 7;
+    pool.release(a);
+    pool.release(c);
+
+    // The most recently released object comes back first, with its
+    // fields as they were: only a fresh object takes the arguments.
+    Item &r1 = pool.acquire(&second);
+    EXPECT_EQ(&r1, &c);
+    EXPECT_EQ(r1.owner, &first);
+    EXPECT_EQ(r1.value, 7);
+    EXPECT_EQ(&pool.acquire(&second), &a);
+    EXPECT_EQ(pool.size(), 3u);
+
+    Item &fresh = pool.acquire(&second);
+    EXPECT_EQ(fresh.owner, &second);
+    EXPECT_EQ(pool.size(), 4u);
+}
+
+TEST(Pool, StopsGrowingAtHighWaterMark)
 {
     EventQueue eq;
+    Pool<PooledEvent> pool;
     int fired = 0;
     auto burst = [&]() {
-        for (int i = 0; i < 100; i++)
-            eq.scheduleIn(1 + i % 7, [&]() { fired++; });
+        for (int i = 0; i < 100; i++) {
+            PooledEvent &ev = pool.acquire(&pool);
+            ev.fired = &fired;
+            eq.scheduleIn(ev, 1 + i % 7);
+        }
         eq.run();
     };
     for (int round = 0; round < 4; round++)
         burst();
-    const std::uint64_t allocs = eq.poolAllocations();
-    EXPECT_LE(allocs, 100u);
+    EXPECT_EQ(pool.size(), 100u);
     for (int round = 0; round < 4; round++)
         burst();
-    EXPECT_EQ(eq.poolAllocations(), allocs);
+    EXPECT_EQ(pool.size(), 100u);
     EXPECT_EQ(fired, 800);
 }

@@ -516,6 +516,38 @@ TEST(RunCacheKnobs, BadValuesAreFatalAtStartup)
     unsetenv("DESC_SIM_CACHE");
 }
 
+TEST(RunCacheKnobs, UncreatableCacheDirIsFatalBeforeAnyRun)
+{
+    // A cache directory under a regular file cannot be created. It
+    // once left a warning and a run with no cache; now the first
+    // submitted point dies on the submitting thread, before a pool
+    // worker starts it (a fatal exit inside a worker hangs the pool).
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    TempCacheDir tmp;
+    const std::string file = tmp.dir + "/not-a-dir";
+    std::ofstream(file) << "x";
+    setenv("DESC_SIM_CACHE_DIR", (file + "/cache").c_str(), 1);
+    const std::string want =
+        "cannot create DESC_SIM_CACHE_DIR=\".*not-a-dir/cache\": "
+        "Not a directory";
+    EXPECT_DEATH(Runner(2).run({tinyConfig()}), want);
+    EXPECT_DEATH(runApp(tinyConfig()), want);
+    unsetenv("DESC_SIM_CACHE_DIR");
+}
+
+TEST(RunCacheKnobs, NoDirectoryUntilTheFirstRun)
+{
+    // Repointing the cache, as test binaries do, must not create the
+    // environment's directory on the way.
+    TempCacheDir tmp;
+    const std::string dir = tmp.dir + "/default";
+    setenv("DESC_SIM_CACHE_DIR", dir.c_str(), 1);
+    setGlobalRunCacheDir("");
+    unsetenv("DESC_SIM_CACHE_DIR");
+    EXPECT_FALSE(std::filesystem::exists(dir));
+    EXPECT_FALSE(globalRunCache().enabled());
+}
+
 TEST(RunCache, StoreLoadRoundTrips)
 {
     TempCacheDir tmp;

@@ -62,6 +62,30 @@ registryJson(const StatRegistry &reg)
 
 } // namespace
 
+TEST(StatsSidecar, UnopenablePathsAreFatalAtStartup)
+{
+    // Both sidecars are opened during static initialization, so each
+    // death test re-executes this binary with the variables set: the
+    // child must die before main() reaches the empty statement. They
+    // once warned at exit, after every run had been simulated.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    TempCacheDir tmp;
+    const std::string missing = tmp.dir + "/desc-no-such-dir/s.json";
+    setenv("DESC_STATS_OUT", missing.c_str(), 1);
+    EXPECT_DEATH({}, "cannot open DESC_STATS_OUT=\".*desc-no-such-dir/"
+                     "s.json\": No such file or directory");
+
+    // The JSON sidecar opens; its time series lands on a directory.
+    const std::string json = tmp.dir + "/s.json";
+    std::filesystem::create_directories(tmp.dir + "/s.timeseries.csv");
+    setenv("DESC_STATS_OUT", json.c_str(), 1);
+    setenv("DESC_STATS_EVERY", "1000", 1);
+    EXPECT_DEATH({}, "cannot open the DESC_STATS_EVERY time series "
+                     "\".*s.timeseries.csv\": Is a directory");
+    unsetenv("DESC_STATS_EVERY");
+    unsetenv("DESC_STATS_OUT");
+}
+
 TEST(StatDump, RegistryMatchesRunFields)
 {
     auto cfg = scaledConfig(tinyConfig());

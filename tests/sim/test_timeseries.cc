@@ -42,7 +42,7 @@ struct TimeseriesGuard
     {
         // ~0 would mean "no override"; 0 keeps snapshots off for the
         // rest of the process regardless of the environment. The CSV
-        // stays redirected into the temp dir so the exit-time flush
+        // stays redirected into the temp dir so a later flushForTest()
         // cannot drop a stray file into the test working directory.
         timeseries::setEveryForTest(0);
         timeseries::setPathForTest(

@@ -38,6 +38,10 @@ Enforces repo invariants the compiler cannot see:
                      the build enables no POPCNT, so those are libgcc
                      calls; count bits with swar::popcount64
                      (src/common/swar.hh)
+  event-pool         no std::vector<...Event *> declaration outside
+                     src/sim/eventq.hh — a vector of event pointers is
+                     a hand-rolled free list; runtime-sized events
+                     come from a sim::Pool
 
 Usage:
   desc_lint.py [--root DIR]     lint the tree (exit 1 on findings)
@@ -446,6 +450,21 @@ def check_popcount(root, rel, text, code, findings):
             "swar::popcount64 (src/common/swar.hh)" % m.group(0)))
 
 
+EVENT_FREE_LIST_RE = re.compile(
+    r"\bvector\s*<\s*(?:const\s+)?[\w:]*Event\s*\*\s*>\s*\w+\s*[;{=]")
+
+
+def check_event_pool(root, rel, text, code, findings):
+    if rel == "src/sim/eventq.hh":
+        return  # sim::Pool's own free list
+    for m in EVENT_FREE_LIST_RE.finditer(code):
+        findings.append(Finding(
+            "event-pool", rel, line_of(code, m.start()),
+            "a vector of Event pointers is a hand-rolled event free "
+            "list: draw runtime-sized events from a sim::Pool "
+            "(src/sim/eventq.hh)"))
+
+
 PER_FILE_CHECKS = [
     check_hot_path_alloc,
     check_env_registry,
@@ -455,6 +474,7 @@ PER_FILE_CHECKS = [
     check_test_include,
     check_contract_include,
     check_popcount,
+    check_event_pool,
 ]
 
 # Token scans that desc-analyze (tools/analyze/desc_analyze.py)
@@ -502,7 +522,9 @@ FIXTURE_EXPECT = {
     "fixtures/bad/entropy.cc": {"determinism", "test-include"},
     "fixtures/bad/envknob.cc": {"env-registry"},
     "fixtures/bad/popcount.cc": {"popcount"},
+    "fixtures/bad/freelist.cc": {"event-pool"},
     "fixtures/good/clean.hh": set(),
+    "fixtures/good/pooled.cc": set(),
 }
 
 
