@@ -4,7 +4,7 @@
  *
  * Cache lines and the DRAM backing store keep block contents in a
  * flat 8-word array (cheap to copy, no heap traffic); the transfer
- * schemes operate on BitVec, so conversions are provided.
+ * schemes operate on BitVec, which toBitVec() fills.
  */
 
 #ifndef DESC_CACHE_BLOCKDATA_HH
@@ -36,16 +36,6 @@ toBitVec(const Block512 &block, BitVec &out)
     DESC_DCHECK(out.width() == 8 * sizeof(Block512),
                 "toBitVec into a ", out.width(), "-bit vector");
     std::copy(block.begin(), block.end(), out.mutableWords().begin());
-}
-
-/** Extract a 512-bit BitVec's payload into a block. */
-inline Block512
-fromBitVec(const BitVec &bv)
-{
-    Block512 block;
-    bv.toBytes(reinterpret_cast<std::uint8_t *>(block.data()),
-               sizeof(Block512));
-    return block;
 }
 
 /** Interface the cache hierarchy uses to materialize memory contents. */

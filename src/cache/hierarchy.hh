@@ -163,9 +163,6 @@ class MemHierarchy
     const core::ChunkStats &chunkStats() const { return _chunk_stats; }
     const L2Config &config() const { return _cfg; }
 
-    /** Average L2 hit delay in cycles (Figure 21). */
-    double avgHitDelay() const { return _stats.hit_latency.mean(); }
-
     /**
      * Functional warmup: install the block at @p addr into the L2
      * without consuming simulated time or charging activity. Used to

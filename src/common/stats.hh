@@ -7,8 +7,8 @@
  * members); at harvest time the run driver registers those objects in
  * a StatRegistry under dotted paths ("l2.hits", "link.data_flips"),
  * from which the human-readable report and the machine-readable
- * JSON/CSV dumps (sim/statdump.hh) are both produced — one source of
- * truth for every reported number.
+ * JSON dump (sim/statdump.hh) are both produced — one source of truth
+ * for every reported number.
  */
 
 #ifndef DESC_COMMON_STATS_HH

@@ -71,19 +71,6 @@ class ToggleGeneratorBank
     /** Fire every lane whose bit is set in @p mask. */
     void fire(const WirePlane &mask) { _levels.toggle(mask); }
 
-    /** Fire lanes [64*word, 64*word+63] selected by @p mask. */
-    void
-    fireWord(unsigned word, std::uint64_t mask)
-    {
-        _levels.mutableWords()[word] ^= mask;
-    }
-
-    /**
-     * Apply a run of strobes at once: XOR in the per-lane strobe
-     * parity, the levels that many fire() calls would leave behind.
-     */
-    void fastForward(const WirePlane &odd) { _levels.toggle(odd); }
-
     const WirePlane &levels() const { return _levels; }
     bool level(unsigned lane) const { return _levels[lane]; }
 
@@ -121,14 +108,6 @@ class ToggleDetectorBank
             prev[i] = in[i];
         }
     }
-
-    /**
-     * Jump every delayed copy straight to @p levels, as if each
-     * intermediate cycle had been sampled.
-     */
-    void prime(const WirePlane &levels) { _prev = levels; }
-
-    const WirePlane &delayed() const { return _prev; }
 
     void reset() { _prev.clear(); }
 

@@ -35,7 +35,6 @@ class BlockCodec
      */
     BlockCodec(unsigned block_bits, unsigned segment_data_bits);
 
-    unsigned blockBits() const { return _block_bits; }
     unsigned numSegments() const { return _num_segments; }
 
     /** Parity bits per segment (9 for (137,128), 8 for (72,64)). */

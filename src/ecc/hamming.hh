@@ -36,8 +36,6 @@ class SecdedCode
      */
     explicit SecdedCode(unsigned data_bits);
 
-    unsigned dataBits() const { return _data_bits; }
-
     /** Parity bits including the overall parity. */
     unsigned parityBits() const { return _parity_bits + 1; }
 

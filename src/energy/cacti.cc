@@ -116,7 +116,6 @@ CacheEnergyModel::CacheEnergyModel(const CacheOrg &org,
     const unsigned ctrl_cycles = 2;
     _hit_latency =
         ctrl_cycles + _flight_cycles + array_cycles + _flight_cycles;
-    _miss_latency = ctrl_cycles + _flight_cycles + array_cycles;
 }
 
 } // namespace desc::energy

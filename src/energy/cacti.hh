@@ -95,9 +95,6 @@ class CacheEnergyModel
      */
     unsigned hitLatencyCycles() const { return _hit_latency; }
 
-    /** Latency to detect a miss (tag path only). */
-    unsigned missDetectLatencyCycles() const { return _miss_latency; }
-
     /** One-way H-tree flight time in core cycles. */
     unsigned htreeFlightCycles() const { return _flight_cycles; }
 
@@ -112,7 +109,6 @@ class CacheEnergyModel
     Joule _addr_transfer;
     Watt _leak_power;
     unsigned _hit_latency;
-    unsigned _miss_latency;
     unsigned _flight_cycles;
 };
 

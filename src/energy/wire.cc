@@ -9,7 +9,6 @@ namespace desc::energy {
 
 WireModel::WireModel(const TechParams &tech, double length_mm,
                      double swing_v)
-    : _length_mm(length_mm)
 {
     DESC_ASSERT(length_mm >= 0.0, "negative wire length");
     DESC_ASSERT(swing_v >= 0.0 && swing_v < tech.vdd,

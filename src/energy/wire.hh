@@ -39,10 +39,7 @@ class WireModel
     /** Propagation delay in cycles of a clock at @p clock_ghz. */
     unsigned delayCycles(double clock_ghz) const;
 
-    double lengthMm() const { return _length_mm; }
-
   private:
-    double _length_mm;
     Joule _flip_energy;
     double _delay_ps;
 };

@@ -90,16 +90,20 @@ scaledConfig(const SystemConfig &cfg_in)
 }
 
 AppRun
+withEnergy(const SystemConfig &cfg, SimResult result)
+{
+    DESC_PROF_SCOPE(Energy);
+    AppRun run;
+    run.result = std::move(result);
+    run.l2 = computeL2Energy(cfg, run.result);
+    run.processor = computeProcessorEnergy(cfg, run.result, run.l2);
+    return run;
+}
+
+AppRun
 runScaledApp(const SystemConfig &cfg)
 {
-    AppRun run;
-    run.result = runSystem(cfg);
-    {
-        DESC_PROF_SCOPE(Energy);
-        run.l2 = computeL2Energy(cfg, run.result);
-        run.processor = computeProcessorEnergy(cfg, run.result, run.l2);
-    }
-    return run;
+    return withEnergy(cfg, runSystem(cfg));
 }
 
 AppRun

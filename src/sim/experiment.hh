@@ -51,9 +51,10 @@ struct AppRun
 /**
  * The one list of AppRun fields, in run-cache byte order: calls
  * f(path, doc, field) for each, where path and doc are the field's
- * entry in the stats registry (sim/statdump.hh). The run-cache codec
- * and the registry's raw stats are loops over it; derived stats
- * (rates, fractions, energy sums) are not fields and are not listed.
+ * entry in the stats registry (sim/statdump.hh). The run-cache codec,
+ * the registry's raw stats and the time-series columns
+ * (sim/timeseries.hh) are loops over it; derived stats (rates,
+ * fractions, energy sums) are not fields and are not listed.
  */
 template <typename R, typename F>
     requires std::same_as<std::remove_const_t<R>, AppRun>
@@ -136,6 +137,10 @@ forEachField(R &run, F &&f)
  *  budget clamped to a useful minimum). This is the configuration a
  *  simulation actually runs — and the one the run cache hashes. */
 SystemConfig scaledConfig(const SystemConfig &cfg);
+
+/** @p result with its L2 and processor energies: the accounting step
+ *  of every finished run and of every time-series snapshot. */
+AppRun withEnergy(const SystemConfig &cfg, SimResult result);
 
 /** Run one already-scaled configuration, bypassing the run cache. */
 AppRun runScaledApp(const SystemConfig &cfg);

@@ -260,44 +260,9 @@ mutableStats()
     return stats;
 }
 
-// The knobs are resolved at startup, like DESC_STATS_EVERY: a
-// malformed value or an unopenable journal must fail before a pool
-// worker starts a run.
+// Resolved at startup, like DESC_STATS_EVERY: a malformed value
+// must fail before a pool worker starts a run.
 const bool g_cache_on = env::boolOr(env::Var::SimCache, true);
-std::FILE *const g_manifest =
-    env::openPath(env::Var::RunManifest, env::raw(env::Var::RunManifest), "a");
-
-/**
- * Append one JSON line describing an executed run to the
- * DESC_RUN_MANIFEST journal. Lines are written whole under a lock,
- * so parallel workers never interleave within a line.
- */
-void
-emitManifestLine(const SystemConfig &cfg, const AppRun &run,
-                 std::uint64_t key, bool cached, double wall_seconds)
-{
-    if (!g_manifest)
-        return;
-    static std::mutex manifest_mutex;
-    std::lock_guard<std::mutex> lock(manifest_mutex);
-
-    const std::string &ctx = threadLogContext();
-    std::fprintf(g_manifest,
-                 "{\"app\": \"%s\", \"scheme\": \"%s\", "
-                 "\"seed\": %llu, \"config_hash\": \"%s\", "
-                 "\"cached\": %s, \"wall_seconds\": %.6g, "
-                 "\"worker\": \"%s\", \"cycles\": %llu, "
-                 "\"instructions\": %llu, \"l2_uj\": %.6g, "
-                 "\"cpu_uj\": %.6g}\n",
-                 cfg.app.name,
-                 shortSchemeName(cfg.l2.scheme).c_str(),
-                 (unsigned long long)cfg.seed, hex16(key).c_str(),
-                 cached ? "true" : "false", wall_seconds, ctx.c_str(),
-                 (unsigned long long)run.result.cycles,
-                 (unsigned long long)run.result.instructions,
-                 run.l2.total() * 1e6, run.processor.total() * 1e6);
-    std::fflush(g_manifest);
-}
 
 } // namespace
 
@@ -341,13 +306,19 @@ RunCache::load(std::uint64_t key) const
     if (!enabled())
         return std::nullopt;
 
-    std::ifstream in(path(key), std::ios::binary);
-    if (!in)
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    const fs::file_type type = fs::status(path(key), ec).type();
+    if (type == fs::file_type::not_found)
         return std::nullopt; // absent: a plain miss
+    // Only a regular file is opened: reading a directory throws.
+    std::ifstream in;
+    if (type == fs::file_type::regular)
+        in.open(path(key), std::ios::binary);
     std::string bytes((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
     AppRun run;
-    const char *why = !in.good() && !in.eof()
+    const char *why = !in.is_open() || (!in.good() && !in.eof())
         ? "unreadable"
         : decodeEntry(std::move(bytes), key, run);
     if (!why)
@@ -360,11 +331,11 @@ RunCache::load(std::uint64_t key) const
     return std::nullopt;
 }
 
-void
+bool
 RunCache::store(std::uint64_t key, const AppRun &run) const
 {
     if (!enabled())
-        return;
+        return false;
 
     Writer w;
     w.u64(kMagic);
@@ -381,19 +352,28 @@ RunCache::store(std::uint64_t key, const AppRun &run) const
     auto tid = std::hash<std::thread::id>{}(std::this_thread::get_id());
     std::string tmp = path(key) + ".tmp"
         + std::to_string((unsigned long long)tid);
+    std::string why;
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return;
         out.write(w.bytes().data(),
                   std::streamsize(w.bytes().size()));
-        if (!out.good())
-            return;
+        out.close();
+        if (!out)
+            why = "cannot write " + tmp;
     }
     std::error_code ec;
-    std::filesystem::rename(tmp, path(key), ec);
-    if (ec)
-        std::filesystem::remove(tmp, ec);
+    if (why.empty()) {
+        std::filesystem::rename(tmp, path(key), ec);
+        if (!ec)
+            return true;
+        why = ec.message();
+    }
+    // The run itself is fine; it just is not cached.
+    std::filesystem::remove(tmp, ec);
+    warnOnce("store " + path(key),
+             detail::concat("cannot store run-cache entry \"", path(key),
+                            "\" (", why, "): not cached"));
+    return false;
 }
 
 namespace {
@@ -484,7 +464,6 @@ runAppCached(const SystemConfig &scaled_cfg)
         }
         DESC_TRACE_HOST(Runner, "cache hit: ", runLabel(scaled_cfg, key));
         recordRunStats(scaled_cfg, *cached, key);
-        emitManifestLine(scaled_cfg, *cached, key, true, seconds);
         return *cached;
     }
 
@@ -493,19 +472,18 @@ runAppCached(const SystemConfig &scaled_cfg)
     AppRun run = runScaledApp(scaled_cfg);
     double seconds = elapsed();
 
-    cache.store(key, run);
+    const bool stored = cache.store(key, run);
     {
         std::lock_guard<std::mutex> lock(stateMutex());
         auto &stats = mutableStats();
         stats.simulated.inc();
         stats.sim_seconds.sample(seconds);
-        if (cache.enabled())
+        if (stored)
             stats.cache_stores.inc();
     }
     DESC_TRACE_HOST(Runner, "simulated ", runLabel(scaled_cfg, key),
                     " in ", seconds, "s");
     recordRunStats(scaled_cfg, run, key);
-    emitManifestLine(scaled_cfg, run, key, false, seconds);
     return run;
 }
 

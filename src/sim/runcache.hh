@@ -17,18 +17,14 @@
  * entry ends in a checksum; one that fails to decode is reported once
  * by name and treated as a miss, so the point is simulated again.
  *
- * Environment (DESC_SIM_CACHE and DESC_RUN_MANIFEST are resolved at
- * startup, so a bad value or an unopenable journal is fatal before
- * any run):
+ * Environment (DESC_SIM_CACHE is resolved at startup, so a bad value
+ * is fatal before any run):
  *  - DESC_SIM_CACHE=0 disables the cache entirely (strict 0/1);
  *  - DESC_SIM_CACHE_DIR overrides the location (default
  *    ".desc-runcache" under the current directory). The directory is
  *    created when the first point is submitted, on the submitting
  *    thread, and one that cannot be created is fatal; a process that
- *    runs no point creates none;
- *  - DESC_RUN_MANIFEST=<path> appends one JSON line per executed run
- *    (config hash, app, seed, wall time, cached flag, headline
- *    stats) — a machine-readable profile of what a harness did.
+ *    runs no point creates none.
  *
  * All entry points are thread-safe; the parallel Runner calls them
  * from every worker.
@@ -55,8 +51,8 @@ namespace desc::sim {
 std::uint64_t configHash(const SystemConfig &cfg);
 
 /** app/scheme#<@p key as 16 hex digits>, @p key = configHash(cfg):
- *  the run column of the CSV sidecar and the time series, and the
- *  run tag of trace lines. */
+ *  the run column of the time series and the run tag of trace
+ *  lines. */
 std::string runLabel(const SystemConfig &cfg, std::uint64_t key);
 
 /** A directory of serialized AppRuns keyed by configHash(). */
@@ -74,8 +70,11 @@ class RunCache
      *  (with a warning naming the file) corrupt. */
     std::optional<AppRun> load(std::uint64_t key) const;
 
-    /** Persist @p run under @p key (atomic: write + rename). */
-    void store(std::uint64_t key, const AppRun &run) const;
+    /** Persist @p run under @p key (atomic: write + rename). False
+     *  when the cache is disabled or the entry could not be written;
+     *  a failure warns once, naming the entry, and leaves no temp
+     *  file behind. */
+    bool store(std::uint64_t key, const AppRun &run) const;
 
   private:
     std::string path(std::uint64_t key) const;
@@ -96,7 +95,7 @@ struct RunStats
     Counter jobs;         //!< points requested
     Counter simulated;    //!< points actually simulated
     Counter cache_hits;   //!< points served from the run cache
-    Counter cache_stores; //!< fresh points persisted to the cache
+    Counter cache_stores; //!< fresh points written to the cache
     Average sim_seconds;  //!< wall time per simulated point
     Average load_seconds; //!< wall time per cache hit
     Average queue_seconds; //!< submit-to-start wait per parallel job
@@ -117,7 +116,7 @@ std::string runSummaryLine();
  * single execution path shared by runApp() and the parallel Runner,
  * which also makes it the choke point for run-level observability:
  * every run (hit or miss) is offered to the DESC_STATS_OUT sidecar
- * (sim/statdump.hh) and appended to the DESC_RUN_MANIFEST journal.
+ * (sim/statdump.hh) and traced on the runner channel.
  */
 AppRun runAppCached(const SystemConfig &scaled_cfg);
 

@@ -16,9 +16,8 @@ unsigned
 Runner::defaultJobs()
 {
     unsigned hw = std::thread::hardware_concurrency();
-    // The registry warns once per process and value: every Runner
-    // construction re-reads the environment, and a sweep can build
-    // many runners.
+    // Every Runner construction re-reads the environment; a
+    // malformed value is fatal.
     return unsigned(
         env::uintOr(env::Var::SimJobs, hw ? hw : 1, 1, 4096));
 }
@@ -45,8 +44,8 @@ Runner::~Runner()
 void
 Runner::workerLoop(unsigned worker_idx)
 {
-    // Diagnostics fired inside a job (warn, trace lines, manifest
-    // entries) carry this worker's tag.
+    // Diagnostics fired inside a job (warnings, trace lines) carry
+    // this worker's tag.
     setThreadLogContext(detail::concat("w", worker_idx));
 
     for (;;) {

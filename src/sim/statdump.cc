@@ -1,8 +1,10 @@
 #include "sim/statdump.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <mutex>
 #include <ostream>
 #include <sstream>
@@ -10,8 +12,7 @@
 #include <vector>
 
 #include "common/env.hh"
-#include "common/trace.hh"
-#include "sim/runcache.hh"
+#include "common/log.hh"
 
 namespace desc::sim {
 
@@ -183,70 +184,6 @@ writeRegistryJson(std::ostream &os, const StatRegistry &reg,
     os << "}";
 }
 
-namespace {
-
-void
-csvRow(std::ostream &os, const std::string &run_label,
-       const std::string &path, const std::string &value)
-{
-    os << run_label << ',' << path << ',' << value << '\n';
-}
-
-std::string
-csvNumber(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-} // namespace
-
-void
-writeRegistryCsv(std::ostream &os, const StatRegistry &reg,
-                 const std::string &run_label)
-{
-    using Kind = StatRegistry::Kind;
-    for (const auto &[path, e] : reg.entries()) {
-        switch (e.kind) {
-          case Kind::Counter:
-            csvRow(os, run_label, path,
-                   std::to_string(e.counter->value()));
-            break;
-          case Kind::Int:
-            csvRow(os, run_label, path, std::to_string(e.integer));
-            break;
-          case Kind::Scalar:
-            csvRow(os, run_label, path, csvNumber(e.scalar));
-            break;
-          case Kind::Text:
-            // Stat texts are short identifiers; no quoting needed.
-            csvRow(os, run_label, path, e.text);
-            break;
-          case Kind::Average:
-            csvRow(os, run_label, path + ".count",
-                   std::to_string(e.average->count()));
-            csvRow(os, run_label, path + ".sum",
-                   csvNumber(e.average->sum()));
-            csvRow(os, run_label, path + ".mean",
-                   csvNumber(e.average->mean()));
-            break;
-          case Kind::Histogram: {
-            const Histogram &h = *e.histogram;
-            csvRow(os, run_label, path + ".total",
-                   std::to_string(h.total()));
-            csvRow(os, run_label, path + ".overflow",
-                   std::to_string(h.overflow()));
-            csvRow(os, run_label, path + ".mean", csvNumber(h.mean()));
-            for (std::size_t i = 0; i < h.numBins(); i++)
-                csvRow(os, run_label, path + ".bin." + std::to_string(i),
-                       std::to_string(h.bin(unsigned(i))));
-            break;
-          }
-        }
-    }
-}
-
 StatRegistry
 buildRunRegistry(const SystemConfig &cfg, const AppRun &run,
                  std::uint64_t config_hash)
@@ -315,114 +252,98 @@ buildRunRegistry(const SystemConfig &cfg, const AppRun &run,
 
 namespace {
 
-struct SidecarRecord
+std::FILE *
+openOrDie(const std::string &path, const std::string &what)
 {
-    std::string app;
-    std::uint64_t config_hash;
-    std::uint64_t seq;
-    std::string json;
-    std::string csv;
-};
-
-struct Sidecar
-{
-    std::mutex mutex;
-    std::vector<SidecarRecord> records;
-    std::uint64_t next_seq = 0;
-};
-
-/** Leaked so the atexit flush never races static destruction. */
-Sidecar &
-sidecar()
-{
-    static Sidecar *s = new Sidecar;
-    return *s;
-}
-
-// DESC_STATS_OUT is opened at startup, so a path that cannot be
-// written fails before the first run is simulated, not at exit after
-// the last one. The file stays empty until the exit-time flush.
-const std::string g_path = env::stringOr(env::Var::StatsOut, "");
-std::FILE *const g_file =
-    env::openPath(env::Var::StatsOut, g_path.c_str(), "w");
-
-bool
-sidecarWantsCsv()
-{
-    return g_path.size() >= 4
-        && g_path.compare(g_path.size() - 4, 4, ".csv") == 0;
-}
-
-void
-flushSidecar()
-{
-    Sidecar &s = sidecar();
-    std::lock_guard<std::mutex> lock(s.mutex);
-
-    // Deterministic order regardless of worker scheduling.
-    std::sort(s.records.begin(), s.records.end(),
-              [](const SidecarRecord &a, const SidecarRecord &b) {
-                  if (a.app != b.app)
-                      return a.app < b.app;
-                  if (a.config_hash != b.config_hash)
-                      return a.config_hash < b.config_hash;
-                  return a.seq < b.seq;
-              });
-
-    std::ostringstream out;
-    if (sidecarWantsCsv()) {
-        out << "run,path,value\n";
-        for (const auto &rec : s.records)
-            out << rec.csv;
-    } else {
-        out << "{\n  \"format\": \"desc-stats\",\n  \"version\": 1,\n"
-            << "  \"runs\": [";
-        for (std::size_t i = 0; i < s.records.size(); i++) {
-            out << (i ? ",\n    " : "\n    ");
-            out << s.records[i].json;
-        }
-        out << (s.records.empty() ? "]\n}\n" : "\n  ]\n}\n");
+    if (path.empty())
+        return nullptr;
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f) {
+        const int err = errno;
+        DESC_FATAL("cannot open ", what, "\"", path, "\": ",
+                   std::strerror(err));
     }
-    const std::string bytes = out.str();
-    std::fwrite(bytes.data(), 1, bytes.size(), g_file);
-    std::fflush(g_file);
+    return f;
 }
 
 } // namespace
 
-bool
-statsSidecarEnabled()
+ExitWriter::ExitWriter(std::string path, const std::string &what,
+                       Render render)
+    : _path(std::move(path)), _file(openOrDie(_path, what)),
+      _render(render)
 {
-    return g_file != nullptr;
 }
+
+ExitWriter::~ExitWriter()
+{
+    if (!_file)
+        return;
+    const std::string bytes = contents();
+    const bool written =
+        std::fwrite(bytes.data(), 1, bytes.size(), _file) == bytes.size();
+    // No logger at exit: the log mutex may already be gone.
+    if (std::fclose(_file) != 0 || !written)
+        std::fprintf(stderr, "warn: cannot write \"%s\"\n", _path.c_str());
+}
+
+void
+ExitWriter::add(std::string key, std::uint64_t subkey, std::string text)
+{
+    std::lock_guard<std::mutex> lock(_mutex);
+    _records.push_back({std::move(key), subkey, std::move(text)});
+}
+
+std::string
+ExitWriter::contents()
+{
+    std::lock_guard<std::mutex> lock(_mutex);
+    std::sort(_records.begin(), _records.end());
+    std::vector<std::string> texts;
+    texts.reserve(_records.size());
+    for (const Record &r : _records)
+        texts.push_back(r.text);
+    return _render(texts);
+}
+
+void
+ExitWriter::clear()
+{
+    std::lock_guard<std::mutex> lock(_mutex);
+    _records.clear();
+}
+
+namespace {
+
+std::string
+renderSidecar(const std::vector<std::string> &runs)
+{
+    std::string out = "{\n  \"format\": \"desc-stats\",\n"
+                      "  \"version\": 1,\n  \"runs\": [";
+    for (std::size_t i = 0; i < runs.size(); i++)
+        out += (i ? ",\n    " : "\n    ") + runs[i];
+    out += runs.empty() ? "]\n}\n" : "\n  ]\n}\n";
+    return out;
+}
+
+// DESC_STATS_OUT is opened at startup, so a path that cannot be
+// written fails before the first run is simulated, not at exit after
+// the last one. The file stays empty until the exit-time write.
+ExitWriter g_sidecar(env::stringOr(env::Var::StatsOut, ""),
+                     detail::concat(env::name(env::Var::StatsOut), "="),
+                     renderSidecar);
+
+} // namespace
 
 void
 recordRunStats(const SystemConfig &cfg, const AppRun &run,
                std::uint64_t config_hash)
 {
-    if (!statsSidecarEnabled())
+    if (!g_sidecar.enabled())
         return;
-
-    StatRegistry reg = buildRunRegistry(cfg, run, config_hash);
-
-    SidecarRecord rec;
-    rec.app = cfg.app.name;
-    rec.config_hash = config_hash;
-
     std::ostringstream json;
-    writeRegistryJson(json, reg, 2);
-    rec.json = json.str();
-
-    std::ostringstream csv;
-    writeRegistryCsv(csv, reg, runLabel(cfg, config_hash));
-    rec.csv = csv.str();
-
-    Sidecar &s = sidecar();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.next_seq == 0)
-        std::atexit(flushSidecar);
-    rec.seq = s.next_seq++;
-    s.records.push_back(std::move(rec));
+    writeRegistryJson(json, buildRunRegistry(cfg, run, config_hash), 2);
+    g_sidecar.add(cfg.app.name, config_hash, json.str());
 }
 
 } // namespace desc::sim

@@ -102,6 +102,25 @@ runSystem(const SystemConfig &cfg, core::SchemeFactory make_scheme)
         ooo_core->start();
     }
 
+    // What the run has done by cycle @p now: the final result, and
+    // each time-series snapshot.
+    auto harvest = [&](Cycle now) {
+        SimResult r;
+        r.cycles = now;
+        r.seconds = double(now) / (cfg.l2.org.clock_ghz * 1e9);
+        if (cfg.cpu == CpuKind::NiagaraSMT) {
+            for (auto &core : smt_cores)
+                r.instructions += core->stats().instructions.value();
+        } else {
+            r.instructions = ooo_core->instructions();
+        }
+        r.hierarchy = mem.stats();
+        r.chunks = mem.chunkStats();
+        r.dram_reads = mem.dramSystem().stats().reads.value();
+        r.dram_writes = mem.dramSystem().stats().writes.value();
+        return r;
+    };
+
     std::uint64_t every = timeseries::everyCycles();
     if (every == 0) {
         eq.run();
@@ -111,33 +130,11 @@ runSystem(const SystemConfig &cfg, core::SchemeFactory make_scheme)
         // advances past natural quiescence, so the simulation result
         // is bit-identical to the single eq.run() above.
         std::string label = runLabel(cfg, configHash(cfg));
-        auto instructions = [&]() {
-            std::uint64_t n = 0;
-            if (cfg.cpu == CpuKind::NiagaraSMT) {
-                for (auto &core : smt_cores)
-                    n += core->stats().instructions.value();
-            } else {
-                n = ooo_core->instructions();
-            }
-            return n;
-        };
         for (Cycle next = every; !eq.empty(); next += every) {
             eq.run(next);
             if (eq.empty())
                 break;
-            const auto &hs = mem.stats();
-            timeseries::Row row;
-            row.cycle = next;
-            row.instructions = instructions();
-            row.l2_hits = hs.l2_hits.value();
-            row.l2_misses = hs.l2_misses.value();
-            row.read_transfers = hs.read_transfers.value();
-            row.write_transfers = hs.write_transfers.value();
-            row.data_flips = hs.data_flips;
-            row.ctrl_flips = hs.ctrl_flips;
-            row.dram_reads = mem.dramSystem().stats().reads.value();
-            row.dram_writes = mem.dramSystem().stats().writes.value();
-            timeseries::record(label, row);
+            timeseries::record(label, withEnergy(cfg, harvest(next)));
         }
     }
 
@@ -152,20 +149,7 @@ runSystem(const SystemConfig &cfg, core::SchemeFactory make_scheme)
     for (auto *stream : app_streams)
         stream->publishTrace();
 
-    SimResult result;
-    result.cycles = eq.now();
-    result.seconds = double(result.cycles) / (cfg.l2.org.clock_ghz * 1e9);
-    if (cfg.cpu == CpuKind::NiagaraSMT) {
-        for (auto &core : smt_cores)
-            result.instructions += core->stats().instructions.value();
-    } else {
-        result.instructions = ooo_core->instructions();
-    }
-    result.hierarchy = mem.stats();
-    result.chunks = mem.chunkStats();
-    result.dram_reads = mem.dramSystem().stats().reads.value();
-    result.dram_writes = mem.dramSystem().stats().writes.value();
-    return result;
+    return harvest(eq.now());
 }
 
 } // namespace desc::sim

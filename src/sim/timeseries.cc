@@ -1,16 +1,13 @@
 #include "sim/timeseries.hh"
 
-#include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
-#include <mutex>
-#include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "common/env.hh"
 #include "common/log.hh"
+#include "sim/statdump.hh"
 
 namespace desc::sim::timeseries {
 
@@ -20,74 +17,50 @@ constexpr std::uint64_t kNoOverride = ~std::uint64_t{0};
 
 std::atomic<std::uint64_t> g_every_override{kNoOverride};
 
-struct BufferedRow
-{
-    std::string label;
-    std::uint64_t seq;
-    Row row;
-};
-
-struct Buffer
-{
-    std::mutex mutex;
-    std::vector<BufferedRow> rows;
-    std::uint64_t next_seq = 0;
-    std::string path_override;
-    bool atexit_registered = false;
-};
-
-/** Leaked so the atexit flush never races static destruction. */
-Buffer &
-buffer()
-{
-    static Buffer *b = new Buffer;
-    return *b;
-}
-
+/** Calls f(path, value) for each column of a row: every Counter,
+ *  integer and double field of @p run, in list order. */
+template <typename F>
 void
-writeCsv(Buffer &b, std::FILE *file)
+forEachColumn(const AppRun &run, F &&f)
 {
-    // Deterministic order regardless of worker scheduling: identical
-    // configs produce identical rows, so (label, cycle, seq) yields a
-    // byte-stable file even under DESC_SIM_JOBS > 1.
-    std::sort(b.rows.begin(), b.rows.end(),
-              [](const BufferedRow &a, const BufferedRow &c) {
-                  if (a.label != c.label)
-                      return a.label < c.label;
-                  if (a.row.cycle != c.row.cycle)
-                      return a.row.cycle < c.row.cycle;
-                  return a.seq < c.seq;
-              });
-
-    std::ostringstream out;
-    out << "run,cycle,instructions,l2_hits,l2_misses,read_transfers,"
-           "write_transfers,data_flips,ctrl_flips,dram_reads,"
-           "dram_writes\n";
-    for (const auto &r : b.rows) {
-        char flips[64];
-        std::snprintf(flips, sizeof(flips), "%.17g,%.17g",
-                      r.row.data_flips, r.row.ctrl_flips);
-        out << r.label << ',' << r.row.cycle << ','
-            << r.row.instructions << ',' << r.row.l2_hits << ','
-            << r.row.l2_misses << ',' << r.row.read_transfers << ','
-            << r.row.write_transfers << ',' << flips << ','
-            << r.row.dram_reads << ',' << r.row.dram_writes << '\n';
-    }
-    const std::string bytes = out.str();
-    std::fwrite(bytes.data(), 1, bytes.size(), file);
-    std::fflush(file);
+    forEachField(run, [&f](const char *path, const char *,
+                           const auto &v) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, Counter>)
+            f(path, v.value());
+        else if constexpr (std::is_same_v<T, std::uint64_t>
+                           || std::is_same_v<T, double>)
+            f(path, v);
+    });
 }
 
-std::FILE *
-openCsv(const std::string &path)
+std::string
+renderCsv(const std::vector<std::string> &rows)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        const int err = errno;
-        DESC_FATAL("cannot open the ", env::name(env::Var::StatsEvery),
-                   " time series \"", path, "\": ", std::strerror(err));
-    }
-    return f;
+    std::string out = "run";
+    forEachColumn(AppRun{}, [&out](const char *path, auto) {
+        out += ',';
+        out += path;
+    });
+    out += '\n';
+    for (const std::string &row : rows)
+        out += row;
+    return out;
+}
+
+/** Next to the DESC_STATS_OUT sidecar, else in the working dir. */
+std::string
+csvPath()
+{
+    std::string base = env::stringOr(env::Var::StatsOut, "");
+    if (base.empty())
+        return "desc-timeseries.csv";
+    std::size_t slash = base.find_last_of('/');
+    std::size_t dot = base.find_last_of('.');
+    if (dot != std::string::npos
+        && (slash == std::string::npos || dot > slash))
+        base.resize(dot);
+    return base + ".timeseries.csv";
 }
 
 } // namespace
@@ -100,28 +73,22 @@ parseEverySpec(const char *spec)
     return env::parseUint(env::Var::StatsEvery, spec, 0, 1, kMaxEvery);
 }
 
+namespace {
+
 // Parsed once, at startup: runSystem asks at every run start, the
 // bench holds the steady state to zero environment reads (tests pin
 // the cadence through setEveryForTest, not setenv), and a malformed
 // value must fail before a pool worker starts a run.
-static const std::uint64_t g_every =
+const std::uint64_t g_every =
     parseEverySpec(env::raw(env::Var::StatsEvery));
 
 // Opened at startup for the same reason: a path that cannot be
 // written must fail before the first run, not at exit after the
-// last. The file stays empty until the exit-time flush.
-static std::FILE *const g_csv = g_every ? openCsv(csvPath()) : nullptr;
-
-namespace {
-
-void
-flushAtExit()
-{
-    Buffer &b = buffer();
-    std::lock_guard<std::mutex> lock(b.mutex);
-    if (g_csv)
-        writeCsv(b, g_csv);
-}
+// last. The file stays empty until the exit-time write.
+ExitWriter g_rows(g_every ? csvPath() : "",
+                  detail::concat("the ", env::name(env::Var::StatsEvery),
+                                 " time series "),
+                  renderCsv);
 
 } // namespace
 
@@ -133,33 +100,20 @@ everyCycles()
 }
 
 void
-record(const std::string &run_label, const Row &row)
+record(const std::string &run_label, const AppRun &snapshot)
 {
-    Buffer &b = buffer();
-    std::lock_guard<std::mutex> lock(b.mutex);
-    if (!b.atexit_registered) {
-        b.atexit_registered = true;
-        std::atexit(flushAtExit);
-    }
-    b.rows.push_back(BufferedRow{run_label, b.next_seq++, row});
-}
-
-std::string
-csvPath()
-{
-    Buffer &b = buffer();
-    if (!b.path_override.empty())
-        return b.path_override;
-    std::string base =
-        env::stringOr(env::Var::StatsOut, "");
-    if (base.empty())
-        return "desc-timeseries.csv";
-    std::size_t slash = base.find_last_of('/');
-    std::size_t dot = base.find_last_of('.');
-    if (dot != std::string::npos
-        && (slash == std::string::npos || dot > slash))
-        base.resize(dot);
-    return base + ".timeseries.csv";
+    std::string row = run_label;
+    forEachColumn(snapshot, [&row](const char *, auto v) {
+        if constexpr (std::is_same_v<decltype(v), double>) {
+            char buf[32];
+            std::snprintf(buf, sizeof(buf), ",%.17g", v);
+            row += buf;
+        } else {
+            row += ',' + std::to_string(v);
+        }
+    });
+    row += '\n';
+    g_rows.add(run_label, snapshot.result.cycles, std::move(row));
 }
 
 void
@@ -168,31 +122,16 @@ setEveryForTest(std::uint64_t every)
     g_every_override.store(every, std::memory_order_relaxed);
 }
 
-void
-setPathForTest(const std::string &path)
+std::string
+csvForTest()
 {
-    Buffer &b = buffer();
-    std::lock_guard<std::mutex> lock(b.mutex);
-    b.path_override = path;
-}
-
-void
-flushForTest()
-{
-    Buffer &b = buffer();
-    std::lock_guard<std::mutex> lock(b.mutex);
-    std::FILE *f = openCsv(csvPath());
-    writeCsv(b, f);
-    std::fclose(f);
+    return g_rows.contents();
 }
 
 void
 resetForTest()
 {
-    Buffer &b = buffer();
-    std::lock_guard<std::mutex> lock(b.mutex);
-    b.rows.clear();
-    b.next_seq = 0;
+    g_rows.clear();
 }
 
 } // namespace desc::sim::timeseries

@@ -3,10 +3,14 @@
  * Periodic stat time-series snapshots.
  *
  * DESC_STATS_EVERY=<cycles> makes runSystem() pause the event queue
- * at every multiple of <cycles> of simulated time and record a row of
- * selected counters (instructions, L2 hits/misses, wire flips, DRAM
- * traffic), so energy/toggle/miss curves can be plotted over
- * simulated time instead of only as end-of-run totals.
+ * at every multiple of <cycles> of simulated time and record a row:
+ * the run's label, then every Counter, integer and double field of
+ * the AppRun list (forEachField in sim/experiment.hh) in list order,
+ * each under its sidecar path. perf.cycles is the snapshot cycle, and
+ * the energy.* columns come from the same accounting step a finished
+ * run takes (withEnergy), so energy by domain, wire flips and misses
+ * can be plotted over simulated time instead of only as end-of-run
+ * totals.
  *
  * Snapshots fall on event-queue boundaries (all events at cycles <=
  * the snapshot point have run), so the rows are deterministic and the
@@ -14,13 +18,13 @@
  * segmented run schedules no events and never advances time past the
  * natural quiescence point.
  *
- * Rows are buffered and written once at process exit, sorted by
- * (run label, cycle, sequence), so parallel sweeps produce a
- * deterministic CSV. The file lands next to the DESC_STATS_OUT
- * sidecar (its extension replaced with ".timeseries.csv"), or at
- * ./desc-timeseries.csv when DESC_STATS_OUT is unset. It is opened
- * at startup when DESC_STATS_EVERY is set, and a path that cannot be
- * opened is fatal before any run.
+ * Rows are written once at process exit (an ExitWriter, see
+ * sim/statdump.hh) sorted by (run label, cycle), so parallel sweeps
+ * produce a deterministic CSV. The file lands next to the
+ * DESC_STATS_OUT sidecar (its extension replaced with
+ * ".timeseries.csv"), or at ./desc-timeseries.csv when DESC_STATS_OUT
+ * is unset. It is opened at startup when DESC_STATS_EVERY is set, and
+ * a path that cannot be opened is fatal before any run.
  */
 
 #ifndef DESC_SIM_TIMESERIES_HH
@@ -29,7 +33,7 @@
 #include <cstdint>
 #include <string>
 
-#include "common/types.hh"
+#include "sim/experiment.hh"
 
 namespace desc::sim::timeseries {
 
@@ -47,38 +51,16 @@ constexpr std::uint64_t kMaxEvery = 1'000'000'000'000'000ULL;
  *  parsed DESC_STATS_EVERY. 0 disables snapshots. */
 std::uint64_t everyCycles();
 
-/** One snapshot row; all values are cumulative since run start. */
-struct Row
-{
-    Cycle cycle = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t l2_hits = 0;
-    std::uint64_t l2_misses = 0;
-    std::uint64_t read_transfers = 0;
-    std::uint64_t write_transfers = 0;
-    double data_flips = 0;
-    double ctrl_flips = 0;
-    std::uint64_t dram_reads = 0;
-    std::uint64_t dram_writes = 0;
-};
-
-/** Buffer one row (thread-safe; flushed at process exit). */
-void record(const std::string &run_label, const Row &row);
-
-/** Resolved output path for the CSV. */
-std::string csvPath();
+/** Buffer one snapshot of the run labelled @p run_label; all values
+ *  are cumulative since run start (thread-safe). */
+void record(const std::string &run_label, const AppRun &snapshot);
 
 /** Override the snapshot period; 0 disables snapshots. The override
  *  wins over DESC_STATS_EVERY until the process exits. */
 void setEveryForTest(std::uint64_t every);
 
-/** Redirect flushForTest()'s CSV ("" restores the default path
- *  derivation); the exit-time flush writes the file opened at
- *  startup. */
-void setPathForTest(const std::string &path);
-
-/** Write the buffered rows to csvPath() now (tests). */
-void flushForTest();
+/** The CSV the buffered rows would make now (tests). */
+std::string csvForTest();
 
 /** Drop all buffered rows (tests). */
 void resetForTest();

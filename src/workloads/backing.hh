@@ -21,10 +21,6 @@ class ValueBackingStore : public cache::BackingStore
     const cache::Block512 &fetch(Addr block_addr) override;
     void store(Addr block_addr, const cache::Block512 &data) override;
 
-    /** Blocks holding written-back data (clean blocks are synthesized
-     *  from the value model on demand and never pinned). */
-    std::size_t touchedBlocks() const { return _mem.size(); }
-
   private:
     ValueModel _model;
     std::unordered_map<Addr, cache::Block512> _mem;

@@ -244,18 +244,18 @@ TEST(EnvParse, FloatRejectsNonPositiveAndGarbage)
 
 TEST(EnvParse, OpenPathIsFatalWhenThePathCannotBeOpened)
 {
-    const auto v = env::Var::RunManifest;
-    EXPECT_EQ(env::openPath(v, nullptr, "a"), nullptr);
-    EXPECT_EQ(env::openPath(v, "", "a"), nullptr);
+    const auto v = env::Var::StatsOut;
+    EXPECT_EQ(env::openPath(v, nullptr, "w"), nullptr);
+    EXPECT_EQ(env::openPath(v, "", "w"), nullptr);
 
-    std::string ok = testing::TempDir() + "desc-openpath.jsonl";
-    std::FILE *f = env::openPath(v, ok.c_str(), "a");
+    std::string ok = testing::TempDir() + "desc-openpath.json";
+    std::FILE *f = env::openPath(v, ok.c_str(), "w");
     ASSERT_NE(f, nullptr);
     std::fclose(f);
     std::remove(ok.c_str());
 
-    std::string bad = testing::TempDir() + "desc-no-such-dir/runs.jsonl";
-    EXPECT_DEATH(env::openPath(v, bad.c_str(), "a"),
-                 "cannot open DESC_RUN_MANIFEST=\".*desc-no-such-dir/"
-                 "runs.jsonl\": No such file or directory");
+    std::string bad = testing::TempDir() + "desc-no-such-dir/stats.json";
+    EXPECT_DEATH(env::openPath(v, bad.c_str(), "w"),
+                 "cannot open DESC_STATS_OUT=\".*desc-no-such-dir/"
+                 "stats.json\": No such file or directory");
 }

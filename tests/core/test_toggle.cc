@@ -83,23 +83,6 @@ TEST(ToggleGeneratorBank, MatchesScalarLanes)
         EXPECT_FALSE(bank.level(i));
 }
 
-TEST(ToggleGeneratorBank, FastForwardAppliesStrobeParity)
-{
-    const unsigned lanes = 70;
-    ToggleGeneratorBank bank(lanes);
-    std::vector<ToggleGenerator> scalar(lanes);
-    WirePlane odd(lanes);
-    for (unsigned i = 0; i < lanes; i++) {
-        unsigned fires = (i * 7 + 3) % 5;
-        for (unsigned f = 0; f < fires; f++)
-            scalar[i].fire();
-        odd[i] = (fires & 1) != 0;
-    }
-    bank.fastForward(odd);
-    for (unsigned i = 0; i < lanes; i++)
-        EXPECT_EQ(bank.level(i), scalar[i].level()) << "lane " << i;
-}
-
 TEST(ToggleDetectorBank, MatchesScalarLanes)
 {
     const unsigned lanes = 130;
@@ -118,22 +101,6 @@ TEST(ToggleDetectorBank, MatchesScalarLanes)
             ASSERT_EQ(bool(toggles[i]), scalar[i].sample(levels[i]))
                 << "lane " << i << " round " << round;
     }
-}
-
-TEST(ToggleDetectorBank, PrimeJumpsDelayedCopies)
-{
-    const unsigned lanes = 65;
-    ToggleDetectorBank bank(lanes);
-    WirePlane levels(lanes);
-    levels[0] = true;
-    levels[64] = true;
-    bank.prime(levels);
-    EXPECT_EQ(bank.delayed(), levels);
-    // A sample at the primed levels reports no toggles at all.
-    WirePlane toggles(lanes);
-    bank.sample(levels, toggles);
-    WirePlane none(lanes);
-    EXPECT_EQ(toggles, none);
 }
 
 TEST(ToggleRegenerator, ForwardsSelectedBranchOnly)

@@ -496,19 +496,49 @@ TEST(RunCache, CorruptEntryIsSimulatedAgainAndOverwritten)
     setGlobalRunCacheDir("");
 }
 
+TEST(RunCache, FailedStoreWarnsOnceIsNotCountedAndLeavesNoTempFile)
+{
+    // A non-empty directory where the entry belongs makes the rename
+    // fail. Such a store was once silent, counted in cache_stores,
+    // and left its temp file behind.
+    TempCacheDir tmp;
+    setGlobalRunCacheDir(tmp.dir);
+    auto cfg = tinyConfig("Ocean");
+    const std::string path = entryPath(tmp, configHash(scaledConfig(cfg)));
+    std::filesystem::create_directories(path + "/occupied");
+
+    testing::internal::CaptureStderr();
+    auto before = runStats();
+    runApp(cfg);
+    runApp(cfg);
+    auto after = runStats();
+    std::string err = testing::internal::GetCapturedStderr();
+    setGlobalRunCacheDir("");
+
+    EXPECT_EQ(after.simulated.value() - before.simulated.value(), 2u);
+    EXPECT_EQ(after.cache_stores.value(), before.cache_stores.value());
+    const std::string warning =
+        "cannot store run-cache entry \"" + path + "\"";
+    EXPECT_NE(err.find(warning), std::string::npos) << err;
+    EXPECT_EQ(err.find(warning), err.rfind(warning))
+        << "warned twice: " << err;
+    for (const auto &e : std::filesystem::directory_iterator(tmp.dir))
+        EXPECT_EQ(e.path().string(), path) << "left behind";
+}
+
 TEST(RunCacheKnobs, BadValuesAreFatalAtStartup)
 {
-    // DESC_RUN_MANIFEST and DESC_SIM_CACHE are resolved during static
+    // DESC_TRACE_FILE and DESC_SIM_CACHE are resolved during static
     // initialization, so each death test re-executes this binary with
     // the variable set: the child must die before main() reaches the
     // empty statement, and so before any pool worker could run.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const std::string path =
-        testing::TempDir() + "desc-no-such-dir/runs.jsonl";
-    setenv("DESC_RUN_MANIFEST", path.c_str(), 1);
-    EXPECT_DEATH({}, "cannot open DESC_RUN_MANIFEST=\".*desc-no-such-dir/"
-                     "runs.jsonl\": No such file or directory");
-    unsetenv("DESC_RUN_MANIFEST");
+        testing::TempDir() + "desc-no-such-dir/trace.log";
+    setenv("DESC_TRACE_FILE", path.c_str(), 1);
+    EXPECT_DEATH({}, "cannot open DESC_TRACE_FILE=\".*desc-no-such-dir/"
+                     "trace.log\": No such file or directory");
+    unsetenv("DESC_TRACE_FILE");
 
     // "off" once left the cache on and wrote entries.
     setenv("DESC_SIM_CACHE", "off", 1);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the machine-readable stat dumps: registry
- * construction from a finished run, JSON/CSV serialization, and
+ * construction from a finished run, JSON serialization, and
  * registry equality across a run-cache store/load round-trip.
  */
 
@@ -9,8 +9,11 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
 #include <unistd.h>
+#include <vector>
 
 #include "sim/runcache.hh"
 #include "sim/statdump.hh"
@@ -60,6 +63,16 @@ registryJson(const StatRegistry &reg)
     return os.str();
 }
 
+/** An ExitWriter render: the texts, concatenated, in brackets. */
+std::string
+bracketed(const std::vector<std::string> &texts)
+{
+    std::string out = "[";
+    for (const auto &t : texts)
+        out += t;
+    return out + "]";
+}
+
 } // namespace
 
 TEST(StatsSidecar, UnopenablePathsAreFatalAtStartup)
@@ -84,6 +97,26 @@ TEST(StatsSidecar, UnopenablePathsAreFatalAtStartup)
                      "\".*s.timeseries.csv\": Is a directory");
     unsetenv("DESC_STATS_EVERY");
     unsetenv("DESC_STATS_OUT");
+}
+
+TEST(ExitWriter, WritesTheSortedRecordsOnceWhenDestroyed)
+{
+    TempCacheDir tmp;
+    const std::string path = tmp.dir + "/out.txt";
+    auto slurp = [&path]() {
+        std::ifstream in(path);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    {
+        ExitWriter w(path, "the test file ", bracketed);
+        ASSERT_TRUE(w.enabled());
+        w.add("b", 1, "b1 ");
+        w.add("a", 10, "a10 ");
+        w.add("a", 2, "a2 ");
+        EXPECT_EQ(w.contents(), "[a2 a10 b1 ]");
+        EXPECT_EQ(slurp(), "") << "written before exit";
+    }
+    EXPECT_EQ(slurp(), "[a2 a10 b1 ]");
 }
 
 TEST(StatDump, RegistryMatchesRunFields)
@@ -175,36 +208,6 @@ TEST(StatDump, JsonCompositeAndSpecialValues)
     EXPECT_NE(json.find("\"nan\": null"), std::string::npos);
     EXPECT_NE(json.find("\"quoted\": \"a\\\"b\\nc\""),
               std::string::npos);
-}
-
-TEST(StatDump, CsvFlattensCompositeStats)
-{
-    StatRegistry reg;
-    Counter c;
-    c.inc(3);
-    reg.add("hits", c, "test stat");
-    Average a;
-    a.sample(2.0);
-    a.sample(4.0);
-    reg.add("lat", a, "test stat");
-    Histogram h(2);
-    h.sample(0);
-    h.sample(1);
-    h.sample(5);
-    reg.add("hist", h, "test stat");
-
-    std::ostringstream os;
-    writeRegistryCsv(os, reg, "r");
-    EXPECT_EQ(os.str(),
-              "r,hist.total,3\n"
-              "r,hist.overflow,1\n"
-              "r,hist.mean,0.5\n"
-              "r,hist.bin.0,1\n"
-              "r,hist.bin.1,1\n"
-              "r,hits,3\n"
-              "r,lat.count,2\n"
-              "r,lat.sum,6\n"
-              "r,lat.mean,3\n");
 }
 
 TEST(StatDump, RegistryRestoresThroughTheRunCache)
