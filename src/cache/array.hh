@@ -196,8 +196,9 @@ class SetAssocArray
         DESC_ASSERT(_clock == 0, "fillRuns needs a fresh array");
         DESC_ASSERT(runs.size() >> (64 - kIndexBits) == 0,
                     "too many runs to pack: ", runs.size());
+        // lint:allow(hot-path-alloc) once per warmed L2, not per access
         std::vector<std::uint64_t> first_stamp(runs.size());
-        std::vector<BlockRun> by_base;
+        std::vector<BlockRun> by_base; // lint:allow(hot-path-alloc)
         by_base.reserve(runs.size());
         for (std::size_t i = 0; i < runs.size(); i++) {
             const BlockRun &r = runs[i];
@@ -219,6 +220,7 @@ class SetAssocArray
 
         // Per set: the next way, plus kWrapped once every way is filled.
         constexpr std::uint32_t kWrapped = std::uint32_t{1} << 31;
+        // lint:allow(hot-path-alloc) set-up scratch, as above
         std::vector<std::uint32_t> next(_sets, 0);
         for (std::size_t r = 0; r < runs.size(); r++) {
             const Addr first = runs[r].base >> _block_shift;

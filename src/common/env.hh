@@ -6,9 +6,9 @@
  * name, a type word, a human-readable default, and a doc string; this
  * header generates the Var enum and the metadata accessors from that
  * table. All environment access in the tree goes through raw() /
- * the typed getters below — desc-analyze's env-registry check fails
+ * the typed getters below — desc-lint's env-registry check fails
  * any std::getenv call outside common/env.cc, so an undeclared knob
- * cannot be read at all, and `desc_analyze.py --list-env` can emit
+ * cannot be read at all, and `desc_lint.py --list-env` can emit
  * the complete, always-current table for the docs.
  *
  * Parsing is strict: a set-but-invalid value is a fatal error that

@@ -74,7 +74,7 @@ class Rng
     double
     uniform()
     {
-        return (next() >> 11) * (1.0 / 9007199254740992.0);
+        return double(next() >> 11) * (1.0 / 9007199254740992.0);
     }
 
     /** Bernoulli trial with probability @p p. */

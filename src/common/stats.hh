@@ -54,7 +54,7 @@ class Average
             _max = v;
     }
 
-    double mean() const { return _count ? _sum / _count : 0.0; }
+    double mean() const { return _count ? _sum / double(_count) : 0.0; }
     double sum() const { return _sum; }
     std::uint64_t count() const { return _count; }
     double min() const { return _min; }

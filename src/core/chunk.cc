@@ -18,7 +18,8 @@ splitChunks(const BitVec &block, unsigned chunk_bits)
     unsigned n = block.width() / chunk_bits;
     // Test/example convenience, not transfer-path work: neither the
     // link nor the schemes materialize chunk vectors per transfer.
-    std::vector<std::uint8_t> chunks(n); // analyze:allow(hot-path-alloc)
+    // lint:allow(hot-path-alloc)
+    std::vector<std::uint8_t> chunks(n);
     BitCursor cur(block);
     for (unsigned i = 0; i < n; i++)
         chunks[i] = std::uint8_t(cur.next(chunk_bits));

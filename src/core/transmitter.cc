@@ -39,7 +39,7 @@ DescTransmitter::DescTransmitter(const DescConfig &cfg)
     // pulse plus numWaves chunks of at most maxValue()+1 cycles each
     // on the slowest wire.
     const unsigned max_cycles =
-        1 + _cfg.numWaves() * (_cfg.maxValue() + 1);
+        unsigned(1 + _cfg.numWaves() * (_cfg.maxValue() + 1));
     _sched_fire.resize(std::size_t{max_cycles} * _plane_words, 0);
     _sched_reset.resize(max_cycles, 0);
 }

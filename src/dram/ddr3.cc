@@ -36,13 +36,13 @@ DramSystem::DramSystem(sim::EventQueue &eq, const DramConfig &cfg)
 unsigned
 DramSystem::channelOf(Addr addr) const
 {
-    return (addr >> 6) % _cfg.channels; // block-interleaved
+    return unsigned((addr >> 6) % _cfg.channels); // block-interleaved
 }
 
 unsigned
 DramSystem::bankOf(Addr addr) const
 {
-    return (addr >> 7) % _cfg.banks_per_channel;
+    return unsigned((addr >> 7) % _cfg.banks_per_channel);
 }
 
 Addr

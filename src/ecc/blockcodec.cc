@@ -31,7 +31,7 @@ BlockCodec::BlockCodec(unsigned block_bits, unsigned segment_data_bits)
 BitVec
 BlockCodec::encode(const BitVec &block) const
 {
-    BitVec bus; // analyze:allow(hot-path-alloc) cold convenience wrapper
+    BitVec bus;
     encodeInto(block, bus);
     return bus;
 }
@@ -72,7 +72,7 @@ BlockCodec::DecodeResult
 BlockCodec::decode(const BitVec &bus) const
 {
     DESC_ASSERT(bus.width() == busBits(), "bus word width mismatch");
-    // analyze:allow(hot-path-alloc) cold: fault-injection studies only
+    // Cold: fault-injection studies only.
     DecodeResult result;
     result.block = BitVec(_block_bits);
 

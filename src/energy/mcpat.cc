@@ -28,12 +28,12 @@ ProcessorPowerModel::evaluate(const ProcessorActivity &activity,
                               Joule l2_energy) const
 {
     ProcessorEnergy e;
-    e.core_dynamic = activity.instructions * _epi_pj * 1e-12;
+    e.core_dynamic = double(activity.instructions) * _epi_pj * 1e-12;
     e.core_static = _num_cores * _core_leak_w * activity.runtime_s;
-    e.l1 = (activity.l1i_accesses + activity.l1d_accesses)
+    e.l1 = double(activity.l1i_accesses + activity.l1d_accesses)
         * _l1_access_pj * 1e-12;
     e.uncore = _uncore_w * activity.runtime_s
-        + activity.l2_accesses * _uncore_pj * 1e-12;
+        + double(activity.l2_accesses) * _uncore_pj * 1e-12;
     e.l2 = l2_energy;
     return e;
 }

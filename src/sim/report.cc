@@ -54,17 +54,4 @@ printRunReport(const SystemConfig &cfg, const AppRun &run)
     energy.print("energy (last column: share of L2 / L2 share of CPU)");
 }
 
-std::string
-summarizeRun(const SystemConfig &cfg, const AppRun &run)
-{
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "%-10s %-9s cycles=%-10llu L2=%8.3fuJ CPU=%8.3fuJ",
-                  cfg.app.name,
-                  shortSchemeName(cfg.l2.scheme).c_str(),
-                  (unsigned long long)run.result.cycles,
-                  run.l2.total() * 1e6, run.processor.total() * 1e6);
-    return buf;
-}
-
 } // namespace desc::sim

@@ -13,9 +13,6 @@ namespace desc::sim {
 /** Print the full statistics and energy breakdown of one run. */
 void printRunReport(const SystemConfig &cfg, const AppRun &run);
 
-/** One-line summary (for sweep tools). */
-std::string summarizeRun(const SystemConfig &cfg, const AppRun &run);
-
 } // namespace desc::sim
 
 #endif // DESC_SIM_REPORT_HH

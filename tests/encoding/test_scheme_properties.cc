@@ -153,3 +153,66 @@ INSTANTIATE_TEST_SUITE_P(
                           SchemeKind::DescLastValueSkip),
         ::testing::Values(32u, 64u, 128u)),
     paramName);
+
+/** The non-DESC schemes, whose transfer time does not depend on data. */
+class NonDescCycles : public SchemeProperties
+{};
+
+TEST_P(NonDescCycles, BeatsPlusFixedPipeline)
+{
+    // One beat per cycle plus a fixed encode/detect pipeline, whatever
+    // the data and the segment size: binary none, DZC, BI and ZS-BIC
+    // one stage, eZS-BIC two.
+    const auto [kind, wires] = GetParam();
+    Cycle stages = 1;
+    unsigned min_segment = 4; // the bus-invert lane pass
+    switch (kind) {
+      case SchemeKind::Binary:
+        stages = 0;
+        min_segment = 1; // segment_bits is unused
+        break;
+      case SchemeKind::DynamicZeroCompression:
+        min_segment = 1;
+        break;
+      case SchemeKind::EncodedZeroSkipBusInvert:
+        stages = 2;
+        break;
+      default:
+        break;
+    }
+    const Cycle beats = (kBlockBits + wires - 1) / wires;
+    const BitVec zeros(kBlockBits);
+    Rng rng(5);
+    // Every legal segment size: powers of two up to 64 that divide
+    // the bus.
+    for (unsigned seg = min_segment; seg <= 64 && seg <= wires; seg *= 2) {
+        SchemeConfig cfg = makeCfg(wires);
+        cfg.segment_bits = seg;
+        auto scheme = core::makeScheme(kind, cfg);
+        for (int i = 0; i < 24; i++) {
+            BitVec block(kBlockBits);
+            block.randomize(rng);
+            if (i % 2) {
+                // Sparse blocks: most segments zero, some not.
+                for (auto &w : block.mutableWords())
+                    w &= rng.next() & rng.next() & rng.next();
+            }
+            EXPECT_EQ(scheme->transfer(block).cycles, beats + stages)
+                << "segment_bits=" << seg << " block " << i;
+        }
+        EXPECT_EQ(scheme->transfer(zeros).cycles, beats + stages)
+            << "segment_bits=" << seg << " all-zero block";
+    }
+}
+
+// The DESC kinds are left out: their window follows the chunk values.
+INSTANTIATE_TEST_SUITE_P(
+    NonDescSchemes, NonDescCycles,
+    ::testing::Combine(
+        ::testing::Values(SchemeKind::Binary,
+                          SchemeKind::DynamicZeroCompression,
+                          SchemeKind::BusInvert,
+                          SchemeKind::ZeroSkipBusInvert,
+                          SchemeKind::EncodedZeroSkipBusInvert),
+        ::testing::Values(32u, 64u, 128u)),
+    paramName);

@@ -32,13 +32,3 @@ TEST(Report, PrintRunReportDoesNotCrash)
     auto run = tinyRun(cfg);
     printRunReport(cfg, run);
 }
-
-TEST(Report, SummaryContainsAppAndScheme)
-{
-    SystemConfig cfg;
-    auto run = tinyRun(cfg);
-    std::string s = summarizeRun(cfg, run);
-    EXPECT_NE(s.find("Art"), std::string::npos);
-    EXPECT_NE(s.find("Binary"), std::string::npos);
-    EXPECT_NE(s.find("cycles="), std::string::npos);
-}

@@ -1,20 +1,30 @@
 #!/usr/bin/env python3
 """desc-lint: project-specific static checks for the DESC simulator.
 
-Enforces repo invariants the compiler cannot see:
+Enforces repo invariants the compiler cannot see (the compiler owns
+narrowing: src/ builds with -Werror=conversion):
 
-  hot-path-alloc     no naked new/delete/malloc/free in the event-kernel
-                     hot-path files (the kernel is allocation-free in
-                     steady state; pooled growth must go through
-                     make_unique / container storage).  This token scan
-                     is the no-toolchain FALLBACK for desc-analyze's
-                     AST-grade hot-path-alloc check (tools/analyze);
-                     when libclang is available the build passes
-                     --without-ast-superseded and the AST check takes
-                     over
+  hot-path-alloc     in the event-kernel hot-path files: no naked
+                     new/delete/malloc/free (the kernel is
+                     allocation-free in steady state; pooled growth
+                     must go through make_unique / container storage),
+                     and no function-local std:: container,
+                     std::string or std::function, which owns heap
+                     storage per call. References, pointers, statics
+                     and `= std::move(...)` locals are exempt; a
+                     deliberate set-up local carries
+                     `// lint:allow(hot-path-alloc) <reason>` on its
+                     line or the line above
+  event-lifetime     classes derived from sim::Event stay pinned: no
+                     copy constructor or copy assignment that is not
+                     `= delete`, no by-value parameter or return, no
+                     function-local instance (the queue holds event
+                     addresses while they are scheduled)
   env-registry       no raw getenv/setenv outside src/common/env.cc —
                      every DESC_* knob is declared once in
-                     src/common/env_registry.def and read through the
+                     src/common/env_registry.def (alphabetical,
+                     unique, documented; every "DESC_*" string
+                     literal in src/ names one) and read through the
                      typed desc::env registry
   stat-description   every StatRegistry registration carries a
                      non-empty description (the registry is the single
@@ -47,13 +57,15 @@ Usage:
   desc_lint.py [--root DIR]     lint the tree (exit 1 on findings)
   desc_lint.py --self-test      verify the checks against the bundled
                                 fixture files (exit 1 on miss)
-  --without-ast-superseded      skip the token-scan checks that
-                                desc-analyze covers with real ASTs
-                                (passed by the build when libclang is
-                                available)
+  desc_lint.py --list-env       print the README knob table generated
+                                from the env registry
+  desc_lint.py --check-env-docs [DOC]
+                                DOC's knob table (default README.md)
+                                must match --list-env (exit 1 if not)
 """
 
 import argparse
+import bisect
 import re
 import sys
 from pathlib import Path
@@ -111,6 +123,9 @@ class Finding:
         return f"{self.path}:{self.line}: [{self.check}] {self.message}"
 
 
+NUMBER_TAIL_RE = re.compile(r"(?<![\w'])\d[\w']*$")
+
+
 def strip_comments(text):
     """Blank out comments and string/char literals, preserving line
     structure, so token checks do not fire on documentation."""
@@ -136,7 +151,8 @@ def strip_comments(text):
                 out.append(c)
                 i += 1
                 continue
-            if c == "'":
+            # A quote inside a number (150'000) is a digit separator.
+            if c == "'" and not NUMBER_TAIL_RE.search(text, max(0, i - 64), i):
                 state = "chr"
                 out.append(c)
                 i += 1
@@ -200,8 +216,13 @@ def check_env_registry(root, rel, text, code, findings):
             "through desc::env"))
 
 
+def is_hot_path(rel):
+    # The self-test holds every fixture to the hot-path rules.
+    return rel in HOT_PATH_FILES or rel.startswith("fixtures/")
+
+
 def check_hot_path_alloc(root, rel, text, code, findings):
-    if rel not in HOT_PATH_FILES:
+    if not is_hot_path(rel):
         return
     for m in re.finditer(
             r"(?<![\w.])(new\s+[A-Za-z_:<]|delete\s|delete\[\]"
@@ -210,6 +231,214 @@ def check_hot_path_alloc(root, rel, text, code, findings):
             "hot-path-alloc", rel, line_of(code, m.start()),
             "naked allocation in an event-kernel hot-path file "
             "(pool it, or grow through owned container storage)"))
+
+
+# --- scoped declarations: event-lifetime, hidden hot-path allocation
+
+CLASS_HEAD_RE = re.compile(
+    r"(?:template\s*<[^;]*?>\s*)?(?:class|struct|union|enum)\b", re.S)
+ACCESS_LABEL_RE = re.compile(
+    r"^(?:(?:public|private|protected)\s*:(?!:)\s*)+")
+DELETED_RE = re.compile(r"\s*=\s*delete\b")
+
+
+def opens_local_scope(header, parent_local):
+    """Whether the '{' after header (the text since the previous ';',
+    '{' or '}') opens function-local code: a function, lambda or
+    statement body, not a class, namespace or brace initializer."""
+    h = re.sub(r"^\s*#.*$", "", header, flags=re.M).strip()
+    h = ACCESS_LABEL_RE.sub("", h)
+    if CLASS_HEAD_RE.match(h):
+        return False
+    return parent_local or "(" in h
+
+
+def local_scope_map(code):
+    """Sorted brace positions, each paired with whether the code after
+    it is function-local (inside a function, lambda or statement body
+    and not in a class defined there)."""
+    positions, local = [-1], [False]
+    stack = []
+    header_start = 0
+    for i, c in enumerate(code):
+        if c == ";":
+            header_start = i + 1
+        elif c == "{":
+            parent_local = bool(stack) and stack[-1]
+            stack.append(opens_local_scope(code[header_start:i],
+                                           parent_local))
+            positions.append(i)
+            local.append(stack[-1])
+            header_start = i + 1
+        elif c == "}":
+            if stack:
+                stack.pop()
+            positions.append(i)
+            local.append(bool(stack) and stack[-1])
+            header_start = i + 1
+    return positions, local
+
+
+def is_local(scope_map, pos):
+    positions, local = scope_map
+    return local[bisect.bisect_right(positions, pos) - 1]
+
+
+def open_paren_owner(code, pos):
+    """For a position inside an unclosed '(' of its statement, the word
+    before that paren ('' when there is none); None outside parens."""
+    depth = 0
+    i = pos - 1
+    while i >= 0 and code[i] not in ";{}":
+        if code[i] == ")":
+            depth += 1
+        elif code[i] == "(":
+            if depth == 0:
+                m = re.search(r"(\w*)\s*$", code[:i])
+                return m.group(1)
+            depth -= 1
+        i -= 1
+    return None
+
+
+def skip_template_args(code, i):
+    """Index just past a balanced <...> at code[i] (after blanks), or
+    i when none starts there."""
+    j = i
+    while j < len(code) and code[j].isspace():
+        j += 1
+    if j == len(code) or code[j] != "<":
+        return i
+    depth = 0
+    while j < len(code):
+        if code[j] == "<":
+            depth += 1
+        elif code[j] == ">":
+            depth -= 1
+            if depth == 0:
+                return j + 1
+        elif code[j] in ";{}":
+            return i
+        j += 1
+    return i
+
+
+# `Type name` followed by what can end a declarator: the declared name
+# (qualified for an out-of-line function) and the character after it.
+DECLARATOR_RE = re.compile(
+    r"\s+(?:const\s+)?([A-Za-z_]\w*(?:\s*::\s*~?[A-Za-z_]\w*)*)\s*"
+    r"([;({=,)\[]|:(?!:))")
+STATIC_PREFIX_RE = re.compile(
+    r"\b(?:static|thread_local)\s+(?:(?:const|constexpr|inline)\s+)*$")
+MOVED_INIT_RE = re.compile(r"\s*[=({]\s*std\s*::\s*move\s*\(")
+STATEMENT_PARENS = {"for", "if", "while", "switch"}
+
+# Standard types whose objects own heap storage.
+ALLOCATING_STD_RE = re.compile(
+    r"(?<![\w:])std\s*::\s*(?:vector|basic_string|string|deque|list|"
+    r"forward_list|map|set|multimap|multiset|unordered_map|"
+    r"unordered_set|unordered_multimap|unordered_multiset|function)\b"
+    r"(?!\s*::)")
+
+
+def declarations(code, type_re, scope_map):
+    """Yield (pos, name, where, moved) for each `T name` declarator
+    whose type matches type_re. where is "param" inside a function's
+    parentheses, "local" in a function body (statics excluded: they
+    are set up once), "function" for a by-value return at namespace
+    or class scope, and None for a member or global."""
+    for m in type_re.finditer(code):
+        d = DECLARATOR_RE.match(code, skip_template_args(code, m.end()))
+        if not d or d.group(1) in ("final", "override"):
+            continue
+        owner = open_paren_owner(code, m.start())
+        local = is_local(scope_map, m.start())
+        if owner is not None and owner not in STATEMENT_PARENS:
+            where = "param"
+        elif local:
+            prefix = code[max(0, m.start() - 60):m.start()]
+            where = None if STATIC_PREFIX_RE.search(prefix) else "local"
+        elif d.group(2) == "(":
+            where = "function"
+        else:
+            where = None
+        moved = bool(MOVED_INIT_RE.match(code, d.end(2) - 1))
+        yield m.start(), d.group(1), where, moved
+
+
+EVENT_CLASS_RE = re.compile(r"\b(?:class|struct)\s+(\w+)([^;{()]*)\{")
+
+
+def event_classes(sources):
+    """Names of the classes that derive (transitively) from Event."""
+    bases = {}
+    for path, rel, text, code in sources:
+        for m in EVENT_CLASS_RE.finditer(code):
+            clause = re.split(r"(?<!:):(?!:)", m.group(2), maxsplit=1)
+            if len(clause) == 2:
+                bases[m.group(1)] = set(re.findall(r"\w+", clause[1]))
+    names = set()
+    grew = True
+    while grew:
+        grew = False
+        for name, parents in bases.items():
+            if name not in names and parents & (names | {"Event"}):
+                names.add(name)
+                grew = True
+    return names
+
+
+def allowed(text, line, check):
+    """A `lint:allow(<check>)` marker on the line or the line above."""
+    lines = text.splitlines()
+    marker = f"lint:allow({check})"
+    return any(marker in lines[n - 1]
+               for n in (line, line - 1) if 1 <= n <= len(lines))
+
+
+def check_scoped_declarations(root, findings, sources):
+    names = sorted(event_classes(sources))
+    event_re = re.compile(
+        rf"(?<![\w:])(?:[A-Za-z_]\w*\s*::\s*)*(?:{'|'.join(names)})\b"
+        rf"(?!\s*::)") if names else None
+    for path, rel, text, code in sources:
+        scope_map = local_scope_map(code)
+        for name in names:
+            copy = (rf"(?:\b(?:\w+\s*::\s*)*{name}|\boperator\s*=)"
+                    rf"\s*\(\s*const\s+(?:\w+\s*::\s*)*{name}\s*&\s*\w*"
+                    rf"\s*\)")
+            for m in re.finditer(copy, code):
+                if not DELETED_RE.match(code, m.end()):
+                    findings.append(Finding(
+                        "event-lifetime", rel, line_of(code, m.start()),
+                        f"{name} derives sim::Event but declares a copy "
+                        f"operation that is not = delete: events are "
+                        f"pinned while scheduled"))
+        decls = declarations(code, event_re, scope_map) if names else ()
+        for pos, ident, where, _moved in decls:
+            if where is None:
+                continue
+            what = {"param": f"by-value Event parameter {ident}",
+                    "local": f"function-local Event {ident}",
+                    "function": f"{ident}() returns an Event by value"}
+            findings.append(Finding(
+                "event-lifetime", rel, line_of(code, pos),
+                f"{what[where]}: a scheduled event must outlive its "
+                f"queue slot; own it in the component and pass it by "
+                f"reference"))
+        if not is_hot_path(rel):
+            continue
+        for pos, ident, where, moved in declarations(
+                code, ALLOCATING_STD_RE, scope_map):
+            line = line_of(code, pos)
+            if where != "local" or moved \
+                    or allowed(text, line, "hot-path-alloc"):
+                continue
+            findings.append(Finding(
+                "hot-path-alloc", rel, line,
+                f"local {ident} owns heap storage per call in a "
+                f"hot-path file (hoist it into the owner and reuse "
+                f"its capacity)"))
 
 
 STAT_ADD_RE = re.compile(
@@ -477,54 +706,209 @@ PER_FILE_CHECKS = [
     check_event_pool,
 ]
 
-# Token scans that desc-analyze (tools/analyze/desc_analyze.py)
-# re-implements on real ASTs. They stay here as the degraded fallback
-# for toolchains without libclang; a build that has the AST checks
-# passes --without-ast-superseded to retire the duplicates.
-AST_SUPERSEDED_CHECKS = [check_hot_path_alloc]
+
+def run_checks(root, findings, sources):
+    for path, rel, text, code in sources:
+        for check in PER_FILE_CHECKS:
+            check(root, rel, text, code, findings)
+    check_scoped_declarations(root, findings, sources)
+    check_trace_channels(root, findings, sources)
+    check_prof_components(root, findings, sources)
 
 
-def active_checks(ast_superseded=True):
-    if ast_superseded:
-        return PER_FILE_CHECKS
-    return [c for c in PER_FILE_CHECKS
-            if c not in AST_SUPERSEDED_CHECKS]
-
-
-def lint(root, subdir="src", ast_superseded=True):
+def lint(root, subdir="src"):
     findings = []
     sources = []
     for path in iter_source(root, subdir):
         rel = path.relative_to(root).as_posix()
         text = path.read_text()
-        code = strip_comments(text)
-        sources.append((path, rel, text, code))
-    for path, rel, text, code in sources:
-        for check in active_checks(ast_superseded):
-            check(root, rel, text, code, findings)
-    check_trace_channels(root, findings, sources)
-    check_prof_components(root, findings, sources)
+        sources.append((path, rel, text, strip_comments(text)))
+    run_checks(root, findings, sources)
     return findings
+
+
+# --- env registry (the README knob table) -------------------------
+
+REGISTRY_DEF = "src/common/env_registry.def"
+
+
+def parse_registry(root):
+    """Return the DESC_ENV_VAR entries of env_registry.def, in file
+    order, as dicts with id/name/type/default/doc."""
+    text = (root / REGISTRY_DEF).read_text()
+    entries = []
+    for m in re.finditer(r"^DESC_ENV_VAR\(", text, re.M):
+        depth, i = 0, m.end() - 1
+        start = i + 1
+        while i < len(text):
+            if text[i] == "(":
+                depth += 1
+            elif text[i] == ")":
+                depth -= 1
+                if depth == 0:
+                    break
+            i += 1
+        body = text[start:i]
+        # Split top-level commas, then fold adjacent string literals.
+        args, level, cur = [], 0, []
+        in_str = False
+        j = 0
+        while j < len(body):
+            c = body[j]
+            if in_str:
+                cur.append(c)
+                if c == "\\":
+                    cur.append(body[j + 1])
+                    j += 2
+                    continue
+                if c == '"':
+                    in_str = False
+            elif c == '"':
+                in_str = True
+                cur.append(c)
+            elif c in "(<[":
+                level += 1
+                cur.append(c)
+            elif c in ")>]":
+                level -= 1
+                cur.append(c)
+            elif c == "," and level == 0:
+                args.append("".join(cur).strip())
+                cur = []
+            else:
+                cur.append(c)
+            j += 1
+        args.append("".join(cur).strip())
+
+        def unquote(s):
+            return "".join(re.findall(r'"((?:[^"\\]|\\.)*)"', s))
+
+        if len(args) != 5:
+            raise ValueError(
+                f"{REGISTRY_DEF}: DESC_ENV_VAR with {len(args)} "
+                f"arguments (want 5): {args[:2]}")
+        entries.append({
+            "id": args[0],
+            "name": unquote(args[1]),
+            "type": unquote(args[2]),
+            "default": unquote(args[3]),
+            "doc": unquote(args[4]),
+        })
+    return entries
+
+
+ENV_TABLE_BEGIN = "<!-- desc-env-table-begin (desc_lint.py --list-env) -->"
+ENV_TABLE_END = "<!-- desc-env-table-end -->"
+
+
+def env_table(root):
+    """The generated markdown env-var table."""
+    entries = parse_registry(root)
+    rows = [("Variable", "Type", "Default", "Description"),
+            ("---", "---", "---", "---")]
+    for e in entries:
+        rows.append((f"`{e['name']}`", e["type"], f"`{e['default']}`",
+                     e["doc"]))
+    widths = [max(len(r[c]) for r in rows) for c in range(3)]
+    out = []
+    for r in rows:
+        cells = [r[c].ljust(widths[c]) for c in range(3)] + [r[3]]
+        out.append("| " + " | ".join(cells) + " |")
+    return "\n".join(out) + "\n"
+
+
+def check_env_docs(root, readme):
+    """Verify the committed README table matches --list-env output."""
+    text = (root / readme).read_text()
+    begin = text.find(ENV_TABLE_BEGIN)
+    end = text.find(ENV_TABLE_END)
+    if begin < 0 or end < 0:
+        print(f"{readme}: missing {ENV_TABLE_BEGIN} / {ENV_TABLE_END} "
+              f"markers")
+        return False
+    committed = text[begin + len(ENV_TABLE_BEGIN):end].strip("\n")
+    generated = env_table(root).strip("\n")
+    if committed != generated:
+        print(f"{readme}: env-var table is stale; regenerate with "
+              f"tools/lint/desc_lint.py --list-env")
+        for got, want in zip((committed + "\n").splitlines(),
+                             (generated + "\n").splitlines()):
+            if got != want:
+                print(f"  committed: {got}\n  generated: {want}")
+                break
+        return False
+    print(f"{readme}: env-var table matches the registry "
+          f"({len(parse_registry(root))} knobs)")
+    return True
+
+
+def registry_sanity(root):
+    """Registry self-checks that need no toolchain: entries parse,
+    are alphabetical by variable name, unique, and documented."""
+    ok = True
+    entries = parse_registry(root)
+    names = [e["name"] for e in entries]
+    if names != sorted(names):
+        print(f"{REGISTRY_DEF}: entries are not alphabetical by name")
+        ok = False
+    if len(set(names)) != len(names):
+        print(f"{REGISTRY_DEF}: duplicate variable names")
+        ok = False
+    for e in entries:
+        if not e["name"].startswith("DESC_"):
+            print(f"{REGISTRY_DEF}: {e['name']} lacks the DESC_ prefix")
+            ok = False
+        if len(e["doc"]) < 10:
+            print(f"{REGISTRY_DEF}: {e['name']} has no usable doc "
+                  f"string")
+            ok = False
+        if e["type"] not in ("int", "float", "bool", "path", "spec"):
+            print(f"{REGISTRY_DEF}: {e['name']} has unknown type "
+                  f"\"{e['type']}\"")
+            ok = False
+    # Every "DESC_*" string literal in src/ must be a registered knob
+    # (catches a knob name read through a macro or a helper).
+    declared = set(names)
+    helper_macros = {"DESC_ENV_VAR"}
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix not in (".cc", ".hh") or not path.is_file():
+            continue
+        text = path.read_text()
+        for m in re.finditer(r'"(DESC_[A-Z][A-Z0-9_]*)"', text):
+            name = m.group(1)
+            if name not in declared and name not in helper_macros:
+                line = text.count("\n", 0, m.start()) + 1
+                rel = path.relative_to(root).as_posix()
+                print(f"{rel}:{line}: string literal \"{name}\" is "
+                      f"not a registered knob in {REGISTRY_DEF}")
+                ok = False
+    return ok
 
 
 # --- self-test against the fixtures -------------------------------
 
-# Every fixture file must trigger exactly the listed checks (and the
-# clean fixture none), proving the rules catch deliberate violations.
+# Every fixture file must trigger exactly the listed checks, each the
+# listed number of times (and the clean fixtures none), proving the
+# rules catch every deliberate violation. Fixtures count as hot-path
+# files. fixtures/bad/tick_narrowing.cc is the compiler's: the
+# lint.narrowing_fixture ctest case builds it with the src/ flags.
 FIXTURE_EXPECT = {
     "fixtures/bad/hotpath.hh": {
-        "hot-path-alloc", "include-guard", "contract-include"},
-    "fixtures/bad/fastpath.cc": {"hot-path-alloc"},
-    "fixtures/bad/planes.cc": {"hot-path-alloc"},
-    "fixtures/bad/stats_use.cc": {"stat-description"},
-    "fixtures/bad/tracing.cc": {"trace-channel"},
-    "fixtures/bad/profiling.cc": {"prof-component"},
-    "fixtures/bad/entropy.cc": {"determinism", "test-include"},
-    "fixtures/bad/envknob.cc": {"env-registry"},
-    "fixtures/bad/popcount.cc": {"popcount"},
-    "fixtures/bad/freelist.cc": {"event-pool"},
-    "fixtures/good/clean.hh": set(),
-    "fixtures/good/pooled.cc": set(),
+        "hot-path-alloc": 2, "include-guard": 1, "contract-include": 1},
+    "fixtures/bad/hotpath_hidden_alloc.cc": {"hot-path-alloc": 4},
+    "fixtures/bad/fastpath.cc": {"hot-path-alloc": 2},
+    "fixtures/bad/planes.cc": {"hot-path-alloc": 2},
+    "fixtures/bad/event_copyable.cc": {"event-lifetime": 4},
+    "fixtures/bad/stats_use.cc": {"stat-description": 2},
+    "fixtures/bad/tracing.cc": {"trace-channel": 1},
+    "fixtures/bad/profiling.cc": {"prof-component": 1},
+    "fixtures/bad/entropy.cc": {"determinism": 3, "test-include": 1},
+    "fixtures/bad/envknob.cc": {"env-registry": 1},
+    "fixtures/bad/popcount.cc": {"popcount": 2},
+    "fixtures/bad/freelist.cc": {"event-pool": 2},
+    "fixtures/good/clean.hh": {},
+    "fixtures/good/clean.cc": {},
+    "fixtures/good/pooled.cc": {},
 }
 
 
@@ -536,7 +920,6 @@ def self_test(tool_root, repo_root):
         if not (repo_root / rel).is_file():
             print(f"self-test: HOT_PATH_FILES entry missing on disk: {rel}")
             ok = False
-    findings = []
     sources = []
     for rel in FIXTURE_EXPECT:
         path = tool_root / rel
@@ -546,78 +929,66 @@ def self_test(tool_root, repo_root):
             continue
         text = path.read_text()
         sources.append((path, rel, text, strip_comments(text)))
-    for path, rel, text, code in sources:
-        # Fixture headers use src/-style guard expectations relative to
-        # their fixture name, so point the guard check at the rel path.
-        for check in PER_FILE_CHECKS:
-            if check is check_hot_path_alloc:
-                # Treat every bad fixture as a hot-path file.
-                if "bad/" in rel:
-                    saved = HOT_PATH_FILES[:]
-                    HOT_PATH_FILES.append(rel)
-                    check(repo_root, rel, text, code, findings)
-                    HOT_PATH_FILES[:] = saved
-                continue
-            check(repo_root, rel, text, code, findings)
     # Channel/component declarations come from the real tree; fixture
     # trace and prof points reference bogus names.
-    check_trace_channels(repo_root, findings, sources)
-    check_prof_components(repo_root, findings, sources)
+    findings = []
+    run_checks(repo_root, findings, sources)
 
-    by_file = {rel: set() for rel in FIXTURE_EXPECT}
+    by_file = {rel: {} for rel in FIXTURE_EXPECT}
     for f in findings:
         if f.path in by_file:
-            by_file[f.path].add(f.check)
+            got = by_file[f.path]
+            got[f.check] = got.get(f.check, 0) + 1
     for rel, expected in FIXTURE_EXPECT.items():
-        got = by_file.get(rel, set())
+        got = by_file[rel]
         if got != expected:
-            print(f"self-test: {rel}: expected checks {sorted(expected)}"
-                  f", got {sorted(got)}")
+            print(f"self-test: {rel}: expected {expected}, got {got}")
+            for f in findings:
+                if f.path == rel:
+                    print(f"    {f}")
             ok = False
-    # The fallback flag must actually retire the superseded scans and
-    # nothing else.
-    degraded = active_checks(ast_superseded=False)
-    if check_hot_path_alloc in degraded:
-        print("self-test: --without-ast-superseded keeps the "
-              "hot-path-alloc token scan alive")
-        ok = False
-    if set(PER_FILE_CHECKS) - set(degraded) != set(AST_SUPERSEDED_CHECKS):
-        print("self-test: --without-ast-superseded retires checks that "
-              "have no AST replacement")
-        ok = False
     print("self-test:", "ok" if ok else "FAILED")
     return ok
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--root", default=None,
                     help="repository root (default: two levels up)")
     ap.add_argument("--self-test", action="store_true",
                     help="run the checks against the bundled fixtures")
-    ap.add_argument("--without-ast-superseded", action="store_true",
-                    help="skip token scans that desc-analyze covers "
-                         "with real ASTs (libclang available)")
+    ap.add_argument("--list-env", action="store_true",
+                    help="print the generated DESC_* knob table")
+    ap.add_argument("--check-env-docs", nargs="?", const="README.md",
+                    default=None, metavar="DOC",
+                    help="verify DOC's knob table matches --list-env")
     args = ap.parse_args()
 
     tool_root = Path(__file__).resolve().parent
     root = Path(args.root).resolve() if args.root \
         else tool_root.parent.parent
 
+    if args.list_env:
+        sys.stdout.write(env_table(root))
+        return
+    if args.check_env_docs is not None:
+        ok = registry_sanity(root)
+        ok = check_env_docs(root, args.check_env_docs) and ok
+        sys.exit(0 if ok else 1)
     if args.self_test:
         sys.exit(0 if self_test(tool_root, root) else 1)
 
-    findings = lint(root, ast_superseded=not args.without_ast_superseded)
+    findings = lint(root)
     for f in findings:
         print(f)
-    if findings:
-        print(f"desc-lint: {len(findings)} finding(s)")
+    registry_ok = registry_sanity(root)
+    if findings or not registry_ok:
+        print(f"desc-lint: {len(findings)} finding(s)"
+              + ("" if registry_ok else " + env registry errors"))
         sys.exit(1)
-    if args.without_ast_superseded:
-        print("desc-lint: clean (hot-path-alloc delegated to "
-              "desc-analyze)")
-    else:
-        print("desc-lint: clean")
+    print("desc-lint: clean")
 
 
 if __name__ == "__main__":

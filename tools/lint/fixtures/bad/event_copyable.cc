@@ -1,6 +1,7 @@
 // Fixture: Event-lifetime contract violations — a subclass that
 // re-enables copying, a stack-constructed event, by-value parameter
-// and return. Expected finding: event-lifetime (and nothing else).
+// and return. Expected finding: event-lifetime (four times, nothing
+// else).
 
 #include "sim/eventq.hh"
 

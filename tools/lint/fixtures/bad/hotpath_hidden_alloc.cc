@@ -1,6 +1,7 @@
-// Fixture: allocations the retired token scan could not see.
-// Fixture files count as hot-path files for the analyzer.
-// Expected finding: hot-path-alloc (and nothing else).
+// Fixture: per-call allocations in a hot-path file — two
+// function-local heap owners and a naked new[]/delete[] pair.
+// Fixture files count as hot-path files.
+// Expected finding: hot-path-alloc (four times, nothing else).
 
 #include <functional>
 #include <vector>
@@ -18,7 +19,7 @@ int
 hiddenFunctionWrapper(int x)
 {
     // Capturing lambda converted to std::function: type-erased heap
-    // allocation invisible to a token scan.
+    // allocation on every call.
     std::function<int(int)> f = [x](int y) { return x + y; };
     return f(1);
 }

@@ -1,6 +1,7 @@
 // Fixture: implicit narrowing of Cycle-typed expressions into
 // smaller integer types — initialization, assignment, call argument,
-// and return. Expected finding: tick-narrowing (and nothing else).
+// and return. Must fail to compile with the src/ flags
+// (-Werror=conversion): the lint.narrowing_fixture ctest case.
 
 #include "common/types.hh"
 

@@ -1,6 +1,7 @@
 // Fixture: the sanctioned patterns — owned pinned events, explicit
 // casts where truncation is intended, a one-time allocation carrying
-// an analyze:allow marker. Must produce zero findings.
+// a lint:allow marker. Must produce zero desc-lint findings and
+// compile with the src/ flags (-Werror=conversion).
 
 #include <functional>
 #include <utility>
@@ -52,8 +53,8 @@ runMoved(std::function<void()> cb)
 inline int
 scratchSum(int n)
 {
-    // Setup-time table, not per-transfer work.
-    std::vector<int> v(std::size_t(n), 1); // analyze:allow(hot-path-alloc)
+    // lint:allow(hot-path-alloc) set-up table, not per-transfer work
+    std::vector<int> v(std::size_t(n), 1);
     int s = 0;
     for (int x : v)
         s += x;
