@@ -61,7 +61,7 @@ showExample(sim::VcdWriter &vcd, Example &ex, std::uint64_t t_base)
         t_end = t_base + t;
         rows[0].push_back(w.reset_skip ? '1' : '0');
         for (unsigned i = 0; i < wires; i++)
-            rows[1 + i].push_back(w.data[i] ? '1' : '0');
+            rows[1 + i].push_back(w.data.bit(i) ? '1' : '0');
         rows[wires + 1].push_back(w.sync ? '1' : '0');
     });
 

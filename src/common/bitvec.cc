@@ -42,31 +42,6 @@ BitVec::maskTail()
         _words.back() &= (std::uint64_t{1} << rem) - 1;
 }
 
-bool
-BitVec::bit(unsigned pos) const
-{
-    DESC_ASSERT(pos < _width, "bit ", pos, " of width ", _width);
-    return (_words[pos / kWordBits] >> (pos % kWordBits)) & 1;
-}
-
-void
-BitVec::setBit(unsigned pos, bool value)
-{
-    DESC_ASSERT(pos < _width, "bit ", pos, " of width ", _width);
-    std::uint64_t mask = std::uint64_t{1} << (pos % kWordBits);
-    if (value)
-        _words[pos / kWordBits] |= mask;
-    else
-        _words[pos / kWordBits] &= ~mask;
-}
-
-void
-BitVec::flipBit(unsigned pos)
-{
-    DESC_ASSERT(pos < _width, "bit ", pos, " of width ", _width);
-    _words[pos / kWordBits] ^= std::uint64_t{1} << (pos % kWordBits);
-}
-
 std::uint64_t
 BitVec::field(unsigned pos, unsigned len) const
 {

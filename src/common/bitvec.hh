@@ -37,13 +37,32 @@ class BitVec
     bool empty() const { return _width == 0; }
 
     /** Read a single bit. */
-    bool bit(unsigned pos) const;
+    bool
+    bit(unsigned pos) const
+    {
+        DESC_ASSERT(pos < _width, "bit ", pos, " of width ", _width);
+        return (_words[pos / 64] >> (pos % 64)) & 1;
+    }
 
     /** Write a single bit. */
-    void setBit(unsigned pos, bool value);
+    void
+    setBit(unsigned pos, bool value)
+    {
+        DESC_ASSERT(pos < _width, "bit ", pos, " of width ", _width);
+        const std::uint64_t mask = std::uint64_t{1} << (pos % 64);
+        if (value)
+            _words[pos / 64] |= mask;
+        else
+            _words[pos / 64] &= ~mask;
+    }
 
     /** Toggle a single bit. */
-    void flipBit(unsigned pos);
+    void
+    flipBit(unsigned pos)
+    {
+        DESC_ASSERT(pos < _width, "bit ", pos, " of width ", _width);
+        _words[pos / 64] ^= std::uint64_t{1} << (pos % 64);
+    }
 
     /**
      * Extract @p len bits starting at @p pos as an integer.

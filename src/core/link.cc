@@ -20,7 +20,7 @@ DescLink::transferBlock(const BitVec &block, BitVec *received)
     encoding::TransferResult result;
     _tx.loadBlock(block);
 
-    const unsigned nwords = _cur.data.numWords();
+    const std::size_t nwords = _cur.data.words().size();
     const Cycle guard = 64 + 2ull * _cfg.numChunks()
         * (std::uint64_t{1} << _cfg.chunk_bits);
 
@@ -33,11 +33,11 @@ DescLink::transferBlock(const BitVec &block, BitVec *received)
             _observer(_cycle, _cur);
 
         // Count transitions against the previous cycle's levels:
-        // popcounts of the plane XORs.
-        for (unsigned k = 0; k < nwords; k++) {
-            result.data_flips +=
-                swar::popcount64(_cur.data.word(k) ^ _prev.data.word(k));
-        }
+        // popcounts of the level XORs.
+        const std::uint64_t *cur = _cur.data.words().data();
+        const std::uint64_t *prev = _prev.data.words().data();
+        for (std::size_t k = 0; k < nwords; k++)
+            result.data_flips += swar::popcount64(cur[k] ^ prev[k]);
         if (_cur.reset_skip != _prev.reset_skip)
             result.control_flips++;
         if (_cur.sync != _prev.sync)

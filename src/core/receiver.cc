@@ -54,7 +54,7 @@ DescReceiver::finalizeWave()
     unsigned wires = _cfg.activeWires();
     for (unsigned w = 0; w < wires; w++) {
         unsigned idx = _wave * wires + w;
-        if (!_got[w])
+        if (!_got.bit(w))
             _chunks[idx] = _skipv[w];
         _last[w] = _chunks[idx];
         if (_cfg.skip == SkipMode::Adaptive)
@@ -76,7 +76,7 @@ void
 DescReceiver::observe(const WireBundle &wires_in)
 {
     unsigned wires = _cfg.activeWires();
-    DESC_ASSERT(wires_in.data.size() == wires, "wire count mismatch");
+    DESC_ASSERT(wires_in.data.width() == wires, "wire count mismatch");
     _ticks++;
 
     _sync_td.sample(wires_in.sync);
@@ -87,7 +87,8 @@ DescReceiver::observe(const WireBundle &wires_in)
     _data_bank.sample(wires_in.data, _toggles);
     bool reset_toggled = _reset_td.sample(wires_in.reset_skip);
 
-    const unsigned nwords = _toggles.numWords();
+    const std::uint64_t *toggled = _toggles.words().data();
+    const unsigned nwords = unsigned(_toggles.words().size());
 
     if (_cfg.skip == SkipMode::None) {
         if (reset_toggled) {
@@ -102,7 +103,7 @@ DescReceiver::observe(const WireBundle &wires_in)
             return;
         _t_in_block++;
         for (unsigned k = 0; k < nwords; k++) {
-            std::uint64_t m = _toggles.word(k);
+            std::uint64_t m = toggled[k];
             while (m) {
                 unsigned w = k * 64 + unsigned(std::countr_zero(m));
                 m &= m - 1;
@@ -132,17 +133,17 @@ DescReceiver::observe(const WireBundle &wires_in)
     if (_wave_open) {
         _elapsed++;
         for (unsigned k = 0; k < nwords; k++) {
-            std::uint64_t m = _toggles.word(k);
+            std::uint64_t m = toggled[k];
             while (m) {
                 unsigned w = k * 64 + unsigned(std::countr_zero(m));
                 m &= m - 1;
-                DESC_ASSERT(!_got[w],
+                DESC_ASSERT(!_got.bit(w),
                             "second strobe within a wave on wire ", w);
                 std::uint64_t v = decodeCycles(_elapsed, true, _skipv[w]);
                 DESC_ASSERT(v <= _cfg.maxValue(),
                             "decoded value out of range");
                 _chunks[_wave * wires + w] = std::uint8_t(v);
-                _got[w] = true;
+                _got.setBit(w, true);
                 _wave_got++;
             }
         }

@@ -79,7 +79,7 @@ class DescReceiver
     ToggleDetector _sync_td;
 
     /** Per-cycle toggle plane (detector-bank output scratch). */
-    WirePlane _toggles;
+    BitVec _toggles;
 
     std::vector<std::uint8_t> _chunks;
     std::vector<std::uint8_t> _last;
@@ -99,7 +99,7 @@ class DescReceiver
     bool _wave_open = false;
     unsigned _wave = 0;
     unsigned _elapsed = 0;
-    WirePlane _got;
+    BitVec _got;
     std::vector<std::uint8_t> _skipv;
     unsigned _wave_got = 0;
 };

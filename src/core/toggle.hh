@@ -1,11 +1,10 @@
 /**
  * @file
- * The toggle circuits of Figure 8: generator, detector, regenerator.
+ * The toggle circuits of Figure 8: generator and detector.
  *
  * DESC signals by toggling wire levels rather than driving absolute
- * values; these three primitives are the building blocks of every
- * strobe path in the transmitter, receiver, and the shared vertical
- * H-tree segments.
+ * values; these two primitives are the building blocks of every
+ * strobe path in the transmitter and receiver.
  */
 
 #ifndef DESC_CORE_TOGGLE_HH
@@ -13,7 +12,7 @@
 
 #include <cstdint>
 
-#include "core/wires.hh"
+#include "common/bitvec.hh"
 
 namespace desc::core {
 
@@ -57,35 +56,11 @@ class ToggleDetector
 };
 
 /**
- * A whole bank of toggle generators advanced word-wide (Figure 8a,
- * one lane per data wire): the driven levels live in a packed
- * WirePlane and firing any subset of lanes is a single XOR of a fire
- * mask into the plane (DESIGN.md §15). Behaviorally identical to one
- * ToggleGenerator per lane.
- */
-class ToggleGeneratorBank
-{
-  public:
-    explicit ToggleGeneratorBank(unsigned lanes) : _levels(lanes) {}
-
-    /** Fire every lane whose bit is set in @p mask. */
-    void fire(const WirePlane &mask) { _levels.toggle(mask); }
-
-    const WirePlane &levels() const { return _levels; }
-    bool level(unsigned lane) const { return _levels[lane]; }
-
-    void reset() { _levels.clear(); }
-
-  private:
-    WirePlane _levels;
-};
-
-/**
  * A whole bank of toggle detectors sampled word-wide (Figure 8b, one
- * lane per data wire): the delayed copies live in a packed WirePlane,
- * so one cycle's toggles for the entire bus are the XOR of the
- * sampled plane against the delayed plane. Behaviorally identical to
- * one ToggleDetector per lane.
+ * lane per data wire): the delayed copies live in a BitVec, so one
+ * cycle's toggles for the entire bus are the XOR of the sampled
+ * levels against the delayed copy. Behaviorally identical to one
+ * ToggleDetector per lane.
  */
 class ToggleDetectorBank
 {
@@ -97,13 +72,13 @@ class ToggleDetectorBank
      * delayed-copies, and the delayed copies become @p levels.
      */
     void
-    sample(const WirePlane &levels, WirePlane &toggles)
+    sample(const BitVec &levels, BitVec &toggles)
     {
-        const unsigned n = _prev.numWords();
-        const std::uint64_t *in = levels.words();
-        std::uint64_t *prev = _prev.mutableWords();
-        std::uint64_t *out = toggles.mutableWords();
-        for (unsigned i = 0; i < n; i++) {
+        const std::size_t n = _prev.words().size();
+        const std::uint64_t *in = levels.words().data();
+        std::uint64_t *prev = _prev.mutableWords().data();
+        std::uint64_t *out = toggles.mutableWords().data();
+        for (std::size_t i = 0; i < n; i++) {
             out[i] = in[i] ^ prev[i];
             prev[i] = in[i];
         }
@@ -112,45 +87,7 @@ class ToggleDetectorBank
     void reset() { _prev.clear(); }
 
   private:
-    WirePlane _prev;
-};
-
-/**
- * Toggle regenerator (Figure 8c): forwards toggles from one of two
- * H-tree branches upstream, remembering the previous level of each
- * branch segment (used where wires are shared between subbanks).
- */
-class ToggleRegenerator
-{
-  public:
-    /**
-     * Sample both branch levels; if the selected branch toggled, the
-     * output toggles. Returns the regenerated output level.
-     */
-    bool
-    sample(bool branch0, bool branch1, bool select)
-    {
-        bool in = select ? branch1 : branch0;
-        bool &prev = select ? _prev1 : _prev0;
-        if (in != prev)
-            _out.fire();
-        prev = in;
-        return _out.level();
-    }
-
-    bool level() const { return _out.level(); }
-
-    void
-    reset()
-    {
-        _prev0 = _prev1 = false;
-        _out.reset();
-    }
-
-  private:
-    bool _prev0 = false;
-    bool _prev1 = false;
-    ToggleGenerator _out;
+    BitVec _prev;
 };
 
 } // namespace desc::core

@@ -204,7 +204,7 @@ DescTransmitter::tick()
     // One cycle of the whole bus: XOR the precomputed fire plane into
     // the level plane, then the two scalar control toggles.
     const std::uint64_t *fire = planeAt(i);
-    std::uint64_t *lv = _wires.data.mutableWords();
+    std::uint64_t *lv = _wires.data.mutableWords().data();
     for (unsigned k = 0; k < _plane_words; k++)
         lv[k] ^= fire[k];
     if (_sched_reset[i - 1])

@@ -2,120 +2,20 @@
  * @file
  * The physical wire levels connecting a DESC transmitter and receiver.
  *
- * Wire levels are stored as packed uint64_t bit planes so the ticked
+ * The data wire levels are one BitVec, wire i at bit i, so the ticked
  * engine can advance, diff, and count a whole bus with a handful of
  * word operations (DESIGN.md §15): one cycle's data strobes are a
- * single XOR of a fire plane into the level plane, transition counts
- * are popcounts of plane XORs, and the receiver's toggle detectors
- * are one XOR against a delayed plane copy.
+ * single XOR of a fire plane into the levels, transition counts are
+ * popcounts of level XORs, and the receiver's toggle detectors are
+ * one XOR against a delayed copy.
  */
 
 #ifndef DESC_CORE_WIRES_HH
 #define DESC_CORE_WIRES_HH
 
-#include <cstdint>
-#include <vector>
-
-#include "common/contract.hh"
+#include "common/bitvec.hh"
 
 namespace desc::core {
-
-/**
- * A fixed-width plane of 1-bit wire levels packed 64 per word.
- *
- * Bit i of word i/64 is wire i; bits at or above size() are kept zero
- * (every mutator masks to the valid range) so whole-word operations
- * — XOR, popcount, equality — never see garbage in the tail word.
- * operator[] returns a proxy reference so call sites written against
- * the old std::vector<bool> representation keep working unchanged.
- */
-class WirePlane
-{
-  public:
-    explicit WirePlane(unsigned bits = 0)
-        : _bits(bits), _words((bits + 63) / 64, 0)
-    {
-    }
-
-    /** Writable single-bit proxy (std::vector<bool>-style). */
-    class BitRef
-    {
-      public:
-        BitRef(std::uint64_t &word, std::uint64_t mask)
-            : _word(word), _mask(mask)
-        {
-        }
-
-        operator bool() const { return (_word & _mask) != 0; }
-
-        BitRef &
-        operator=(bool v)
-        {
-            if (v)
-                _word |= _mask;
-            else
-                _word &= ~_mask;
-            return *this;
-        }
-
-        BitRef &operator=(const BitRef &o) { return *this = bool(o); }
-
-      private:
-        std::uint64_t &_word;
-        std::uint64_t _mask;
-    };
-
-    unsigned size() const { return _bits; }
-
-    /** Number of 64-bit words backing the plane. */
-    unsigned numWords() const { return unsigned(_words.size()); }
-
-    std::uint64_t word(unsigned i) const { return _words[i]; }
-
-    const std::uint64_t *words() const { return _words.data(); }
-    std::uint64_t *mutableWords() { return _words.data(); }
-
-    bool
-    operator[](unsigned bit) const
-    {
-        DESC_ASSERT(bit < _bits, "wire index out of range: ", bit);
-        return (_words[bit / 64] >> (bit % 64)) & 1;
-    }
-
-    BitRef
-    operator[](unsigned bit)
-    {
-        DESC_ASSERT(bit < _bits, "wire index out of range: ", bit);
-        return BitRef(_words[bit / 64], std::uint64_t{1} << (bit % 64));
-    }
-
-    void
-    set(unsigned bit, bool v)
-    {
-        (*this)[bit] = v;
-    }
-
-    /** Flip every wire whose bit is set in @p mask (toggle bank). */
-    void
-    toggle(const WirePlane &mask)
-    {
-        DESC_ASSERT(mask._bits == _bits, "plane width mismatch");
-        for (std::size_t i = 0; i < _words.size(); i++)
-            _words[i] ^= mask._words[i];
-    }
-
-    void
-    clear()
-    {
-        std::fill(_words.begin(), _words.end(), std::uint64_t{0});
-    }
-
-    bool operator==(const WirePlane &o) const = default;
-
-  private:
-    unsigned _bits;
-    std::vector<std::uint64_t> _words;
-};
 
 /**
  * Levels of all wires of one DESC link at one clock cycle: the data
@@ -124,7 +24,7 @@ class WirePlane
  */
 struct WireBundle
 {
-    WirePlane data;
+    BitVec data;
     bool reset_skip = false;
     bool sync = false;
 

@@ -106,7 +106,7 @@ class Writer
 class Reader
 {
   public:
-    explicit Reader(std::string bytes) : _buf(std::move(bytes)) {}
+    explicit Reader(std::string_view bytes) : _buf(bytes) {}
 
     std::uint64_t
     u64()
@@ -188,7 +188,7 @@ class Reader
     bool atEnd() const { return _ok && _pos == _buf.size(); }
 
   private:
-    std::string _buf;
+    std::string_view _buf;
     std::size_t _pos = 0;
     bool _ok = true;
 };
@@ -221,15 +221,14 @@ fnv1a(std::string_view bytes)
  * the FNV-1a checksum of all of those.
  */
 const char *
-decodeEntry(std::string bytes, std::uint64_t key, AppRun &run)
+decodeEntry(std::string_view bytes, std::uint64_t key, AppRun &run)
 {
     if (bytes.size() < 4 * 8)
         return "truncated";
     std::size_t body = bytes.size() - 8;
     bool sum_ok = Reader(bytes.substr(body)).u64()
-        == fnv1a(std::string_view(bytes).substr(0, body));
-    bytes.resize(body);
-    Reader r(std::move(bytes));
+        == fnv1a(bytes.substr(0, body));
+    Reader r(bytes.substr(0, body));
     if (r.u64() != kMagic)
         return "not a run-cache entry";
     if (r.u64() != kFormatVersion)
@@ -320,7 +319,7 @@ RunCache::load(std::uint64_t key) const
     AppRun run;
     const char *why = !in.is_open() || (!in.good() && !in.eof())
         ? "unreadable"
-        : decodeEntry(std::move(bytes), key, run);
+        : decodeEntry(bytes, key, run);
     if (!why)
         return run;
     // The caller simulates the point again and store() overwrites

@@ -66,7 +66,7 @@ VcdWriter::addBundle(const std::string &scope, unsigned wires)
             addSignal(scope, detail::concat("data", w)));
     sigs.sync = addSignal(scope, "sync");
     sigs.shadow = unsigned(_shadows.size());
-    _shadows.push_back({core::WirePlane(wires), false});
+    _shadows.push_back({BitVec(wires), false});
     return sigs;
 }
 
@@ -114,7 +114,7 @@ VcdWriter::set(unsigned sig, bool v)
 void
 VcdWriter::setBundle(const BundleSignals &sigs, const core::WireBundle &w)
 {
-    DESC_ASSERT(w.data.size() == sigs.data.size(),
+    DESC_ASSERT(w.data.width() == sigs.data.size(),
                 "bundle width mismatch");
     DESC_ASSERT(sigs.shadow < _shadows.size(), "foreign BundleSignals");
     set(sigs.reset_skip, w.reset_skip);
@@ -122,17 +122,18 @@ VcdWriter::setBundle(const BundleSignals &sigs, const core::WireBundle &w)
     if (!sh.primed) {
         // First sample: every wire must appear in the $dumpvars block.
         for (unsigned i = 0; i < sigs.data.size(); i++)
-            set(sigs.data[i], w.data[i]);
+            set(sigs.data[i], w.data.bit(i));
         sh.primed = true;
     } else {
         // Steady state: stage only the wires that toggled since the
         // previous sample (word-wide plane diff).
-        for (unsigned k = 0; k < w.data.numWords(); k++) {
-            std::uint64_t diff = w.data.word(k) ^ sh.plane.word(k);
+        const std::vector<std::uint64_t> &now = w.data.words();
+        for (unsigned k = 0; k < now.size(); k++) {
+            std::uint64_t diff = now[k] ^ sh.plane.words()[k];
             while (diff) {
                 unsigned b = k * 64 + unsigned(std::countr_zero(diff));
                 diff &= diff - 1;
-                set(sigs.data[b], w.data[b]);
+                set(sigs.data[b], w.data.bit(b));
             }
         }
     }

@@ -122,7 +122,7 @@ class VcdWriter
     /** Previous sampled data plane of one bundle (diff reference). */
     struct BundleShadow
     {
-        core::WirePlane plane;
+        BitVec plane;
         bool primed = false; //!< false until the first sample
     };
 

@@ -76,12 +76,12 @@ TEST(LinkFaults, DelayedToggleCorruptsExactlyOneChunkValue)
     bool armed = true;
     bool prev_level = false;
     link.setFaultHook([&](Cycle, WireBundle &w) {
-        if (armed && w.data[5] != prev_level) {
-            w.data[5] = prev_level; // suppress for one cycle
+        if (armed && w.data.bit(5) != prev_level) {
+            w.data.setBit(5, prev_level); // suppress for one cycle
             armed = false;
             return;
         }
-        prev_level = w.data[5];
+        prev_level = w.data.bit(5);
     });
 
     BitVec recv;

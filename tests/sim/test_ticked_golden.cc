@@ -124,9 +124,9 @@ runScenario(const Scenario &sc)
         link.setFaultHook([armed, prev2](Cycle t, WireBundle &w) mutable {
             if (t == 9)
                 w.sync = !w.sync;
-            bool lvl = w.data[2];
+            bool lvl = w.data.bit(2);
             if (armed && lvl != prev2) {
-                w.data[2] = prev2;
+                w.data.setBit(2, prev2);
                 armed = false;
                 return;
             }
@@ -268,9 +268,9 @@ TEST(TickedGolden, EccFaultInjectionStaysCorrectable)
     bool armed = true;
     bool prev = false;
     link.setFaultHook([&](Cycle, WireBundle &w) {
-        bool lvl = w.data[4];
+        bool lvl = w.data.bit(4);
         if (armed && lvl != prev) {
-            w.data[4] = prev; // delay wire 4's toggle by one cycle
+            w.data.setBit(4, prev); // delay wire 4's toggle by one cycle
             armed = false;
             return;
         }

@@ -124,12 +124,12 @@ TEST(Vcd, SampleBundleTracksWireLevels)
 
     core::WireBundle w(2);
     w.reset_skip = true;
-    w.data[0] = false;
-    w.data[1] = true;
+    w.data.setBit(0, false);
+    w.data.setBit(1, true);
     w.sync = false;
     vcd.sampleBundle(sigs, 0, w);
 
-    w.data[0] = true;
+    w.data.setBit(0, true);
     vcd.sampleBundle(sigs, 1, w);
     vcd.close();
 
