@@ -11,14 +11,17 @@
  * its endpoints' last-value tables and adaptive counters in step.
  *
  * DescEquivalence runs over the 80-config space (wires x chunk bits x
- * skip mode): a stream over four value distributions, the extreme
- * blocks, a mid-stream reset(), and two DescScheme bounds.
- * DescAdaptiveStream runs a long stream over the 20 adaptive configs
- * alone, where one mis-updated counter shows only blocks later. The
- * DescLayouts cases cover the ECC bus layouts and odd chunk widths;
- * the DescLinkHooks cases pin what only the ticked link offers:
+ * skip mode): a short stream, a stream over four value distributions,
+ * the all-zero and all-one blocks, a 240-block stream past the
+ * adaptive counters' saturation horizon, and two DescScheme bounds.
+ * LinkFastPath, the same fixture over the same configs, adds the
+ * kernel's lane selection, blocks of alternating empty and longest
+ * chunks, and a mid-stream reset(). LinkFastPathEcc and LinkFastPathOdd
+ * cover the ECC bus layouts and odd chunk widths; the
+ * LinkFastPathSelect cases pin what only the ticked link offers:
  * per-cycle hooks, the link trace channel, and an optional received
- * block.
+ * block. The LinkFastPath names date from a link that had a second,
+ * batched engine; each case's comment says what it checks now.
  */
 
 #include <gtest/gtest.h>
@@ -113,6 +116,29 @@ expectSameResult(const encoding::TransferResult &a,
     EXPECT_EQ(a.skipped, b.skipped) << "block " << block_no;
 }
 
+/**
+ * @p per_dist blocks of each of kDists, in turn, through @p link and
+ * @p schemes (configured for kBlockBits-wide blocks), so skip state
+ * carries across the distribution changes.
+ */
+void
+expectStreamMatchesLink(
+    std::initializer_list<encoding::TransferScheme *> schemes,
+    DescLink &link, unsigned chunk_bits, Rng &rng, int per_dist)
+{
+    BitVec prev(kBlockBits);
+    int n = 0;
+    for (const Dist &d : kDists) {
+        for (int i = 0; i < per_dist; i++, n++) {
+            BitVec block =
+                biasedBlock(rng, prev, chunk_bits, d.zero_p, d.repeat_p);
+            prev = block;
+            ASSERT_NO_FATAL_FAILURE(
+                expectSchemesMatchLink(schemes, link, block, n));
+        }
+    }
+}
+
 /** (wires, chunk_bits, skip mode) */
 using EquivalenceParam = std::tuple<unsigned, unsigned, SkipMode>;
 
@@ -170,17 +196,8 @@ class DescEquivalence : public ::testing::TestWithParam<EquivalenceParam>
     void
     streamDists(Rng &rng, int per_dist)
     {
-        const unsigned chunk_bits = config().chunk_bits;
-        BitVec prev(kBlockBits);
-        int n = 0;
-        for (const Dist &d : kDists) {
-            for (int i = 0; i < per_dist; i++, n++) {
-                BitVec block = biasedBlock(rng, prev, chunk_bits, d.zero_p,
-                                           d.repeat_p);
-                prev = block;
-                ASSERT_NO_FATAL_FAILURE(step(block, n));
-            }
-        }
+        expectStreamMatchesLink({&kernel, &ref}, link, config().chunk_bits,
+                                rng, per_dist);
     }
 
     DescLink link;
@@ -188,16 +205,21 @@ class DescEquivalence : public ::testing::TestWithParam<EquivalenceParam>
     oracle::DescScalar ref;
 };
 
+TEST_P(DescEquivalence, BehavioralMatchesCycleAccurate)
+{
+    const DescConfig cfg = config();
+    Rng rng(0xec0de + cfg.bus_wires * 31 + cfg.chunk_bits);
+    BitVec prev(kBlockBits);
+    for (int i = 0; i < 40; i++) {
+        BitVec block = biasedBlock(rng, prev, cfg.chunk_bits, 0.3, 0.2);
+        prev = block;
+        ASSERT_NO_FATAL_FAILURE(step(block, i));
+    }
+}
+
 TEST_P(DescEquivalence, RandomizedDifferential)
 {
     const DescConfig cfg = config();
-    // SWAR lanes on whole-word waves; the scalar lane for adaptive
-    // skip, multi-wave basic mode and waves of under 64 bits.
-    const bool whole_words = cfg.numWaves() == 1
-        || cfg.activeWires() * cfg.chunk_bits % 64 == 0;
-    EXPECT_EQ(kernel.usesBatchedPath(),
-              cfg.skip != SkipMode::Adaptive && whole_words
-                  && (cfg.skip != SkipMode::None || cfg.numWaves() == 1));
     Rng rng(0xd1ff + cfg.bus_wires * 131 + cfg.chunk_bits * 7
             + unsigned(cfg.skip));
     streamDists(rng, 25);
@@ -214,32 +236,20 @@ TEST_P(DescEquivalence, AllZeroAndAllOnesBlocks)
         ASSERT_NO_FATAL_FAILURE(step(block, n++));
 }
 
-TEST_P(DescEquivalence, ResetMidStream)
+TEST_P(DescEquivalence, AdaptiveCountersSurviveLongStreams)
 {
-    // reset() must return the link endpoints and both models to the
-    // state of a fresh instance: after a mid-stream reset they keep
-    // agreeing with each other and with a scheme built at that point.
+    // The skip value is history: transmitter and receiver counters and
+    // last-value tables must track each other, and the fast model and
+    // its scalar oracle must track the ticked link, across a long run
+    // of consecutive blocks, because one divergent count eventually
+    // flips a best-value decision and corrupts every later transfer.
+    // 240 blocks over four distributions run well past the adaptive
+    // counters' saturation horizon, and each change of distribution
+    // makes the trackers decay and re-learn different frequent values.
+    // The other skip modes run the same stream.
     const DescConfig cfg = config();
-    Rng rng(0x1237 + cfg.bus_wires + cfg.chunk_bits);
-
-    std::optional<DescScheme> fresh;
-    BitVec prev(kBlockBits);
-    for (int i = 0; i < 60; i++) {
-        BitVec block = biasedBlock(rng, prev, cfg.chunk_bits, 0.4, 0.3);
-        prev = block;
-        if (i == 30) {
-            link.reset();
-            kernel.reset();
-            ref.reset();
-            fresh.emplace(cfg);
-        }
-        if (fresh) {
-            ASSERT_NO_FATAL_FAILURE(expectSchemesMatchLink(
-                {&kernel, &ref, &*fresh}, link, block, i));
-        } else {
-            ASSERT_NO_FATAL_FAILURE(step(block, i));
-        }
-    }
+    Rng rng(0xadab + cfg.bus_wires * 3 + cfg.chunk_bits);
+    streamDists(rng, 60);
 }
 
 TEST_P(DescEquivalence, DataFlipsNeverExceedChunkCount)
@@ -272,43 +282,101 @@ TEST_P(DescEquivalence, WindowBoundedByWorstCase)
     }
 }
 
-/** The adaptive skip mode alone, over a long stream. */
-class DescAdaptiveStream : public DescEquivalence
+/** The same fixture and configs, for the kernel's lanes and reset(). */
+class LinkFastPath : public DescEquivalence
 {
 };
 
-TEST_P(DescAdaptiveStream, AdaptiveCountersSurviveLongStreams)
+TEST_P(LinkFastPath, BitIdenticalToTickedLoop)
 {
-    // The adaptive skip value is pure history: transmitter and
-    // receiver counters must track each other, and the fast model and
-    // its scalar oracle must track the ticked link, across a long run
-    // of consecutive blocks, because one divergent count eventually
-    // flips a best-value decision and corrupts every later transfer.
-    // 240 blocks over four distributions run well past the counters'
-    // saturation horizon, and each change of distribution makes the
-    // trackers decay and re-learn different frequent values.
     const DescConfig cfg = config();
-    Rng rng(0xadab + cfg.bus_wires * 3 + cfg.chunk_bits);
-    streamDists(rng, 60);
+    // SWAR lanes on whole-word waves; the scalar lane for adaptive
+    // skip, multi-wave basic mode and waves of under 64 bits.
+    const bool whole_words = cfg.numWaves() == 1
+        || cfg.activeWires() * cfg.chunk_bits % 64 == 0;
+    EXPECT_EQ(kernel.usesBatchedPath(),
+              cfg.skip != SkipMode::Adaptive && whole_words
+                  && (cfg.skip != SkipMode::None || cfg.numWaves() == 1));
+    Rng rng(0xfa57 + cfg.bus_wires * 131 + cfg.chunk_bits * 7
+            + unsigned(cfg.skip));
+    streamDists(rng, 25);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ConfigSpace, DescEquivalence,
-    ::testing::Combine(
-        ::testing::Values(16u, 32u, 64u, 128u, 256u),
-        ::testing::Values(1u, 2u, 4u, 8u),
-        ::testing::Values(SkipMode::None, SkipMode::Zero,
-                          SkipMode::LastValue, SkipMode::Adaptive)),
-    equivalenceParamName);
+TEST_P(LinkFastPath, ExtremeBlocks)
+{
+    // Chunks alternating between zero and the longest pulse, and the
+    // complement: every wave mixes chunks a zero skip drops with
+    // chunks that hold their wire for the whole window.
+    const DescConfig cfg = config();
+    BitVec even(kBlockBits);
+    BitVec odd(kBlockBits);
+    for (unsigned pos = 0, i = 0; pos < kBlockBits;
+         pos += cfg.chunk_bits, i++) {
+        even.setField(pos, cfg.chunk_bits, i % 2 ? 0 : cfg.maxValue());
+        odd.setField(pos, cfg.chunk_bits, i % 2 ? cfg.maxValue() : 0);
+    }
 
-INSTANTIATE_TEST_SUITE_P(
-    ConfigSpace, DescAdaptiveStream,
-    ::testing::Combine(::testing::Values(16u, 32u, 64u, 128u, 256u),
-                       ::testing::Values(1u, 2u, 4u, 8u),
-                       ::testing::Values(SkipMode::Adaptive)),
-    equivalenceParamName);
+    int n = 0;
+    for (const BitVec &block : {even, odd, odd, even, even})
+        ASSERT_NO_FATAL_FAILURE(step(block, n++));
+}
 
-TEST(DescLayouts, EccLayoutsMatchLink)
+TEST_P(LinkFastPath, InterleavedPathsMatchPureTicked)
+{
+    // reset() must return the link endpoints and both models to the
+    // state of a fresh instance: after a mid-stream reset they keep
+    // agreeing with each other and with a scheme built at that point.
+    const DescConfig cfg = config();
+    Rng rng(0x1237 + cfg.bus_wires + cfg.chunk_bits);
+
+    std::optional<DescScheme> fresh;
+    BitVec prev(kBlockBits);
+    for (int i = 0; i < 60; i++) {
+        BitVec block = biasedBlock(rng, prev, cfg.chunk_bits, 0.4, 0.3);
+        prev = block;
+        if (i == 30) {
+            link.reset();
+            kernel.reset();
+            ref.reset();
+            fresh.emplace(cfg);
+        }
+        if (fresh) {
+            ASSERT_NO_FATAL_FAILURE(expectSchemesMatchLink(
+                {&kernel, &ref, &*fresh}, link, block, i));
+        } else {
+            ASSERT_NO_FATAL_FAILURE(step(block, i));
+        }
+    }
+}
+
+const auto kConfigSpace = ::testing::Combine(
+    ::testing::Values(16u, 32u, 64u, 128u, 256u),
+    ::testing::Values(1u, 2u, 4u, 8u),
+    ::testing::Values(SkipMode::None, SkipMode::Zero, SkipMode::LastValue,
+                      SkipMode::Adaptive));
+
+INSTANTIATE_TEST_SUITE_P(ConfigSpace, DescEquivalence, kConfigSpace,
+                         equivalenceParamName);
+INSTANTIATE_TEST_SUITE_P(ConfigSpace, LinkFastPath, kConfigSpace,
+                         equivalenceParamName);
+
+TEST(TickedFastDrift, NoDriftOver240AdaptiveBlocks)
+{
+    // The long adaptive stream once more, on its own seed, with the
+    // 64-wire 4-bit-chunk link and the kernel alone.
+    DescConfig cfg;
+    cfg.bus_wires = 64;
+    cfg.chunk_bits = 4;
+    cfg.block_bits = kBlockBits;
+    cfg.skip = SkipMode::Adaptive;
+
+    DescLink link(cfg);
+    DescScheme scheme(cfg);
+    Rng rng(0xd21f7);
+    expectStreamMatchesLink({&scheme}, link, cfg.chunk_bits, rng, 60);
+}
+
+TEST(LinkFastPathEcc, EccLayoutsMatchTicked)
 {
     // The ECC bus layouts of Figure 9, as the hierarchy sends them on
     // every SECDED transfer: the (137,128) and (72,64) codes widen the
@@ -350,7 +418,7 @@ TEST(DescLayouts, EccLayoutsMatchLink)
     }
 }
 
-TEST(DescLayouts, OddChunkWidthsMatchLink)
+TEST(LinkFastPathOdd, OddChunkWidthsMatchTicked)
 {
     // Chunk widths that do not pack a 64-bit word, on block widths
     // they divide, in one- and multi-wave layouts: the kernel's scalar
@@ -390,7 +458,7 @@ TEST(DescLayouts, OddChunkWidthsMatchLink)
     }
 }
 
-TEST(DescLinkHooks, HookedLinkMatchesPlainLink)
+TEST(LinkFastPathSelect, AutoUsesFastPathWhenUnobserved)
 {
     // There is one engine: attaching observers changes nothing a
     // caller sees, so an unobserved link and a hooked one agree on
@@ -415,7 +483,7 @@ TEST(DescLinkHooks, HookedLinkMatchesPlainLink)
     }
 }
 
-TEST(DescLinkHooks, WireHookSeesEveryCycleOnce)
+TEST(LinkFastPathSelect, WireHookForcesTickedLoop)
 {
     // The wire observer sees every transfer cycle exactly once, stamped
     // with the link's monotonic cycle count.
@@ -435,7 +503,7 @@ TEST(DescLinkHooks, WireHookSeesEveryCycleOnce)
     EXPECT_EQ(observed, r1.cycles + r2.cycles);
 }
 
-TEST(DescLinkHooks, FaultHookFiresEveryCycle)
+TEST(LinkFastPathSelect, FaultHookForcesTickedLoop)
 {
     DescConfig cfg;
     DescLink link(cfg);
@@ -446,7 +514,7 @@ TEST(DescLinkHooks, FaultHookFiresEveryCycle)
     EXPECT_EQ(observed, r.cycles);
 }
 
-TEST(DescLinkHooks, FaultHookRunsBeforeObserver)
+TEST(LinkFastPathSelect, ForcedFastStillTicksBehindHooks)
 {
     // With both hooks attached, each fires once per cycle, the fault
     // hook first: the observer sees the bundle after injection.
@@ -468,7 +536,7 @@ TEST(DescLinkHooks, FaultHookRunsBeforeObserver)
     EXPECT_EQ(observed, r.cycles);
 }
 
-TEST(DescLinkHooks, LinkTraceReportsWavesAndTransfers)
+TEST(LinkFastPathSelect, LinkTraceChannelForcesTickedLoop)
 {
     // The link trace channel reports each transfer and each wave the
     // transmitter opens.
@@ -496,7 +564,7 @@ TEST(DescLinkHooks, LinkTraceReportsWavesAndTransfers)
     EXPECT_NE(text.find("block transferred"), std::string::npos) << text;
 }
 
-TEST(DescLinkHooks, NullReceivedKeepsEndpointState)
+TEST(LinkFastPathSelect, NullReceivedPointerWorksOnBothPaths)
 {
     // Dropping the received block must not change the transfer or the
     // endpoint state the next transfer starts from.

@@ -8,9 +8,11 @@
  * randomized system configurations run on the production schemes
  * must produce identical SimResults, byte-identical stats sidecars,
  * and byte-identical run-cache entries to the same configurations run
- * with every L2 bank scheme built by oracle::makeScheme. The fast
- * DESC model against the ticked link is the DESC equivalence suite's
- * job (core/test_equivalence.cc).
+ * with every L2 bank scheme built by oracle::makeScheme. A link-level
+ * case additionally
+ * streams enough blocks through an adaptive-skip DescScheme and the
+ * ticked DescLink to expose any tracker drift between the fast model
+ * and the reference engine.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +24,8 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "core/descscheme.hh"
+#include "core/link.hh"
 #include "oracle/oracle.hh"
 #include "sim/energy_account.hh"
 #include "sim/runcache.hh"
@@ -155,5 +159,52 @@ TEST(ModeSweep, CrossProductMatchesReferenceByteExactly)
         // comparison.
         EXPECT_EQ(sidecarJson(cfg, got), ref_json);
         EXPECT_EQ(cacheEntryBytes(cfg, got), ref_entry);
+    }
+}
+
+TEST(ModeSweep, AdaptiveTrackerDoesNotDriftAcrossLinkEngines)
+{
+    // The adaptive skip tracker carries per-wire saturating counters
+    // across transfers; a model that mis-updates them stays
+    // bit-identical for a while and drifts later. Stream well past
+    // the counter saturation horizon and require lockstep equality
+    // between the fast model and the ticked link, and between the
+    // link's transmitter and receiver.
+    core::DescConfig cfg;
+    cfg.bus_wires = 128;
+    cfg.chunk_bits = 4;
+    cfg.skip = core::SkipMode::Adaptive;
+
+    core::DescScheme scheme(cfg);
+    core::DescLink link(cfg);
+
+    Rng rng(0xada9717eULL);
+    BitVec prev(cfg.block_bits);
+    constexpr int kBlocks = 160; // > 120-block drift horizon
+    for (int b = 0; b < kBlocks; b++) {
+        BitVec block(cfg.block_bits);
+        for (unsigned pos = 0; pos < block.width(); pos += cfg.chunk_bits) {
+            double u = rng.uniform();
+            std::uint64_t v;
+            if (u < 0.4)
+                v = 0;
+            else if (u < 0.7)
+                v = prev.field(pos, cfg.chunk_bits);
+            else
+                v = rng.below(std::uint64_t{1} << cfg.chunk_bits);
+            block.setField(pos, cfg.chunk_bits, v);
+        }
+        prev = block;
+
+        BitVec got(cfg.block_bits);
+        auto rt = link.transferBlock(block, &got);
+        auto rf = scheme.transfer(block);
+        ASSERT_EQ(rf.cycles, rt.cycles) << "block " << b;
+        ASSERT_EQ(rf.data_flips, rt.data_flips) << "block " << b;
+        ASSERT_EQ(rf.control_flips, rt.control_flips) << "block " << b;
+        ASSERT_EQ(rf.skipped, rt.skipped) << "block " << b;
+        ASSERT_EQ(got, block) << "block " << b;
+        ASSERT_TRUE(link.tx().adaptive() == link.rx().adaptive())
+            << "tx/rx adaptive counters drifted, block " << b;
     }
 }
